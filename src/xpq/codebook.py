@@ -127,6 +127,8 @@ def attention_forward(
 
     Returns (embedding (m, H*d_v), weights (H, m, n)). Per head:
     weights = softmax(Q W_q Keys^T / sqrt(d_k)), output = weights @ Codes.
+    All heads run as stacked (H, m, .) matmuls; each head's product is the
+    same BLAS call a per-head loop would make, so the result is bitwise equal.
     """
     cfg = params.config
     q = np.asarray(queries)
@@ -134,55 +136,50 @@ def attention_forward(
         raise ValueError(f"queries must be (m, {cfg.dim}), got {q.shape}")
     m = q.shape[0]
     scale = 1.0 / math.sqrt(cfg.d_k)
-    out_dtype = np.result_type(q.dtype, params.w_q.dtype)
-    weights = np.empty((cfg.heads, m, cfg.n), dtype=out_dtype)
-    embedding = np.empty((m, cfg.embed_dim), dtype=out_dtype)
-    for h in range(cfg.heads):
-        projected = q @ params.w_q[h]
-        logits = (projected @ params.keys[h].T) * scale
-        w = softmax_rows(logits)
-        weights[h] = w
-        embedding[:, h * cfg.d_v : (h + 1) * cfg.d_v] = w @ params.codes[h]
+    projected = q @ params.w_q  # (H, m, d_k)
+    weights = softmax_rows((projected @ params.keys.transpose(0, 2, 1)) * scale)
+    heads_out = weights @ params.codes  # (H, m, d_v)
+    embedding = heads_out.transpose(1, 0, 2).reshape(m, cfg.embed_dim)
     if not np.all(np.isfinite(embedding)) or not np.all(np.isfinite(weights)):
         raise NumericError("non-finite values in attention forward")
     return embedding, weights
 
 
 def attention_backward(
-    params: CodebookParams, queries: np.ndarray, upstream: np.ndarray
+    params: CodebookParams, queries: np.ndarray, weights: np.ndarray, upstream: np.ndarray
 ) -> tuple[CodebookGrads, np.ndarray]:
     """Exact gradients of <upstream, embedding> w.r.t. parameters and queries.
 
-    upstream has the embedding's shape (m, H*d_v). Recomputes the forward
-    intermediates per head; gradients accumulate in fixed head order.
+    weights are the (H, m, n) attention weights attention_forward returned for
+    the same params and queries; the softmax is not recomputed. upstream has
+    the embedding's shape (m, H*d_v). All heads run as stacked matmuls; d_q
+    sums the heads' contributions in head order, starting from zeros.
     """
     cfg = params.config
     q = np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != cfg.dim:
         raise ValueError(f"queries must be (m, {cfg.dim}), got {q.shape}")
-    if upstream.shape != (q.shape[0], cfg.embed_dim):
-        raise ValueError(
-            f"upstream must be {(q.shape[0], cfg.embed_dim)}, got {upstream.shape}"
-        )
+    m = q.shape[0]
+    if weights.shape != (cfg.heads, m, cfg.n):
+        raise ValueError(f"weights must be {(cfg.heads, m, cfg.n)}, got {weights.shape}")
+    if upstream.shape != (m, cfg.embed_dim):
+        raise ValueError(f"upstream must be {(m, cfg.embed_dim)}, got {upstream.shape}")
     scale = 1.0 / math.sqrt(cfg.d_k)
-    d_wq = np.zeros_like(params.w_q)
-    d_keys = np.zeros_like(params.keys)
-    d_codes = np.zeros_like(params.codes)
+    projected = q @ params.w_q  # (H, m, d_k)
+    g_out = upstream.reshape(m, cfg.heads, cfg.d_v).transpose(1, 0, 2)  # (H, m, d_v)
+    d_codes = weights.transpose(0, 2, 1) @ g_out
+    d_w = g_out @ params.codes.transpose(0, 2, 1)
+    # softmax Jacobian: dL/dz = w * (dL/dw - sum_j dL/dw_j * w_j)
+    d_logits = weights * (d_w - (d_w * weights).sum(axis=-1, keepdims=True))
+    d_scores = d_logits * scale
+    d_proj = d_scores @ params.keys  # (H, m, d_k)
+    d_keys = d_scores.transpose(0, 2, 1) @ projected
+    d_wq = q.T @ d_proj
+    d_q_heads = d_proj @ params.w_q.transpose(0, 2, 1)  # (H, m, dim)
     d_q = np.zeros_like(q)
+    # not d_q_heads.sum(axis=0): that reduces pairwise when m * dim == 1 and H >= 8
     for h in range(cfg.heads):
-        projected = q @ params.w_q[h]
-        logits = (projected @ params.keys[h].T) * scale
-        w = softmax_rows(logits)
-        g_out = upstream[:, h * cfg.d_v : (h + 1) * cfg.d_v]
-        d_codes[h] = w.T @ g_out
-        d_w = g_out @ params.codes[h].T
-        # softmax Jacobian: dL/dz = w * (dL/dw - sum_j dL/dw_j * w_j)
-        d_logits = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
-        d_scores = d_logits * scale
-        d_proj = d_scores @ params.keys[h]
-        d_keys[h] = d_scores.T @ projected
-        d_wq[h] = q.T @ d_proj
-        d_q += d_proj @ params.w_q[h].T
+        d_q += d_q_heads[h]
     return CodebookGrads(d_wq, d_keys, d_codes), d_q
 
 
@@ -195,14 +192,6 @@ def forward(
         EmbeddingTable(embedding, queries.language, queries.phonemes),
         AttentionRecord(weights),
     )
-
-
-def backward(
-    params: CodebookParams, queries, upstream: np.ndarray
-) -> tuple[CodebookGrads, np.ndarray]:
-    """Like attention_backward; accepts a QueryMatrix or a raw matrix."""
-    q = queries.matrix if isinstance(queries, QueryMatrix) else queries
-    return attention_backward(params, q, upstream)
 
 
 def save_codebook(params: CodebookParams, path) -> None:

@@ -413,6 +413,7 @@ class Corpus:
         for i, (utt, split) in enumerate(zip(self.utterances, self.splits)):
             self._by_lang.setdefault(utt.language, []).append(i)
             self._by_lang_split.setdefault((utt.language, split), []).append(i)
+        self._train_pools: dict[int, tuple[tuple[Utterance, ...], ...]] = {}
 
     @property
     def feature_spec(self) -> FeatureSpec:
@@ -434,6 +435,20 @@ class Corpus:
             idx = self._by_lang_split.get((language, split), [])
         return [self.utterances[i] for i in idx]
 
+    def train_pools(self, min_size: int) -> tuple[tuple[Utterance, ...], ...]:
+        """The train-split utterances of each language that has at least
+        min_size of them, in manifest language order.
+
+        Built at first use for each min_size and kept: utterances are
+        immutable after load.
+        """
+        out = self._train_pools.get(min_size)
+        if out is None:
+            pools = (tuple(self.by_language(lang, "train")) for lang in self.language_ids)
+            out = tuple(pool for pool in pools if len(pool) >= min_size)
+            self._train_pools[min_size] = out
+        return out
+
 
 def load_corpus(manifest_or_path) -> Corpus:
     """Load all features and alignments referenced by a manifest.
@@ -447,7 +462,11 @@ def load_corpus(manifest_or_path) -> Corpus:
     )
     utterances = []
     splits = []
+    seen_ids: set[str] = set()
     for entry in manifest.entries:
+        if entry.id in seen_ids:
+            raise ValidationError(f"utterance {entry.id!r}: duplicate utterance id")
+        seen_ids.add(entry.id)
         features = load_feature_file(manifest.root / entry.feature_path)
         if features.shape[1] != manifest.feature_spec.dim:
             raise ValidationError(

@@ -95,7 +95,8 @@ def check_codebook_gradients(seed: int, shape: CheckShape = CheckShape()) -> flo
         emb, _ = attention_forward(params, queries)
         return float((upstream * emb).sum())
 
-    grads, d_q = attention_backward(params, queries, upstream)
+    _, weights = attention_forward(params, queries)
+    grads, d_q = attention_backward(params, queries, weights, upstream)
     worst = 0.0
     for analytic, arr in (
         (grads.w_q, params.w_q),
@@ -144,9 +145,9 @@ def check_train_objective_gradients(seed: int, shape: CheckShape = CheckShape())
         emb, _ = attention_forward(params, queries)
         return loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), bundle)[0]
 
-    emb, _ = attention_forward(params, queries)
+    emb, weights = attention_forward(params, queries)
     _, dec_grads, d_table = loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), bundle)
-    cb_grads, _ = attention_backward(params, queries, d_table)
+    cb_grads, _ = attention_backward(params, queries, weights, d_table)
     worst = 0.0
     for analytic, arr in (
         (cb_grads.w_q, params.w_q),

@@ -3,8 +3,9 @@
 Two interchangeable implementations: numba @njit (default when numba is
 installed) and pure numpy. Select with XPQ_BACKEND=numba|numpy or
 set_backend(). Both paths accumulate in float64 and are deterministic for
-fixed inputs; they may differ from each other in the last few ulps because
-summation order differs.
+fixed inputs. Both add each frame's residual into its gsum cell in frame
+order. numpy reduces segment_pool's per-segment sums and the residual's sq in
+another order than numba's loops, so those may differ in the last few ulps.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ def _segment_pool_numpy(features, starts, ends, rows, n_rows):
 
 def _frame_residual_numpy(frames, rows, preds):
     d = preds[rows].astype(np.float64) - frames.astype(np.float64)
-    gsum = np.zeros(preds.shape, dtype=np.float64)
-    np.add.at(gsum, rows, d)
+    m, dim = preds.shape
+    # one flat cell index per (frame, column); bincount adds in frame order
+    cells = (rows[:, None] * dim + np.arange(dim)).ravel()
+    gsum = np.bincount(cells, weights=d.ravel(), minlength=m * dim).reshape(m, dim)
+    # bincount returns int64 zeros when there are no frames
+    gsum = gsum.astype(np.float64, copy=False)
     return float(np.einsum("ij,ij->", d, d)), gsum
 
 

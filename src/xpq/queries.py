@@ -82,15 +82,20 @@ def aggregate_from_matrices(
     phoneme_set: LanguagePhonemeSet,
     dtype,
 ) -> QueryMatrix:
-    """Mean of per-utterance representations, reduced in the given order."""
+    """Mean of per-utterance representations, reduced in the given order.
+
+    An absent phoneme's rep row is exactly +0.0, and a sum that starts at
+    +0.0 is never -0.0, so adding that row changes no bit: each utterance's
+    whole matrix is added without a presence mask. The adds stay one
+    utterance at a time because a single sum(axis=0) over the stack reduces
+    pairwise when m * dim == 1.
+    """
     m = phoneme_set.size
     dim = rep_counts[0][0].shape[1]
     acc = np.zeros((m, dim), dtype=np.float64)
-    n_utt = np.zeros(m, dtype=np.int64)
-    for reps, counts in rep_counts:
-        mask = counts > 0
-        acc[mask] += reps[mask]
-        n_utt[mask] += 1
+    for reps, _ in rep_counts:
+        acc += reps
+    n_utt = (np.stack([counts for _, counts in rep_counts]) > 0).sum(axis=0)
     present = n_utt > 0
     matrix = np.zeros((m, dim), dtype=np.float64)
     matrix[present] = acc[present] / n_utt[present, None]

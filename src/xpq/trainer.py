@@ -133,17 +133,12 @@ def sample_language_batch(
 
     Eligible languages have at least batch_size train-split utterances.
     """
-    eligible = [
-        lang
-        for lang in corpus.language_ids
-        if len(corpus.by_language(lang, "train")) >= batch_size
-    ]
+    eligible = corpus.train_pools(batch_size)
     if not eligible:
         raise ConfigError(
             f"no language has {batch_size} train-split utterances; cannot form batches"
         )
-    language = eligible[int(rng.integers(len(eligible)))]
-    pool = corpus.by_language(language, "train")
+    pool = eligible[int(rng.integers(len(eligible)))]
     idx = rng.choice(len(pool), size=batch_size, replace=False)
     return [pool[i] for i in idx]
 
@@ -269,11 +264,11 @@ def train_step(
 
     dtype = gen_group[0].features.dtype
     qm = aggregate_from_matrices([caches.reps(u) for u in gen_group], phoneme_set, dtype)
-    table, _ = forward(state.params, qm)
+    table, record = forward(state.params, qm)
     loss, dec_grads, d_table = loss_and_grads(
         state.decoder, table, caches.batch_bundle(loss_group)
     )
-    cb_grads, _ = attention_backward(state.params, qm.matrix, d_table)
+    cb_grads, _ = attention_backward(state.params, qm.matrix, record.weights, d_table)
     lr = scheduled_lr(state.step + 1, config.lr, config.warmup_steps, config.decay_rate)
     adam_step(
         state.opt,
@@ -428,7 +423,9 @@ def _truncate_loss_log(path: Path, step: int) -> None:
             continue
         if line_step <= step:
             kept.append(line)
-    path.write_text("\n".join(kept) + ("\n" if kept else ""), encoding="utf-8")
+    tmp = Path(str(path) + ".tmp")
+    tmp.write_text("\n".join(kept) + ("\n" if kept else ""), encoding="utf-8")
+    tmp.replace(path)
 
 
 def _validation_report(corpus: Corpus, caches: CorpusCaches, state: TrainState) -> list[str]:

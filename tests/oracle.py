@@ -1,0 +1,99 @@
+"""Reference implementations that the production hot paths must match bitwise.
+
+Each function is the straightforward version the production code replaced:
+per-head attention that recomputes the softmax in its backward pass, the
+residual scatter through np.add.at, and query aggregation by masked adds.
+Tests only; nothing in src/ imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from xpq.codebook import CodebookGrads, CodebookParams
+from xpq.errors import NumericError
+from xpq.queries import QueryMatrix
+
+
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_forward(params: CodebookParams, queries: np.ndarray):
+    cfg = params.config
+    q = np.asarray(queries)
+    if q.ndim != 2 or q.shape[1] != cfg.dim:
+        raise ValueError(f"queries must be (m, {cfg.dim}), got {q.shape}")
+    m = q.shape[0]
+    scale = 1.0 / math.sqrt(cfg.d_k)
+    out_dtype = np.result_type(q.dtype, params.w_q.dtype)
+    weights = np.empty((cfg.heads, m, cfg.n), dtype=out_dtype)
+    embedding = np.empty((m, cfg.embed_dim), dtype=out_dtype)
+    for h in range(cfg.heads):
+        projected = q @ params.w_q[h]
+        logits = (projected @ params.keys[h].T) * scale
+        w = softmax_rows(logits)
+        weights[h] = w
+        embedding[:, h * cfg.d_v : (h + 1) * cfg.d_v] = w @ params.codes[h]
+    if not np.all(np.isfinite(embedding)) or not np.all(np.isfinite(weights)):
+        raise NumericError("non-finite values in attention forward")
+    return embedding, weights
+
+
+def attention_backward(params: CodebookParams, queries: np.ndarray, upstream: np.ndarray):
+    cfg = params.config
+    q = np.asarray(queries)
+    if q.ndim != 2 or q.shape[1] != cfg.dim:
+        raise ValueError(f"queries must be (m, {cfg.dim}), got {q.shape}")
+    if upstream.shape != (q.shape[0], cfg.embed_dim):
+        raise ValueError(
+            f"upstream must be {(q.shape[0], cfg.embed_dim)}, got {upstream.shape}"
+        )
+    scale = 1.0 / math.sqrt(cfg.d_k)
+    d_wq = np.zeros_like(params.w_q)
+    d_keys = np.zeros_like(params.keys)
+    d_codes = np.zeros_like(params.codes)
+    d_q = np.zeros_like(q)
+    for h in range(cfg.heads):
+        projected = q @ params.w_q[h]
+        logits = (projected @ params.keys[h].T) * scale
+        w = softmax_rows(logits)
+        g_out = upstream[:, h * cfg.d_v : (h + 1) * cfg.d_v]
+        d_codes[h] = w.T @ g_out
+        d_w = g_out @ params.codes[h].T
+        # softmax Jacobian: dL/dz = w * (dL/dw - sum_j dL/dw_j * w_j)
+        d_logits = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
+        d_scores = d_logits * scale
+        d_proj = d_scores @ params.keys[h]
+        d_keys[h] = d_scores.T @ projected
+        d_wq[h] = q.T @ d_proj
+        d_q += d_proj @ params.w_q[h].T
+    return CodebookGrads(d_wq, d_keys, d_codes), d_q
+
+
+def frame_residual_stats(frames, rows, preds):
+    d = preds[rows].astype(np.float64) - frames.astype(np.float64)
+    gsum = np.zeros(preds.shape, dtype=np.float64)
+    np.add.at(gsum, rows, d)
+    return float(np.einsum("ij,ij->", d, d)), gsum
+
+
+def aggregate_from_matrices(rep_counts, phoneme_set, dtype) -> QueryMatrix:
+    m = phoneme_set.size
+    dim = rep_counts[0][0].shape[1]
+    acc = np.zeros((m, dim), dtype=np.float64)
+    n_utt = np.zeros(m, dtype=np.int64)
+    for reps, counts in rep_counts:
+        mask = counts > 0
+        acc[mask] += reps[mask]
+        n_utt[mask] += 1
+    present = n_utt > 0
+    matrix = np.zeros((m, dim), dtype=np.float64)
+    matrix[present] = acc[present] / n_utt[present, None]
+    return QueryMatrix(
+        matrix.astype(dtype), present, phoneme_set.language, phoneme_set.phonemes
+    )

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -86,6 +87,18 @@ class TestTrain:
             assert (tmp_path / "interrupted" / name).read_bytes() == (
                 workdir / "ckpt" / name
             ).read_bytes(), name
+
+    def test_duplicate_utterance_ids_rejected(self, workdir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workdir / "corpus", corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        manifest["entries"][1]["id"] = manifest["entries"][0]["id"]
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["train", "--config", str(workdir / "config.json"),
+                     "--corpus", str(corpus / "manifest.json"),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:validation: ")
 
     def test_dim_mismatch_rejected(self, workdir, tmp_path, capsys):
         bad = dict(CONFIG, codebook=dict(CONFIG["codebook"], dim=7))

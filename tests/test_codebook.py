@@ -169,12 +169,17 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax_rows(x), naive_softmax(x), rtol=1e-12)
 
 
+def backward_through_forward(params, q, upstream):
+    _, weights = attention_forward(params, q)
+    return attention_backward(params, q, weights, upstream)
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         cfg = CodebookConfig(n=5, heads=2, d_k=3, d_v=2, dim=4)
         params = init_params(cfg, 7, dtype=np.float64)
         q = np.random.default_rng(3).standard_normal((3, 4))
-        grads, d_q = attention_backward(params, q, np.zeros((3, 4)))
+        grads, d_q = backward_through_forward(params, q, np.zeros((3, 4)))
         for g in (grads.w_q, grads.keys, grads.codes, d_q):
             assert np.all(g == 0.0)
 
@@ -189,9 +194,9 @@ class TestBackward:
         rng = np.random.default_rng(4)
         q = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 4))
-        base, _ = attention_backward(params, q, g)
-        dup, _ = attention_backward(params, np.vstack([q, q[:1]]), np.vstack([g, g[:1]]))
-        single, _ = attention_backward(params, q[:1], g[:1])
+        base, _ = backward_through_forward(params, q, g)
+        dup, _ = backward_through_forward(params, np.vstack([q, q[:1]]), np.vstack([g, g[:1]]))
+        single, _ = backward_through_forward(params, q[:1], g[:1])
         for b, d, s in (
             (base.w_q, dup.w_q, single.w_q),
             (base.keys, dup.keys, single.keys),
@@ -203,7 +208,15 @@ class TestBackward:
         cfg = CodebookConfig(n=5, heads=1, d_k=3, d_v=2, dim=4)
         params = init_params(cfg, 0)
         with pytest.raises(ValueError):
-            attention_backward(params, np.zeros((3, 4)), np.zeros((3, 7)))
+            backward_through_forward(params, np.zeros((3, 4)), np.zeros((3, 7)))
+
+    def test_weights_shape_rejected(self):
+        cfg = CodebookConfig(n=5, heads=2, d_k=3, d_v=2, dim=4)
+        params = init_params(cfg, 0)
+        q = np.zeros((3, 4), dtype=np.float32)
+        _, weights = attention_forward(params, q)
+        with pytest.raises(ValueError):
+            attention_backward(params, q, weights[:, :2], np.zeros((3, 4), dtype=np.float32))
 
 
 class TestCheckpoint:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -246,6 +247,18 @@ class TestValidateCorpus:
         r2 = validate_corpus(manifest)
         assert [str(i) for i in r1.issues] == [str(i) for i in r2.issues]
         assert r1.issues[0].utterance_id == manifest.entries[0].id
+
+    def test_duplicate_ids_rejected_by_load_and_validate(self, tmp_path):
+        manifest, _ = generate_corpus(SMALL_SYNTH, tmp_path)
+        first, second = manifest.entries[:2]
+        entries = (first, dataclasses.replace(second, id=first.id), *manifest.entries[2:])
+        dup = dataclasses.replace(manifest, entries=entries)
+        with pytest.raises(ValidationError, match="duplicate utterance id"):
+            load_corpus(dup)
+        report = validate_corpus(dup)
+        assert [(i.utterance_id, i.message) for i in report.issues] == [
+            (first.id, "duplicate utterance id")
+        ]
 
     def test_load_corpus_round_trip(self, small_corpus_dir):
         corpus = load_corpus(small_corpus_dir / "manifest.json")

@@ -1,0 +1,136 @@
+"""Production hot paths against the reference versions in oracle.py.
+
+Every pair is bitwise: same bytes, same dtype, same shape. Inputs include the
+edge cases the rewrites could treat differently: m=1, n=1, one head,
+repeated rows, all-zero query rows, one-frame segments, the exact-zero
+residual, and m * dim == 1 with many utterances or heads.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracle
+from xpq import kernels
+from xpq.codebook import CodebookConfig, attention_backward, attention_forward, init_params
+from xpq.datamodel import LanguagePhonemeSet
+from xpq.decoder import build_frame_bundle
+from xpq.queries import aggregate_from_matrices, phoneme_rep_matrix
+
+from conftest import make_utterance
+
+ORACLE = settings(derandomize=True, max_examples=60, deadline=None)
+DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@ORACLE
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 9),
+    heads=st.integers(1, 4),
+    d_k=st.integers(1, 6),
+    d_v=st.integers(1, 6),
+    dim=st.integers(1, 6),
+    dtype=DTYPES,
+    rows=st.sampled_from(["random", "repeated", "zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(20, 128, 4, 64, 64, 16, np.float32, "random", 0)  # production shape
+@example(20, 128, 4, 64, 64, 16, np.float32, "zero", 1)
+# m * dim == 1 and H >= 8: one sum over the stacked heads' d_q would reduce pairwise
+@example(1, 3, 8, 2, 2, 1, np.float64, "random", 0)
+def test_attention_matches_per_head_oracle(m, n, heads, d_k, d_v, dim, dtype, rows, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(CodebookConfig(n, heads, d_k, d_v, dim), rng, dtype=dtype)
+    q = rng.standard_normal((m, dim)).astype(dtype)
+    if rows == "repeated":
+        q = q[rng.integers(0, m, size=m)]
+    elif rows == "zero":
+        q[rng.random(m) < 0.5] = 0.0
+    upstream = rng.standard_normal((m, heads * d_v)).astype(dtype)
+
+    emb, weights = attention_forward(params, q)
+    emb_ref, weights_ref = oracle.attention_forward(params, q)
+    assert_bitwise(emb, emb_ref)
+    assert_bitwise(weights, weights_ref)
+
+    grads, d_q = attention_backward(params, q, weights, upstream)
+    grads_ref, d_q_ref = oracle.attention_backward(params, q, upstream)
+    assert_bitwise(grads.w_q, grads_ref.w_q)
+    assert_bitwise(grads.keys, grads_ref.keys)
+    assert_bitwise(grads.codes, grads_ref.codes)
+    assert_bitwise(d_q, d_q_ref)
+
+
+def _utterances(rng, n_utts, m, dim, dtype):
+    """Random utterances over m phonemes; segments of 1-3 frames, gaps allowed."""
+    phonemes = tuple(f"p{i}" for i in range(m))
+    utts = []
+    for u in range(n_utts):
+        segments, cursor = [], int(rng.integers(0, 2))
+        for _ in range(int(rng.integers(1, 5))):
+            length = int(rng.integers(1, 4))
+            segments.append((phonemes[rng.integers(0, m)], cursor, cursor + length))
+            cursor += length + int(rng.integers(0, 2))
+        features = rng.standard_normal((cursor, dim))
+        utts.append(make_utterance(f"u{u}", "x", features, segments, dtype=dtype))
+    return LanguagePhonemeSet("x", phonemes), utts
+
+
+@ORACLE
+@given(
+    n_utts=st.integers(1, 12),
+    m=st.integers(1, 5),
+    dim=st.integers(1, 4),
+    dtype=DTYPES,
+    seed=st.integers(0, 2**32 - 1),
+)
+# m * dim == 1: a single sum over the stacked reps would reduce pairwise
+@example(n_utts=40, m=1, dim=1, dtype=np.float64, seed=2)
+def test_aggregation_matches_masked_loop_oracle(n_utts, m, dim, dtype, seed):
+    phoneme_set, utts = _utterances(np.random.default_rng(seed), n_utts, m, dim, dtype)
+    rep_counts = [phoneme_rep_matrix(u, phoneme_set) for u in utts]
+    got = aggregate_from_matrices(rep_counts, phoneme_set, dtype)
+    want = oracle.aggregate_from_matrices(rep_counts, phoneme_set, dtype)
+    assert_bitwise(got.matrix, want.matrix)
+    assert_bitwise(got.present, want.present)
+
+
+@ORACLE
+@given(
+    n_utts=st.integers(1, 6),
+    m=st.integers(1, 5),
+    dim=st.integers(1, 4),
+    dtype=DTYPES,
+    exact=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_residual_matches_add_at_oracle(n_utts, m, dim, dtype, exact, seed):
+    rng = np.random.default_rng(seed)
+    phoneme_set, utts = _utterances(rng, n_utts, m, dim, dtype)
+    bundle = build_frame_bundle(utts, phoneme_set)
+    preds = rng.standard_normal((m, dim)).astype(dtype)
+    frames = preds[bundle.rows] if exact else bundle.frames
+    sq, gsum = kernels._frame_residual_numpy(frames, bundle.rows, preds)
+    sq_ref, gsum_ref = oracle.frame_residual_stats(frames, bundle.rows, preds)
+    assert type(sq) is float and sq == sq_ref
+    assert_bitwise(gsum, gsum_ref)
+    if exact:
+        assert sq == 0.0 and not gsum.any()
+
+
+def test_frame_residual_of_no_frames_matches_oracle():
+    frames = np.zeros((0, 3), dtype=np.float32)
+    rows = np.zeros(0, dtype=np.int64)
+    preds = np.ones((2, 3), dtype=np.float32)
+    sq, gsum = kernels._frame_residual_numpy(frames, rows, preds)
+    sq_ref, gsum_ref = oracle.frame_residual_stats(frames, rows, preds)
+    assert sq == sq_ref == 0.0
+    assert_bitwise(gsum, gsum_ref)

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,11 +229,11 @@ class TestTrainStep:
             table = EmbeddingTable(emb, "L0", ps.phonemes)
             return loss_and_grads(decoder, table, bundle64)[0]
 
-        emb, _ = attention_forward(params, queries)
+        emb, weights = attention_forward(params, queries)
         _, dec_grads, d_table = loss_and_grads(
             decoder, EmbeddingTable(emb, "L0", ps.phonemes), bundle64
         )
-        cb_grads, _ = attention_backward(params, queries, d_table)
+        cb_grads, _ = attention_backward(params, queries, weights, d_table)
         for analytic, arr in (
             (cb_grads.w_q, params.w_q),
             (cb_grads.keys, params.keys),
@@ -278,6 +279,29 @@ class TestCheckpoint:
             assert (tmp_path / "full" / name).read_bytes() == (
                 tmp_path / "split" / name
             ).read_bytes(), name
+
+    def test_truncated_loss_log_keeps_rows_to_step_and_no_temp_file(self, tmp_path):
+        log = tmp_path / "loss_log.tsv"
+        log.write_text("# step\tlr\tloss\n1\t0.1\t2.0\n2\t0.1\t1.5\n3\t0.1\t1.0\n")
+        trainer_mod._truncate_loss_log(log, 2)
+        assert log.read_text() == "# step\tlr\tloss\n1\t0.1\t2.0\n2\t0.1\t1.5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["loss_log.tsv"]
+
+    def test_torn_truncation_leaves_loss_log_intact(self, tmp_path, monkeypatch):
+        log = tmp_path / "loss_log.tsv"
+        original = "# step\tlr\tloss\n1\t0.1\t2.0\n2\t0.1\t1.5\n"
+        log.write_text(original)
+        write_text = Path.write_text
+
+        def torn_write(path, data, *args, **kwargs):
+            write_text(path, data[:5], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            trainer_mod._truncate_loss_log(log, 1)
+        monkeypatch.undo()
+        assert log.read_text() == original
 
     def test_corrupt_magic_rejected(self, tmp_path):
         corpus = _toy_corpus()
