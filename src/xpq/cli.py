@@ -25,7 +25,6 @@ from .datamodel import load_corpus, load_manifest, validate_corpus
 from .errors import ConfigError, XpqError
 from .gradcheck import DEFAULT_SHAPES, CheckShape, run_suites
 from .mapping import DEFAULT_COVER_TARGET, build_score_table, write_mapping_tsv, write_scores_json
-from .parallel import resolve_threads, set_threads
 from .queries import aggregate_queries, save_query_matrix
 from .synth import SynthConfig, generate_corpus
 from .trainer import TrainConfig, load_checkpoint_params, run_training
@@ -36,7 +35,7 @@ def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker thread cap (default: XPQ_THREADS env var, else 1); never changes results",
+        help="accepted for compatibility; has no effect",
     )
 
 
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_threads(resolve_threads(getattr(args, "threads", None)))
     try:
         return args.func(args)
     except XpqError as e:

@@ -84,9 +84,6 @@ class EmbeddingTable:
     language: str
     phonemes: tuple[str, ...]
 
-    def row(self, phoneme: str) -> np.ndarray:
-        return self.matrix[self.phonemes.index(phoneme)]
-
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.matrix.copy(), self.language, self.phonemes)
 

@@ -110,7 +110,6 @@ class Utterance:
     language: str
     features: np.ndarray  # (T, dim)
     alignment: tuple[PhonemeSegment, ...]
-    speaker: str | None = None
 
     @property
     def n_frames(self) -> int:

@@ -1,10 +1,11 @@
 """Linear frame reconstructor providing the training signal.
 
-Every frame aligned to phoneme p is predicted as table.row(p) @ W + b, so the
-prediction is constant within a phoneme. The loss is the mean squared error
-over all covered frames and dimensions; frames outside any segment are
-excluded from predictions and loss. Gradients are exact and flow back into
-the embedding table (and from there into the codebook attention).
+Every frame aligned to phoneme p is predicted as table.matrix[i] @ W + b,
+where i is p's row in the table, so the prediction is constant within a
+phoneme. The loss is the mean squared error over all covered frames and
+dimensions; frames outside any segment are excluded from predictions and loss.
+Gradients are exact and flow back into the embedding table (and from there
+into the codebook attention).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .codebook import EmbeddingTable, xavier_bound
-from .datamodel import LanguagePhonemeSet, Utterance
+from .datamodel import LanguagePhonemeSet
 from .errors import FormatError
 from .tensorio import read_header, read_tensor, write_header, write_tensor
 
@@ -85,30 +86,15 @@ def build_frame_bundle(utterances, phoneme_index) -> FrameBundle:
     return FrameBundle(np.concatenate(chunks, axis=0), np.concatenate(rows))
 
 
-def predict_frames(
-    decoder: DecoderParams, table: EmbeddingTable, utterance: Utterance
-) -> np.ndarray:
-    """Predicted frames for every covered frame of the utterance, in order."""
-    if utterance.language != table.language:
-        raise ValueError(
-            f"utterance language {utterance.language!r} != table language {table.language!r}"
-        )
-    bundle = build_frame_bundle([utterance], table)
-    per_row = table.matrix @ decoder.w_d + decoder.b_d
-    return per_row[bundle.rows]
-
-
 def loss_and_grads(
-    decoder: DecoderParams, table: EmbeddingTable, data
+    decoder: DecoderParams, table: EmbeddingTable, bundle: FrameBundle
 ) -> tuple[float, DecoderGrads, np.ndarray]:
     """MSE over covered frames plus exact gradients.
 
-    data may be a FrameBundle or a sequence of Utterances. Returns
-    (loss, decoder grads, table-row gradient (m, embed_dim)); gradient arrays
-    are in the table's dtype. The table-row gradient chains into the codebook
-    backward pass.
+    Returns (loss, decoder grads, table-row gradient (m, embed_dim)); gradient
+    arrays are in the table's dtype. The table-row gradient chains into the
+    codebook backward pass.
     """
-    bundle = data if isinstance(data, FrameBundle) else build_frame_bundle(data, table)
     if bundle.n_frames == 0:
         raise ValueError("loss over zero covered frames is undefined")
     per_row = table.matrix @ decoder.w_d + decoder.b_d  # (m, dim)

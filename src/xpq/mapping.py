@@ -64,25 +64,6 @@ def covering_sentences(
     return [pool[i] for i in chosen], warning
 
 
-def mapping_score(record_p: np.ndarray, record_q: np.ndarray) -> float:
-    """Head-averaged cosine similarity between two phonemes' attention rows.
-
-    Inputs are (heads, n) weight matrices from the same model. Attention rows
-    are nonnegative, so valid inputs score in [0, 1].
-    """
-    a = np.asarray(record_p, dtype=np.float64)
-    b = np.asarray(record_q, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError(f"attention records must share shape (heads, n): {a.shape} vs {b.shape}")
-    cosines = []
-    for h in range(a.shape[0]):
-        na, nb = np.linalg.norm(a[h]), np.linalg.norm(b[h])
-        if na == 0.0 or nb == 0.0:
-            raise UndefinedScoreError("cosine of a zero-norm attention row is undefined")
-        cosines.append(float(a[h] @ b[h] / (na * nb)))
-    return float(np.clip(np.mean(cosines), -1.0, 1.0))
-
-
 @dataclass
 class MappingScores:
     """Symmetric phoneme-pair score table over present phonemes.

@@ -19,7 +19,6 @@ import numpy as np
 from . import kernels
 from .datamodel import LanguagePhonemeSet, Utterance, load_feature_file, save_feature_file
 from .errors import ValidationError
-from .parallel import ordered_map
 
 
 @dataclass
@@ -61,20 +60,6 @@ def phoneme_rep_matrix(
     mask = counts > 0
     reps[mask] = sums[mask] / counts[mask, None]
     return reps, counts
-
-
-def utterance_temp_reps(
-    utterance: Utterance, phoneme_set: LanguagePhonemeSet
-) -> dict[str, np.ndarray]:
-    """Mean frame vector for each distinct phoneme occurring in the utterance.
-
-    A phoneme occurring in several segments pools all its frames; phonemes not
-    in the utterance have no entry.
-    """
-    reps, counts = phoneme_rep_matrix(utterance, phoneme_set)
-    return {
-        phoneme_set.phonemes[i]: reps[i] for i in np.flatnonzero(counts > 0)
-    }
 
 
 def aggregate_from_matrices(
@@ -125,7 +110,7 @@ def aggregate_queries(
     dims = {utt.features.shape[1] for utt in utterances}
     if len(dims) != 1:
         raise ValidationError(f"utterances disagree on feature dim: {sorted(dims)}")
-    rep_counts = ordered_map(lambda u: phoneme_rep_matrix(u, phoneme_set), utterances)
+    rep_counts = [phoneme_rep_matrix(u, phoneme_set) for u in utterances]
     return aggregate_from_matrices(rep_counts, phoneme_set, utterances[0].features.dtype)
 
 

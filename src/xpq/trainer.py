@@ -257,11 +257,6 @@ def train_step(
         config.coverage_resample_limit,
         symbols_fn=caches.symbols,
     )
-    gen_syms = frozenset().union(*(caches.symbols(u) for u in gen_group))
-    loss_syms = frozenset().union(*(caches.symbols(u) for u in loss_group))
-    if not loss_syms <= gen_syms:
-        raise AssertionError("coverage condition violated after split")
-
     dtype = gen_group[0].features.dtype
     qm = aggregate_from_matrices([caches.reps(u) for u in gen_group], phoneme_set, dtype)
     table, record = forward(state.params, qm)

@@ -1,9 +1,11 @@
-"""Reference implementations that the production hot paths must match bitwise.
+"""Reference implementations that the production code must match.
 
 Each function is the straightforward version the production code replaced:
 per-head attention that recomputes the softmax in its backward pass, the
-residual scatter through np.add.at, and query aggregation by masked adds.
-Tests only; nothing in src/ imports this module.
+residual scatter through np.add.at, query aggregation by masked adds,
+frame-by-frame loops for segment pooling and the loss residual, and the
+per-pair mapping score. test_oracle.py states each pair's contract: bitwise
+or a named tolerance. Tests only; nothing in src/ imports this module.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from xpq.codebook import CodebookGrads, CodebookParams
-from xpq.errors import NumericError
+from xpq.errors import NumericError, UndefinedScoreError
 from xpq.queries import QueryMatrix
 
 
@@ -97,3 +99,50 @@ def aggregate_from_matrices(rep_counts, phoneme_set, dtype) -> QueryMatrix:
     return QueryMatrix(
         matrix.astype(dtype), present, phoneme_set.language, phoneme_set.phonemes
     )
+
+
+def segment_pool_loop(features, starts, ends, rows, n_rows):
+    """segment_pool adding one frame value at a time, in frame order."""
+    dim = features.shape[1]
+    sums = np.zeros((n_rows, dim), dtype=np.float64)
+    counts = np.zeros(n_rows, dtype=np.int64)
+    for k in range(starts.shape[0]):
+        r = rows[k]
+        for t in range(starts[k], ends[k]):
+            for j in range(dim):
+                sums[r, j] += features[t, j]
+            counts[r] += 1
+    return sums, counts
+
+
+def frame_residual_loop(frames, rows, preds):
+    """frame_residual_stats accumulating one frame value at a time."""
+    n, dim = frames.shape
+    gsum = np.zeros(preds.shape, dtype=np.float64)
+    sq = 0.0
+    for i in range(n):
+        r = rows[i]
+        for j in range(dim):
+            d = np.float64(preds[r, j]) - np.float64(frames[i, j])
+            sq += d * d
+            gsum[r, j] += d
+    return sq, gsum
+
+
+def mapping_score(record_p: np.ndarray, record_q: np.ndarray) -> float:
+    """Head-averaged cosine similarity between two phonemes' attention rows.
+
+    Inputs are (heads, n) weight matrices from the same model. Attention rows
+    are nonnegative, so valid inputs score in [0, 1].
+    """
+    a = np.asarray(record_p, dtype=np.float64)
+    b = np.asarray(record_q, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError(f"attention records must share shape (heads, n): {a.shape} vs {b.shape}")
+    cosines = []
+    for h in range(a.shape[0]):
+        na, nb = np.linalg.norm(a[h]), np.linalg.norm(b[h])
+        if na == 0.0 or nb == 0.0:
+            raise UndefinedScoreError("cosine of a zero-norm attention row is undefined")
+        cosines.append(float(a[h] @ b[h] / (na * nb)))
+    return float(np.clip(np.mean(cosines), -1.0, 1.0))

@@ -72,6 +72,10 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:validation")
 
+    def test_stale_threads_env_is_ignored(self, workdir, monkeypatch):
+        monkeypatch.setenv("XPQ_THREADS", "abc")
+        assert main(["validate", "--manifest", str(workdir / "corpus" / "manifest.json")]) == 0
+
 
 class TestTrain:
     def test_loss_log_written(self, workdir):

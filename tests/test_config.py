@@ -4,7 +4,6 @@ import pytest
 
 from xpq.config import load_run_config, write_resolved_config
 from xpq.errors import ConfigError
-from xpq.parallel import get_threads, ordered_map, resolve_threads, set_threads
 
 
 def _write(tmp_path, obj):
@@ -73,22 +72,3 @@ class TestRunConfig:
         write_resolved_config(tmp_path / "resolved.json", train=TrainConfig(), seed=3)
         obj = json.loads((tmp_path / "resolved.json").read_text())
         assert obj["train"]["batch_size"] == 40 and obj["seed"] == 3
-
-
-class TestParallel:
-    def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.delenv("XPQ_THREADS", raising=False)
-        assert resolve_threads(None) == 1
-        assert resolve_threads(3) == 3
-        monkeypatch.setenv("XPQ_THREADS", "5")
-        assert resolve_threads(None) == 5
-        assert resolve_threads(2) == 2  # explicit flag wins
-
-    def test_ordered_map_preserves_order(self):
-        saved = get_threads()
-        try:
-            for n in (1, 4):
-                set_threads(n)
-                assert ordered_map(lambda x: x * x, range(17)) == [x * x for x in range(17)]
-        finally:
-            set_threads(saved)

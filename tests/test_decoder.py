@@ -4,11 +4,11 @@ import pytest
 from xpq.codebook import EmbeddingTable
 from xpq.decoder import (
     DecoderParams,
+    FrameBundle,
     build_frame_bundle,
     init_decoder,
     load_decoder,
     loss_and_grads,
-    predict_frames,
     save_decoder,
 )
 from xpq.errors import FormatError, VocabularyError
@@ -19,6 +19,16 @@ from conftest import make_utterance
 
 def _table(matrix, language="x", phonemes=("a", "b")):
     return EmbeddingTable(np.asarray(matrix, dtype=np.float64), language, tuple(phonemes))
+
+
+def predict_frames(dec, table, utt):
+    """Predicted frames for every covered frame of utt, as the loss sees them."""
+    bundle = build_frame_bundle([utt], table)
+    return (table.matrix @ dec.w_d + dec.b_d)[bundle.rows]
+
+
+def _loss(dec, table, utts):
+    return loss_and_grads(dec, table, build_frame_bundle(utts, table))
 
 
 class TestPredict:
@@ -44,13 +54,6 @@ class TestPredict:
         preds = predict_frames(dec, table, utt)
         assert np.all(preds == preds[0])
 
-    def test_language_mismatch_rejected(self):
-        table = _table(np.zeros((2, 3)))
-        dec = DecoderParams(np.zeros((3, 2)), np.zeros(2))
-        utt = make_utterance("u", "y", np.zeros((1, 2)), [("a", 0, 1)])
-        with pytest.raises(ValueError):
-            predict_frames(dec, table, utt)
-
     def test_unknown_phoneme_rejected(self):
         table = _table(np.zeros((2, 3)), phonemes=("a", "b"))
         dec = DecoderParams(np.zeros((3, 2)), np.zeros(2))
@@ -73,7 +76,7 @@ class TestLoss:
         per_row = table.matrix @ dec.w_d + dec.b_d
         frames = np.vstack([per_row[0], per_row[0], per_row[1]])
         utt = make_utterance("u", "x", frames, [("a", 0, 2), ("b", 2, 3)], dtype=np.float64)
-        loss, dec_grads, d_table = loss_and_grads(dec, table, [utt])
+        loss, dec_grads, d_table = _loss(dec, table, [utt])
         assert loss == 0.0
         assert np.all(dec_grads.w_d == 0.0) and np.all(dec_grads.b_d == 0.0)
         assert np.all(d_table == 0.0)
@@ -83,7 +86,7 @@ class TestLoss:
         table = _table(rng.standard_normal((2, 3)))
         dec = DecoderParams(rng.standard_normal((3, 2)), rng.standard_normal(2))
         utt = make_utterance("u", "x", rng.standard_normal((7, 2)), [("a", 0, 4), ("b", 4, 7)])
-        loss, _, _ = loss_and_grads(dec, table, [utt])
+        loss, _, _ = _loss(dec, table, [utt])
         assert loss > 0.0
 
     def test_known_value_single_frame(self):
@@ -91,7 +94,7 @@ class TestLoss:
         table = _table([[1.0]], phonemes=("a",))
         dec = DecoderParams(np.array([[3.0]]), np.zeros(1))
         utt = make_utterance("u", "x", [[1.0]], [("a", 0, 1)], dtype=np.float64)
-        loss, dec_grads, d_table = loss_and_grads(dec, table, [utt])
+        loss, dec_grads, d_table = _loss(dec, table, [utt])
         assert loss == pytest.approx(4.0)
         # dL/dpred = 2*(3-1)/1 = 4; dW = e^T dpred = 4; db = 4; dtable = dpred W^T = 12
         assert dec_grads.w_d[0, 0] == pytest.approx(4.0)
@@ -107,21 +110,24 @@ class TestLoss:
         table = _table(rng.standard_normal((2, 3)))
         dec = DecoderParams(rng.standard_normal((3, 2)), rng.standard_normal(2))
         utt = make_utterance("u", "x", rng.standard_normal((5, 2)), [("a", 0, 3), ("b", 3, 5)])
-        single, _, _ = loss_and_grads(dec, table, [utt])
-        doubled, _, _ = loss_and_grads(dec, table, [utt, utt])
+        single, _, _ = _loss(dec, table, [utt])
+        doubled, _, _ = _loss(dec, table, [utt, utt])
         assert doubled == pytest.approx(single, rel=1e-12)
 
     def test_empty_inputs_rejected(self):
         table = _table(np.zeros((1, 2)), phonemes=("a",))
         dec = DecoderParams(np.zeros((2, 1)), np.zeros(1))
         with pytest.raises(ValueError):
-            loss_and_grads(dec, table, [])
+            build_frame_bundle([], table)
+        empty = FrameBundle(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError):
+            loss_and_grads(dec, table, empty)
 
     def test_grad_dtype_follows_table(self):
         table = EmbeddingTable(np.zeros((1, 2), dtype=np.float32), "x", ("a",))
         dec = DecoderParams(np.zeros((2, 1), dtype=np.float32), np.zeros(1, dtype=np.float32))
         utt = make_utterance("u", "x", [[1.0]], [("a", 0, 1)])
-        _, dec_grads, d_table = loss_and_grads(dec, table, [utt])
+        _, dec_grads, d_table = _loss(dec, table, [utt])
         assert dec_grads.w_d.dtype == np.float32
         assert d_table.dtype == np.float32
 

@@ -1,24 +1,6 @@
 import numpy as np
-import pytest
 
 from xpq import kernels
-from xpq.errors import ConfigError
-
-
-@pytest.fixture
-def backend(request):
-    saved = kernels.get_backend()
-    yield
-    kernels.set_backend(saved)
-
-
-def _random_pool_inputs(seed, dtype=np.float32):
-    rng = np.random.default_rng(seed)
-    features = rng.standard_normal((200, 6)).astype(dtype)
-    starts = np.array([0, 10, 50, 60, 120], dtype=np.int64)
-    ends = np.array([10, 30, 60, 100, 200], dtype=np.int64)
-    rows = np.array([0, 2, 0, 1, 3], dtype=np.int64)
-    return features, starts, ends, rows
 
 
 def _random_residual_inputs(seed, dtype=np.float32):
@@ -29,33 +11,7 @@ def _random_residual_inputs(seed, dtype=np.float32):
     return frames, rows, preds
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("seed", range(3))
-def test_backends_agree_segment_pool(backend, seed):
-    args = _random_pool_inputs(seed)
-    kernels.set_backend("numpy")
-    sums_np, counts_np = kernels.segment_pool(*args, 4)
-    kernels.set_backend("numba")
-    sums_nb, counts_nb = kernels.segment_pool(*args, 4)
-    assert np.array_equal(counts_np, counts_nb)
-    np.testing.assert_allclose(sums_np, sums_nb, rtol=1e-12)
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("seed", range(3))
-def test_backends_agree_frame_residual(backend, seed):
-    args = _random_residual_inputs(seed)
-    kernels.set_backend("numpy")
-    sq_np, g_np = kernels.frame_residual_stats(*args)
-    kernels.set_backend("numba")
-    sq_nb, g_nb = kernels.frame_residual_stats(*args)
-    assert sq_np == pytest.approx(sq_nb, rel=1e-12)
-    np.testing.assert_allclose(g_np, g_nb, rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.parametrize("name", kernels.available_backends())
-def test_deterministic_per_backend(backend, name):
-    kernels.set_backend(name)
+def test_deterministic():
     args = _random_residual_inputs(7)
     sq1, g1 = kernels.frame_residual_stats(*args)
     sq2, g2 = kernels.frame_residual_stats(*args)
@@ -63,9 +19,7 @@ def test_deterministic_per_backend(backend, name):
     assert np.array_equal(g1, g2)
 
 
-@pytest.mark.parametrize("name", kernels.available_backends())
-def test_exact_zero_on_perfect_match(backend, name):
-    kernels.set_backend(name)
+def test_exact_zero_on_perfect_match():
     preds = np.array([[1.5, -2.0], [0.25, 3.0]], dtype=np.float32)
     rows = np.array([0, 1, 1, 0], dtype=np.int64)
     frames = preds[rows]
@@ -74,9 +28,7 @@ def test_exact_zero_on_perfect_match(backend, name):
     assert np.all(gsum == 0.0)
 
 
-@pytest.mark.parametrize("name", kernels.available_backends())
-def test_pool_repeated_rows_accumulate(backend, name):
-    kernels.set_backend(name)
+def test_pool_repeated_rows_accumulate():
     features = np.array([[1.0], [2.0], [3.0], [4.0]], dtype=np.float32)
     starts = np.array([0, 2], dtype=np.int64)
     ends = np.array([2, 4], dtype=np.int64)
@@ -86,14 +38,5 @@ def test_pool_repeated_rows_accumulate(backend, name):
     assert sums[0, 0] == 10.0 and sums[1, 0] == 0.0
 
 
-def test_invalid_backend_rejected():
-    with pytest.raises(ConfigError):
-        kernels.set_backend("fortran")
-
-
-def test_env_flag_selects_fallback(monkeypatch):
-    monkeypatch.setenv("XPQ_BACKEND", "numpy")
-    assert kernels._default_backend() == "numpy"
-    monkeypatch.setenv("XPQ_BACKEND", "bogus")
-    with pytest.raises(ConfigError):
-        kernels._default_backend()
+def test_backend_is_numpy():
+    assert kernels.get_backend() == "numpy"

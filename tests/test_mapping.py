@@ -8,13 +8,13 @@ from xpq.mapping import (
     MappingScores,
     build_score_table,
     covering_sentences,
-    mapping_score,
     top_k_mappings,
     write_mapping_tsv,
     write_scores_json,
 )
 
 from conftest import make_corpus, make_utterance
+from oracle import mapping_score
 
 PS = LanguagePhonemeSet("x", ("a", "b", "c"))
 

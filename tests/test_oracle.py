@@ -1,9 +1,12 @@
 """Production hot paths against the reference versions in oracle.py.
 
-Every pair is bitwise: same bytes, same dtype, same shape. Inputs include the
-edge cases the rewrites could treat differently: m=1, n=1, one head,
-repeated rows, all-zero query rows, one-frame segments, the exact-zero
-residual, and m * dim == 1 with many utterances or heads.
+A bitwise pair has the same bytes, dtype and shape. Inputs include the edge
+cases the rewrites could treat differently: m=1, n=1, one head, repeated
+rows, all-zero query rows, one-frame segments, the exact-zero residual, and
+m * dim == 1 with many utterances or heads. The frame-loop pairs are bitwise
+except for sums whose add order differs; those hold to a tolerance set from
+float64's epsilon and the number of terms, which bounds the rounding error of
+either order.
 """
 
 import numpy as np
@@ -20,7 +23,10 @@ from xpq.queries import aggregate_from_matrices, phoneme_rep_matrix
 from conftest import make_utterance
 
 ORACLE = settings(derandomize=True, max_examples=60, deadline=None)
+# the frame-loop references run in pure Python: fewer, smaller examples
+LOOP_ORACLE = settings(derandomize=True, max_examples=30, deadline=None)
 DTYPES = st.sampled_from([np.float32, np.float64])
+EPS = np.finfo(np.float64).eps
 
 
 def assert_bitwise(got, want):
@@ -118,7 +124,7 @@ def test_frame_residual_matches_add_at_oracle(n_utts, m, dim, dtype, exact, seed
     bundle = build_frame_bundle(utts, phoneme_set)
     preds = rng.standard_normal((m, dim)).astype(dtype)
     frames = preds[bundle.rows] if exact else bundle.frames
-    sq, gsum = kernels._frame_residual_numpy(frames, bundle.rows, preds)
+    sq, gsum = kernels.frame_residual_stats(frames, bundle.rows, preds)
     sq_ref, gsum_ref = oracle.frame_residual_stats(frames, bundle.rows, preds)
     assert type(sq) is float and sq == sq_ref
     assert_bitwise(gsum, gsum_ref)
@@ -130,7 +136,69 @@ def test_frame_residual_of_no_frames_matches_oracle():
     frames = np.zeros((0, 3), dtype=np.float32)
     rows = np.zeros(0, dtype=np.int64)
     preds = np.ones((2, 3), dtype=np.float32)
-    sq, gsum = kernels._frame_residual_numpy(frames, rows, preds)
+    sq, gsum = kernels.frame_residual_stats(frames, rows, preds)
     sq_ref, gsum_ref = oracle.frame_residual_stats(frames, rows, preds)
     assert sq == sq_ref == 0.0
     assert_bitwise(gsum, gsum_ref)
+
+
+def _loop_shape():
+    return dict(
+        n=st.integers(1, 400),
+        m=st.integers(1, 8),
+        dim=st.sampled_from([1, 2, 3, 5, 8, 16]),
+        dtype=DTYPES,
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+
+@LOOP_ORACLE
+@given(n_segments=st.integers(0, 8), **_loop_shape())
+@example(n_segments=3, n=1000, m=2, dim=1, dtype=np.float32, scale=1.0, seed=5)
+@example(n_segments=3, n=1000, m=2, dim=1, dtype=np.float64, scale=1.0, seed=5)
+def test_segment_pool_matches_frame_loop(n_segments, n, m, dim, dtype, scale, seed):
+    """Counts are bitwise. Sums are bitwise for float32 features, the corpus
+    dtype, because a float64 sum of a few hundred float32 values is exact
+    unless their magnitudes span about 2**25. With float64 features numpy adds
+    each segment's partial sum (pairwise when dim == 1) where the loop adds
+    frame by frame, so a cell of n_r frames may differ by n_r * eps * sum|x|.
+    """
+    rng = np.random.default_rng(seed)
+    features = (rng.standard_normal((n, dim)) * scale).astype(dtype)
+    starts = rng.integers(0, n, size=n_segments)
+    ends = np.array([rng.integers(s, n + 1) for s in starts], dtype=np.int64)
+    rows = rng.integers(0, m, size=n_segments)
+    sums, counts = kernels.segment_pool(features, starts, ends, rows, m)
+    sums_ref, counts_ref = oracle.segment_pool_loop(features, starts, ends, rows, m)
+    assert_bitwise(counts, counts_ref)
+    if dtype == np.float32:
+        assert_bitwise(sums, sums_ref)
+    abs_sums, _ = oracle.segment_pool_loop(np.abs(features), starts, ends, rows, m)
+    assert sums.dtype == np.float64 and sums.shape == sums_ref.shape
+    assert np.all(np.abs(sums - sums_ref) <= counts[:, None] * EPS * abs_sums)
+
+
+@LOOP_ORACLE
+@given(exact=st.booleans(), **_loop_shape())
+@example(exact=False, n=1000, m=2, dim=1, dtype=np.float32, scale=1.0, seed=5)
+def test_frame_residual_matches_frame_loop(exact, n, m, dim, dtype, scale, seed):
+    """gsum is bitwise: bincount adds each cell's residuals in frame order, as
+    the loop does. sq is one einsum over all n * dim squares, which reduces in
+    another order than the loop's running sum; both orders are within
+    (n * dim) * eps of the exact sum of the nonnegative squares, and so of
+    each other.
+    """
+    rng = np.random.default_rng(seed)
+    frames = (rng.standard_normal((n, dim)) * scale).astype(dtype)
+    rows = rng.integers(0, m, size=n)
+    preds = (rng.standard_normal((m, dim)) * scale).astype(dtype)
+    if exact:
+        frames = preds[rows]
+    sq, gsum = kernels.frame_residual_stats(frames, rows, preds)
+    sq_ref, gsum_ref = oracle.frame_residual_loop(frames, rows, preds)
+    assert_bitwise(gsum, gsum_ref)
+    assert type(sq) is float
+    assert abs(sq - sq_ref) <= n * dim * EPS * sq_ref
+    if exact:
+        assert sq == sq_ref == 0.0

@@ -5,8 +5,8 @@ from xpq.datamodel import LanguagePhonemeSet, load_feature_file, namespaced
 from xpq.queries import (
     aggregate_queries,
     load_query_matrix,
+    phoneme_rep_matrix,
     save_query_matrix,
-    utterance_temp_reps,
 )
 from xpq.synth import load_ground_truth
 
@@ -18,19 +18,22 @@ PS = LanguagePhonemeSet("x", ("a", "b", "c"))
 class TestTempReps:
     def test_two_frame_mean(self):
         utt = make_utterance("u", "x", [[2, 4], [4, 8]], [("a", 0, 2)])
-        reps = utterance_temp_reps(utt, PS)
-        assert np.array_equal(reps["a"], [3.0, 6.0])
+        reps, counts = phoneme_rep_matrix(utt, PS)
+        assert np.array_equal(reps[0], [3.0, 6.0])
+        assert counts[0] == 2
 
     def test_multi_segment_pooling(self):
         # "a" occupies [0,1) and [2,3); the middle frame belongs to nothing
         utt = make_utterance("u", "x", [[0, 0], [9, 9], [4, 4]], [("a", 0, 1), ("a", 2, 3)])
-        reps = utterance_temp_reps(utt, PS)
-        assert np.array_equal(reps["a"], [2.0, 2.0])
-        assert set(reps) == {"a"}
+        reps, counts = phoneme_rep_matrix(utt, PS)
+        assert np.array_equal(reps[0], [2.0, 2.0])
+        assert counts.tolist() == [2, 0, 0]
 
     def test_absent_phoneme_has_no_entry(self):
         utt = make_utterance("u", "x", [[1, 1]], [("b", 0, 1)])
-        assert "a" not in utterance_temp_reps(utt, PS)
+        reps, counts = phoneme_rep_matrix(utt, PS)
+        assert counts[0] == 0
+        assert np.all(reps[0] == 0.0)
 
 
 class TestAggregate:
@@ -87,11 +90,10 @@ class TestAggregate:
         u2 = make_utterance("u", "x", feats, [("a", 4, 6), ("b", 2, 4), ("a", 0, 2)])
         # unsorted alignments never round-trip through files, but the math
         # itself must not care about segment order
-        r1 = utterance_temp_reps(u1, PS)
-        r2 = utterance_temp_reps(u2, PS)
-        assert set(r1) == set(r2)
-        for k in r1:
-            np.testing.assert_allclose(r1[k], r2[k], rtol=1e-12)
+        r1, c1 = phoneme_rep_matrix(u1, PS)
+        r2, c2 = phoneme_rep_matrix(u2, PS)
+        assert np.array_equal(c1, c2)
+        np.testing.assert_allclose(r1, r2, rtol=1e-12)
 
     def test_constant_phoneme_recovers_exactly(self):
         v = np.array([0.3, -1.2, 7.5], dtype=np.float32)

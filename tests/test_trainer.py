@@ -328,23 +328,6 @@ class TestCheckpoint:
             load_checkpoint(tmp_path, TOY_TRAIN, TOY_CB)
 
 
-def test_threads_do_not_change_results(tmp_path):
-    from xpq.parallel import set_threads
-
-    corpus = _toy_corpus()
-    try:
-        set_threads(1)
-        s1 = run_training(corpus, TOY_TRAIN, TOY_CB, tmp_path / "t1")
-        set_threads(4)
-        s4 = run_training(corpus, TOY_TRAIN, TOY_CB, tmp_path / "t4")
-    finally:
-        set_threads(1)
-    assert np.array_equal(s1.params.codes, s4.params.codes)
-    assert (tmp_path / "t1" / "loss_log.tsv").read_bytes() == (
-        tmp_path / "t4" / "loss_log.tsv"
-    ).read_bytes()
-
-
 def test_validation_report_written(tmp_path, small_corpus):
     cfg = TrainConfig(total_steps=3, warmup_steps=2, seed=0)
     cb = CodebookConfig(n=8, heads=2, d_k=4, d_v=4, dim=8)
