@@ -1,7 +1,8 @@
 """Run configuration: one strict JSON file with per-component sections.
 
 Top-level keys: "synth", "codebook", "train", "adapt", "seed". Unknown keys
-are rejected, naming the key and (best effort) its line in the file. Omitted
+and values that do not fit their field's declared type are rejected, naming
+the key and (best effort) its line in the file. Omitted
 sections and fields fall back to the component defaults; command-line flags
 override file values. The fully resolved configuration is written next to the
 outputs as resolved_config.json.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 from typing import Any
 
@@ -20,7 +22,7 @@ from .errors import ConfigError
 from .synth import SynthConfig, SynthLanguage
 from .trainer import TrainConfig
 
-_TOP_KEYS = ("synth", "codebook", "train", "adapt", "seed")
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _find_line(text: str, key: str) -> str:
@@ -30,22 +32,46 @@ def _find_line(text: str, key: str) -> str:
     return ""
 
 
+def _check_type(value, hint, where: str, line: str) -> None:
+    """ConfigError unless the JSON value fits the declared field type.
+
+    A bool fits no field (none is declared bool, and a bool is not an int),
+    an int is accepted for a float, a dataclass is an
+    object (its fields are checked when it is built), a tuple is a list of
+    fitting items, and `X | None` takes X: null is never a value.
+    """
+    if type(None) in typing.get_args(hint):
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {json.dumps(value)}{line}")
+        for i, item in enumerate(value):
+            _check_type(item, typing.get_args(hint)[0], f"{where}[{i}]", line)
+    elif dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {json.dumps(value)}{line}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
+        raise ConfigError(f"{where} must be {_JSON_NAMES[hint]}, got {json.dumps(value)}{line}")
+
+
 def _build_dataclass(cls, obj: dict, context: str, text: str):
-    field_map = {f.name: f for f in dataclasses.fields(cls)}
+    """Keyword arguments for cls from a parsed JSON object, each value type-checked."""
+    hints = typing.get_type_hints(cls)
     kwargs: dict[str, Any] = {}
     for key, value in obj.items():
-        if key not in field_map:
+        if key not in hints:
             raise ConfigError(
                 f"{context}: unknown key {key!r}{_find_line(text, key)}"
             )
+        _check_type(value, hints[key], f"{context}.{key}", _find_line(text, key))
         kwargs[key] = value
     return kwargs
 
 
-def _tuple2(value, context: str) -> tuple[int, int]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
+def _tuple2(value: list, context: str) -> tuple[int, int]:
+    if len(value) != 2:
         raise ConfigError(f"{context} must be a [min, max] pair, got {value!r}")
-    return (int(value[0]), int(value[1]))
+    return tuple(value)
 
 
 def parse_synth(obj: dict, text: str = "") -> SynthConfig:
@@ -73,7 +99,7 @@ def parse_train(obj: dict, text: str = "") -> TrainConfig:
 def parse_adapt(obj: dict, text: str = "") -> AdaptConfig:
     kwargs = _build_dataclass(AdaptConfig, obj, "adapt", text)
     if "eval_checkpoints" in kwargs:
-        kwargs["eval_checkpoints"] = tuple(int(x) for x in kwargs["eval_checkpoints"])
+        kwargs["eval_checkpoints"] = tuple(kwargs["eval_checkpoints"])
     return AdaptConfig(**kwargs)
 
 
@@ -95,18 +121,14 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config {path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path}: top level must be a JSON object")
-    for key in obj:
-        if key not in _TOP_KEYS:
-            raise ConfigError(
-                f"config {path}: unknown key {key!r}{_find_line(text, key)}"
-            )
+    _build_dataclass(RunConfig, obj, f"config {path}", text)
     try:
         return RunConfig(
             synth=parse_synth(obj["synth"], text) if "synth" in obj else None,
             codebook=parse_codebook(obj["codebook"], text) if "codebook" in obj else None,
             train=parse_train(obj["train"], text) if "train" in obj else None,
             adapt=parse_adapt(obj["adapt"], text) if "adapt" in obj else None,
-            seed=int(obj["seed"]) if "seed" in obj else None,
+            seed=obj.get("seed"),
         )
     except TypeError as e:
         raise ConfigError(f"config {path}: {e}") from e

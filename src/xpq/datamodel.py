@@ -9,8 +9,12 @@ File formats:
     then rows*cols IEEE-754 binary32 values, row-major, little-endian.
   - alignment file: UTF-8 TSV, one `phoneme<TAB>start_frame<TAB>end_frame`
     per line; lines starting with `#` are ignored.
-  - phoneme-set file: UTF-8, one symbol per line, order significant.
   - manifest: UTF-8 JSON with keys `feature_spec`, `languages`, `entries`.
+    `languages[].phonemes` is the only phoneme-set source; its order is the
+    canonical row order.
+
+`validate_corpus` and `load_corpus` check each entry with `check_entry`, so
+they agree on every corpus.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import (
     TruncationError,
     ValidationError,
     VocabularyError,
+    XpqError,
 )
 
 FEATURE_MAGIC = b"XPQF"
@@ -72,7 +77,7 @@ class PhonemeSegment:
 
 @dataclass(frozen=True)
 class LanguagePhonemeSet:
-    """Ordered phoneme inventory; file order is the canonical row order."""
+    """Ordered phoneme inventory; manifest order is the canonical row order."""
 
     language: str
     phonemes: tuple[str, ...]
@@ -174,7 +179,10 @@ def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
     symbols = phoneme_set.phonemes if isinstance(phoneme_set, LanguagePhonemeSet) else phoneme_set
     symbols = frozenset(symbols)
     segments: list[PhonemeSegment] = []
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not valid UTF-8 at byte {e.start}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -200,20 +208,6 @@ def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
 def save_alignment(segments, path) -> None:
     lines = [f"{s.phoneme}\t{s.start_frame}\t{s.end_frame}" for s in segments]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# phoneme-set files
-
-
-def load_phoneme_set(path, language: str) -> LanguagePhonemeSet:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    symbols = tuple(line.strip() for line in lines if line.strip())
-    return LanguagePhonemeSet(language, symbols)
-
-
-def save_phoneme_set(phoneme_set: LanguagePhonemeSet, path) -> None:
-    Path(path).write_text("\n".join(phoneme_set.phonemes) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +254,15 @@ class CorpusManifest:
 
 _MANIFEST_KEYS = {"feature_spec", "languages", "entries"}
 _ENTRY_KEYS = {"id", "language", "feature_path", "alignment_path", "split"}
+_JSON_NAMES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
 
 
 def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
@@ -275,20 +278,41 @@ def load_manifest(path) -> CorpusManifest:
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"manifest {path} is not valid JSON: {e}") from e
-    _check_keys(obj, _MANIFEST_KEYS, f"manifest {path}")
-    fs = obj["feature_spec"]
+
+    def typed(value, kind: type, where: str):
+        """value if its JSON type is kind; an integer is also a number, a boolean is neither."""
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValidationError(
+                f"manifest {path}: {where} must be {_JSON_NAMES[kind]}, "
+                f"got {_JSON_NAMES[type(value)]}"
+            )
+        return value
+
+    _check_keys(typed(obj, dict, "the top level"), _MANIFEST_KEYS, f"manifest {path}")
+    fs = typed(obj["feature_spec"], dict, "feature_spec")
     _check_keys(fs, {"dim", "frame_rate_hz"}, f"manifest {path}: feature_spec")
-    spec = FeatureSpec(dim=int(fs["dim"]), frame_rate_hz=float(fs["frame_rate_hz"]))
+    spec = FeatureSpec(
+        dim=typed(fs["dim"], int, "feature_spec.dim"),
+        frame_rate_hz=float(typed(fs["frame_rate_hz"], float, "feature_spec.frame_rate_hz")),
+    )
     languages = []
-    for lang in obj["languages"]:
-        _check_keys(lang, {"language", "phonemes"}, f"manifest {path}: languages")
-        languages.append(LanguagePhonemeSet(lang["language"], tuple(lang["phonemes"])))
+    for i, lang in enumerate(typed(obj["languages"], list, "languages")):
+        where = f"languages[{i}]"
+        _check_keys(typed(lang, dict, where), {"language", "phonemes"}, f"manifest {path}: {where}")
+        phonemes = typed(lang["phonemes"], list, f"{where}.phonemes")
+        languages.append(
+            LanguagePhonemeSet(
+                typed(lang["language"], str, f"{where}.language"),
+                tuple(typed(p, str, f"{where}.phonemes[{j}]") for j, p in enumerate(phonemes)),
+            )
+        )
     entries = []
-    for ent in obj["entries"]:
-        _check_keys(ent, _ENTRY_KEYS, f"manifest {path}: entry")
-        entries.append(ManifestEntry(**ent))
+    for i, ent in enumerate(typed(obj["entries"], list, "entries")):
+        where = f"entries[{i}]"
+        _check_keys(typed(ent, dict, where), _ENTRY_KEYS, f"manifest {path}: {where}")
+        entries.append(ManifestEntry(**{k: typed(v, str, f"{where}.{k}") for k, v in ent.items()}))
     return CorpusManifest(spec, tuple(languages), tuple(entries), root=path.parent)
 
 
@@ -344,49 +368,51 @@ class CorpusValidationReport:
         return "\n".join(str(i) for i in self.issues)
 
 
+def check_entry(manifest: CorpusManifest, entry: ManifestEntry, seen_ids: set[str]) -> Utterance:
+    """Load one manifest entry and check it against the corpus invariants.
+
+    seen_ids holds the ids of the entries before this one and gains its id.
+    The entry's first fault is raised as an XpqError or OSError of its
+    category; the message starts with the entry id, and the error's `issue`
+    is the same fault as a ValidationIssue.
+    """
+    try:
+        if entry.id in seen_ids:
+            raise ValidationError("duplicate utterance id")
+        seen_ids.add(entry.id)
+        phoneme_set = manifest.phoneme_set(entry.language)
+        features = load_feature_file(manifest.root / entry.feature_path)
+        if features.shape[1] != manifest.feature_spec.dim:
+            raise ValidationError(
+                f"feature dim {features.shape[1]} != corpus dim {manifest.feature_spec.dim}"
+            )
+        alignment = load_alignment(manifest.root / entry.alignment_path, phoneme_set)
+        if alignment and alignment[-1].end_frame > features.shape[0]:
+            raise ValidationError(
+                f"alignment ends at frame {alignment[-1].end_frame} but utterance has "
+                f"{features.shape[0]} frames"
+            )
+    except (XpqError, OSError) as e:
+        issue = ValidationIssue(entry.id, str(e))
+        error = type(e)(str(issue))
+        error.issue = issue
+        raise error from e
+    return Utterance(entry.id, entry.language, features, alignment)
+
+
 def validate_corpus(manifest: CorpusManifest) -> CorpusValidationReport:
     """Check every entry against the corpus invariants; never raises.
 
-    Issues are reported in manifest entry order, so the report is stable.
+    Each faulty entry gives one issue, its first fault; issues are in
+    manifest entry order, so the report is stable.
     """
     issues: list[ValidationIssue] = []
-    known = set(manifest.language_ids)
     seen_ids: set[str] = set()
     for entry in manifest.entries:
-        if entry.id in seen_ids:
-            issues.append(ValidationIssue(entry.id, "duplicate utterance id"))
-            continue
-        seen_ids.add(entry.id)
-        if entry.language not in known:
-            issues.append(ValidationIssue(entry.id, f"undefined language {entry.language!r}"))
-            continue
         try:
-            features = load_feature_file(manifest.root / entry.feature_path)
-        except (OSError, FormatError, ValidationError) as e:
-            issues.append(ValidationIssue(entry.id, f"feature file: {e}"))
-            continue
-        if features.shape[1] != manifest.feature_spec.dim:
-            issues.append(
-                ValidationIssue(
-                    entry.id,
-                    f"feature dim {features.shape[1]} != corpus dim {manifest.feature_spec.dim}",
-                )
-            )
-        try:
-            alignment = load_alignment(
-                manifest.root / entry.alignment_path, manifest.phoneme_set(entry.language)
-            )
-        except (OSError, ValidationError, VocabularyError) as e:
-            issues.append(ValidationIssue(entry.id, f"alignment: {e}"))
-            continue
-        if alignment and alignment[-1].end_frame > features.shape[0]:
-            issues.append(
-                ValidationIssue(
-                    entry.id,
-                    f"alignment ends at frame {alignment[-1].end_frame} but utterance has "
-                    f"{features.shape[0]} frames",
-                )
-            )
+            check_entry(manifest, entry, seen_ids)
+        except (XpqError, OSError) as e:
+            issues.append(e.issue)
     return CorpusValidationReport(issues)
 
 
@@ -452,33 +478,14 @@ class Corpus:
 def load_corpus(manifest_or_path) -> Corpus:
     """Load all features and alignments referenced by a manifest.
 
-    Raises on the first invalid entry; use validate_corpus for a full report.
+    Raises the first faulty entry's error, with the message of the first
+    issue validate_corpus reports.
     """
     manifest = (
         manifest_or_path
         if isinstance(manifest_or_path, CorpusManifest)
         else load_manifest(manifest_or_path)
     )
-    utterances = []
-    splits = []
     seen_ids: set[str] = set()
-    for entry in manifest.entries:
-        if entry.id in seen_ids:
-            raise ValidationError(f"utterance {entry.id!r}: duplicate utterance id")
-        seen_ids.add(entry.id)
-        features = load_feature_file(manifest.root / entry.feature_path)
-        if features.shape[1] != manifest.feature_spec.dim:
-            raise ValidationError(
-                f"utterance {entry.id!r}: feature dim {features.shape[1]} != "
-                f"corpus dim {manifest.feature_spec.dim}"
-            )
-        alignment = load_alignment(
-            manifest.root / entry.alignment_path, manifest.phoneme_set(entry.language)
-        )
-        if alignment and alignment[-1].end_frame > features.shape[0]:
-            raise ValidationError(
-                f"utterance {entry.id!r}: alignment exceeds frame count {features.shape[0]}"
-            )
-        utterances.append(Utterance(entry.id, entry.language, features, alignment))
-        splits.append(entry.split)
-    return Corpus(manifest, tuple(utterances), tuple(splits))
+    utterances = tuple(check_entry(manifest, entry, seen_ids) for entry in manifest.entries)
+    return Corpus(manifest, utterances, tuple(entry.split for entry in manifest.entries))

@@ -25,7 +25,6 @@ from .datamodel import (
     save_alignment,
     save_feature_file,
     save_manifest,
-    save_phoneme_set,
 )
 from .errors import ConfigError
 
@@ -175,12 +174,12 @@ def generate_corpus(config: SynthConfig, out_dir) -> tuple[CorpusManifest, dict[
     """Write a full corpus under out_dir and return (manifest, ground-truth map).
 
     Generation is a pure function of config.seed. Emits manifest.json,
-    ground_truth.json, prototypes.xpqf, features/, alignments/, phonemes/.
+    ground_truth.json, prototypes.xpqf, features/ and alignments/. Each
+    language's phoneme set lives only in the manifest's `languages`.
     """
     out = Path(out_dir)
     (out / "features").mkdir(parents=True, exist_ok=True)
     (out / "alignments").mkdir(exist_ok=True)
-    (out / "phonemes").mkdir(exist_ok=True)
 
     rng = np.random.default_rng(config.seed)
     prototypes = rng.uniform(-1.0, 1.0, size=(config.num_prototypes, config.dim))
@@ -191,9 +190,7 @@ def generate_corpus(config: SynthConfig, out_dir) -> tuple[CorpusManifest, dict[
     entries = []
     for lang in config.languages:
         phonemes = tuple(f"ph{j:02d}" for j in range(lang.m))
-        ps = LanguagePhonemeSet(lang.language, phonemes)
-        languages.append(ps)
-        save_phoneme_set(ps, out / "phonemes" / f"{lang.language}.txt")
+        languages.append(LanguagePhonemeSet(lang.language, phonemes))
         protos_of = np.array(
             [ground_truth[namespaced(lang.language, p)] for p in phonemes], dtype=np.int64
         )

@@ -7,6 +7,7 @@ u32 version.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import BinaryIO
 
@@ -48,9 +49,14 @@ def write_tensor(f: BinaryIO, arr: np.ndarray) -> None:
 
 
 def read_tensor(f: BinaryIO, path: str) -> np.ndarray:
+    """The next tensor of f; its declared size is checked against the bytes
+    left in the file before anything is read or allocated."""
     rows, cols = read_u32s(f, 2, path)
     nbytes = 4 * rows * cols
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if nbytes > left:
+        raise TruncationError(
+            f"tensor in {path} declares {rows}x{cols} ({nbytes} bytes) but {left} bytes remain"
+        )
     raw = f.read(nbytes)
-    if len(raw) < nbytes:
-        raise TruncationError(f"tensor payload truncated in {path}")
     return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()

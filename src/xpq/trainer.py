@@ -382,8 +382,7 @@ def load_checkpoint(
         raise ConfigError(
             "checkpoint was written with a different configuration; refusing to resume"
         )
-    params = load_codebook(out / "codebook.bin")
-    decoder = load_decoder(out / "decoder.bin")
+    params, decoder = load_checkpoint_params(out)
     opt = _load_optim(out / "optim.bin", param_dict(params, decoder))
     if opt.step != meta["step"]:
         raise FormatError(
@@ -393,9 +392,24 @@ def load_checkpoint(
 
 
 def load_checkpoint_params(ckpt_dir) -> tuple[CodebookParams, DecoderParams]:
-    """Model tensors only, for adaptation and mapping discovery."""
+    """Model tensors only, for adaptation and mapping discovery.
+
+    The decoder's shapes are checked against the codebook's config.
+    """
     out = Path(ckpt_dir)
-    return load_codebook(out / "codebook.bin"), load_decoder(out / "decoder.bin")
+    params = load_codebook(out / "codebook.bin")
+    decoder = load_decoder(out / "decoder.bin")
+    cfg = params.config
+    for name, shape, expected in (
+        ("w_d", decoder.w_d.shape, (cfg.embed_dim, cfg.dim)),
+        ("b_d", decoder.b_d.shape, (cfg.dim,)),
+    ):
+        if shape != expected:
+            raise FormatError(
+                f"{out / 'decoder.bin'}: {name} has shape {shape}, expected {expected} "
+                f"for the codebook in {out / 'codebook.bin'}"
+            )
+    return params, decoder
 
 
 # ---------------------------------------------------------------------------

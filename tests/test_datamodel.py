@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -19,11 +20,9 @@ from xpq.datamodel import (
     load_corpus,
     load_feature_file,
     load_manifest,
-    load_phoneme_set,
     save_alignment,
     save_feature_file,
     save_manifest,
-    save_phoneme_set,
     validate_corpus,
 )
 from xpq.errors import (
@@ -31,8 +30,9 @@ from xpq.errors import (
     TruncationError,
     ValidationError,
     VocabularyError,
+    XpqError,
 )
-from xpq.synth import generate_corpus
+from xpq.synth import SynthConfig, SynthLanguage, generate_corpus
 
 from conftest import SMALL_SYNTH
 
@@ -153,18 +153,6 @@ class TestAlignment:
 
 
 class TestPhonemeSet:
-    def test_order_significant(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text("b\na\nc\n")
-        ps = load_phoneme_set(path, "x")
-        assert ps.phonemes == ("b", "a", "c")
-        assert ps.index("a") == 1
-
-    def test_round_trip(self, tmp_path):
-        ps = LanguagePhonemeSet("x", ("p1", "p2", "p3"))
-        save_phoneme_set(ps, tmp_path / "p.txt")
-        assert load_phoneme_set(tmp_path / "p.txt", "x").phonemes == ps.phonemes
-
     def test_duplicates_rejected(self):
         with pytest.raises(ValidationError):
             LanguagePhonemeSet("x", ("a", "a"))
@@ -268,3 +256,98 @@ class TestValidateCorpus:
         train = corpus.by_language("L0", "train")
         val = corpus.by_language("L0", "val")
         assert len(train) + len(val) == 60 and len(val) == 6
+
+
+TINY_SYNTH = SynthConfig(
+    dim=4,
+    num_prototypes=6,
+    languages=(SynthLanguage("L0", 4, 0.5), SynthLanguage("T0", 4, 0.5, "test")),
+    utterances_per_language=3,
+    segments_per_utterance=(4, 6),
+    frames_per_segment=(2, 3),
+    seed=3,
+)
+TINY_ENTRIES = 6
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny_corpus")
+    manifest, _ = generate_corpus(TINY_SYNTH, out)
+    assert len(manifest.entries) == TINY_ENTRIES
+    return out
+
+
+def _append(path, line: bytes) -> None:
+    if path.exists():
+        path.write_bytes(path.read_bytes() + line)
+
+
+def _corrupt(manifest, kind: str, i: int):
+    """Apply one fault to entry i; returns the (possibly edited) manifest."""
+    entry = manifest.entries[i]
+    features = manifest.root / entry.feature_path
+    alignment = manifest.root / entry.alignment_path
+    if kind == "missing file":
+        features.unlink(missing_ok=True)
+    elif kind == "bad magic" and features.exists():
+        features.write_bytes(b"XXXX" + features.read_bytes()[4:])
+    elif kind == "truncated payload" and features.exists():
+        features.write_bytes(features.read_bytes()[:-4])
+    elif kind == "wrong dim":
+        save_feature_file(np.zeros((3, TINY_SYNTH.dim + 1), dtype=np.float32), features)
+    elif kind == "non-UTF-8 alignment" and alignment.exists():
+        alignment.write_bytes(b"\xff\xfe" + alignment.read_bytes())
+    elif kind == "unknown phoneme":
+        _append(alignment, b"zz\t900\t901\n")
+    elif kind == "overlapping segments":
+        _append(alignment, b"ph00\t0\t1\n")
+    elif kind == "alignment past last frame":
+        _append(alignment, b"ph00\t900\t901\n")
+    elif kind in ("undefined language", "duplicate id"):
+        other = manifest.entries[(i + 1) % len(manifest.entries)]
+        edit = {"language": "nope"} if kind == "undefined language" else {"id": other.id}
+        entries = list(manifest.entries)
+        entries[i] = dataclasses.replace(entry, **edit)
+        manifest = dataclasses.replace(manifest, entries=tuple(entries))
+    return manifest
+
+
+FAULTS = (
+    "missing file",
+    "bad magic",
+    "truncated payload",
+    "wrong dim",
+    "non-UTF-8 alignment",
+    "unknown phoneme",
+    "overlapping segments",
+    "alignment past last frame",
+    "undefined language",
+    "duplicate id",
+)
+
+
+class TestValidateAgreesWithLoad:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(FAULTS), st.integers(0, TINY_ENTRIES - 1)), max_size=3
+        )
+    )
+    def test_validate_ok_exactly_when_load_succeeds(
+        self, tiny_corpus_dir, tmp_path_factory, faults
+    ):
+        root = tmp_path_factory.mktemp("faulty") / "corpus"
+        shutil.copytree(tiny_corpus_dir, root)
+        manifest = load_manifest(root / "manifest.json")
+        for kind, i in faults:
+            manifest = _corrupt(manifest, kind, i)
+        report = validate_corpus(manifest)
+        assert report.ok == (not faults), str(report)
+        try:
+            load_corpus(manifest)
+        except (XpqError, OSError) as e:
+            assert not report.ok
+            assert str(e) == str(report.issues[0])
+        else:
+            assert report.ok

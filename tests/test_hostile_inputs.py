@@ -1,0 +1,279 @@
+"""Hostile inputs end in one `error:<category>: ` line, never a traceback.
+
+Each case runs `xpq.cli.main` in process on one corrupted input: a manifest,
+an alignment, a run config or a checkpoint blob. Declared sizes are chosen so
+that no version of the loader could allocate them: 4294967295**2 float32
+values do not fit in an index-sized integer.
+"""
+
+import contextlib
+import io
+import json
+import re
+import shutil
+import struct
+import traceback
+
+import numpy as np
+import pytest
+
+from xpq.cli import main
+from xpq.decoder import DecoderParams, load_decoder, save_decoder
+
+ERROR_LINE = re.compile(r"^error:[a-z]+: ")
+HUGE = 0xFFFFFFFF
+
+CONFIG = {
+    "synth": {
+        "dim": 6,
+        "num_prototypes": 10,
+        "languages": [
+            {"language": "L0", "m": 6, "shared_fraction": 0.5},
+            {"language": "T0", "m": 6, "shared_fraction": 0.5, "role": "test"},
+        ],
+        "noise_sigma": 0.05,
+        "utterances_per_language": 20,
+        "segments_per_utterance": [5, 8],
+        "frames_per_segment": [2, 4],
+        "seed": 5,
+    },
+    "codebook": {"n": 8, "heads": 2, "d_k": 4, "d_v": 4, "dim": 6},
+    "train": {
+        "batch_size": 10,
+        "gen_group_size": 8,
+        "loss_group_size": 2,
+        "warmup_steps": 2,
+        "total_steps": 5,
+        "seed": 2,
+    },
+    "adapt": {"finetune_steps": 2, "eval_checkpoints": [0, 2]},
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    (root / "config.json").write_text(json.dumps(CONFIG, indent=2))
+    assert main(["gen-corpus", "--config", str(root / "config.json"),
+                 "--out", str(root / "corpus")]) == 0
+    assert main(["train", "--config", str(root / "config.json"),
+                 "--corpus", str(root / "corpus" / "manifest.json"),
+                 "--out", str(root / "ckpt")]) == 0
+    return root
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of main(argv); an escaping exception is
+    printed to stderr as its traceback and gives exit code None."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except Exception:
+            traceback.print_exc()
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error(argv, category, needle):
+    """Exit 1, exactly one error line on stderr, of `category`, containing
+    `needle`, and no traceback; returns (stdout, the error line)."""
+    code, out, err = run_cli(argv)
+    assert "Traceback" not in err, err
+    assert code == 1, (code, err)
+    lines = [line for line in err.splitlines() if ERROR_LINE.match(line)]
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"error:{category}: "), lines[0]
+    assert needle in lines[0], lines[0]
+    return out, lines[0]
+
+
+def _set(path, value):
+    """A manifest edit: set obj[path[0]][path[1]]... to value."""
+
+    def edit(obj):
+        if not path:
+            return value
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return obj
+
+    return edit
+
+
+MANIFEST_CASES = {
+    "top-level-number": (_set((), 5), "the top level must be an object"),
+    "feature-spec-list": (_set(("feature_spec",), []), "feature_spec must be an object"),
+    "dim-float": (_set(("feature_spec", "dim"), 6.5), "feature_spec.dim must be an integer"),
+    "dim-string": (_set(("feature_spec", "dim"), "6"), "feature_spec.dim must be an integer"),
+    "dim-bool": (_set(("feature_spec", "dim"), True), "feature_spec.dim must be an integer"),
+    "languages-number": (_set(("languages",), 7), "languages must be a list"),
+    "language-item-string": (_set(("languages", 0), "L0"), "languages[0] must be an object"),
+    "phonemes-string": (
+        _set(("languages", 0, "phonemes"), "ph00"), "languages[0].phonemes must be a list"
+    ),
+    "entries-object": (_set(("entries",), {"a": 1}), "entries must be a list"),
+    "entry-item-number": (_set(("entries", 0), 1), "entries[0] must be an object"),
+    "entry-id-list": (_set(("entries", 0, "id"), ["a"]), "entries[0].id must be a string"),
+    "entry-language-number": (
+        _set(("entries", 0, "language"), 5), "entries[0].language must be a string"
+    ),
+    "entry-path-number": (
+        _set(("entries", 0, "feature_path"), 3), "entries[0].feature_path must be a string"
+    ),
+}
+
+
+def _manifest_argv(command, workdir, manifest, out):
+    if command == "validate":
+        return ["validate", "--manifest", manifest]
+    return ["train", "--config", workdir / "config.json", "--corpus", manifest,
+            "--out", out, "--stop-after", "1"]
+
+
+@pytest.mark.parametrize("command", ["validate", "train"])
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_hostile_manifest(workdir, tmp_path, command, case):
+    edit, needle = MANIFEST_CASES[case]
+    obj = json.loads((workdir / "corpus" / "manifest.json").read_text())
+    manifest = workdir / "corpus" / f"{case}-{command}.json"  # beside the corpus files
+    manifest.write_text(json.dumps(edit(obj)))
+    argv = _manifest_argv(command, workdir, manifest, tmp_path / "out")
+    assert_one_error(argv, "validation", needle)
+
+
+@pytest.fixture
+def non_utf8_corpus(workdir, tmp_path):
+    """A copy of the corpus whose first alignment is not UTF-8; returns
+    (manifest path, first entry id)."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workdir / "corpus", corpus)
+    entry = json.loads((corpus / "manifest.json").read_text())["entries"][0]
+    alignment = corpus / entry["alignment_path"]
+    alignment.write_bytes(b"\xff\xfe" + alignment.read_bytes())
+    return corpus / "manifest.json", entry["id"]
+
+
+def test_non_utf8_alignment_is_one_validate_issue(non_utf8_corpus):
+    manifest, entry_id = non_utf8_corpus
+    out, _ = assert_one_error(["validate", "--manifest", manifest], "validation", "1 issues found")
+    assert out.splitlines()[0].startswith(f"{entry_id}: ")
+    assert "not valid UTF-8" in out
+
+
+@pytest.mark.parametrize("command", ["train", "adapt"])
+def test_non_utf8_alignment_stops_loaders(workdir, tmp_path, non_utf8_corpus, command):
+    manifest, entry_id = non_utf8_corpus
+    if command == "train":
+        argv = ["train", "--config", workdir / "config.json", "--corpus", manifest,
+                "--out", tmp_path / "out", "--stop-after", "1"]
+    else:
+        argv = ["adapt", "--checkpoint", workdir / "ckpt", "--corpus", manifest,
+                "--language", "T0", "--k", "2", "--tasks", "1", "--q", "2",
+                "--config", workdir / "config.json", "--out", tmp_path / "out"]
+    _, line = assert_one_error(argv, "validation", "not valid UTF-8")
+    assert line.startswith(f"error:validation: {entry_id}: "), line
+
+
+# (command, section edit, needle); each edit is applied to a copy of CONFIG
+CONFIG_CASES = {
+    "codebook-n-float": ("train", ("codebook", "n", 1.5), "codebook.n must be an integer"),
+    "codebook-heads-bool": ("train", ("codebook", "heads", True),
+                            "codebook.heads must be an integer"),
+    "codebook-null": ("train", ("codebook", None, None), "codebook must be an object"),
+    "train-list": ("train", ("train", None, []), "train must be an object"),
+    "total-steps-float": ("train", ("train", "total_steps", 3.5),
+                          "train.total_steps must be an integer"),
+    "lr-string": ("train", ("train", "lr", "0.1"), "train.lr must be a number"),
+    "synth-language-number": ("gen-corpus", ("synth", "languages", [1]),
+                              "synth.languages[0] must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_hostile_config(workdir, tmp_path, case):
+    command, (section, key, value), needle = CONFIG_CASES[case]
+    cfg = json.loads(json.dumps(CONFIG))
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    if command == "train":
+        argv = ["train", "--config", path, "--corpus", workdir / "corpus" / "manifest.json",
+                "--out", tmp_path / "out", "--stop-after", "1"]
+    else:
+        argv = ["gen-corpus", "--config", path, "--out", tmp_path / "corpus"]
+    assert_one_error(argv, "config", needle)
+
+
+def test_config_error_names_the_line(workdir, tmp_path):
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["train"]["total_steps"] = 3.5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    line = next(i for i, text in enumerate(path.read_text().splitlines(), start=1)
+                if '"total_steps"' in text)
+    assert_one_error(
+        ["train", "--config", path, "--corpus", workdir / "corpus" / "manifest.json",
+         "--out", tmp_path / "out"],
+        "config",
+        f"train.total_steps must be an integer, got 3.5 (line {line})",
+    )
+
+
+def _huge_decoder_header(path):
+    data = bytearray(path.read_bytes())
+    data[8:16] = struct.pack("<II", HUGE, HUGE)  # w_d rows, cols after magic + version
+    path.write_bytes(bytes(data))
+
+
+def _transposed_decoder(path):
+    decoder = load_decoder(path)
+    save_decoder(DecoderParams(np.ascontiguousarray(decoder.w_d.T), decoder.b_d), path)
+
+
+def _long_bias(path):
+    decoder = load_decoder(path)
+    save_decoder(DecoderParams(decoder.w_d, np.append(decoder.b_d, 0.0)), path)
+
+
+def _huge_codebook_tensor(path):
+    data = bytearray(path.read_bytes())
+    data[28:36] = struct.pack("<II", HUGE, HUGE)  # w_q[0] rows, cols after the 5 config u32s
+    path.write_bytes(bytes(data))
+
+
+# (blob, corruption, command, category, needle)
+BLOB_CASES = {
+    "decoder-huge-header": ("decoder.bin", _huge_decoder_header, "adapt", "truncation",
+                            "declares 4294967295x4294967295"),
+    "codebook-huge-header": ("codebook.bin", _huge_codebook_tensor, "adapt", "truncation",
+                             "declares 4294967295x4294967295"),
+    "decoder-transposed": ("decoder.bin", _transposed_decoder, "adapt", "format",
+                           "w_d has shape (6, 8), expected (8, 6)"),
+    "decoder-transposed-map": ("decoder.bin", _transposed_decoder, "map-phonemes", "format",
+                               "w_d has shape (6, 8), expected (8, 6)"),
+    "decoder-long-bias": ("decoder.bin", _long_bias, "adapt", "format",
+                          "b_d has shape (7,), expected (6,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOB_CASES))
+def test_hostile_checkpoint_blob(workdir, tmp_path, case):
+    blob, corrupt, command, category, needle = BLOB_CASES[case]
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(workdir / "ckpt", ckpt)
+    corrupt(ckpt / blob)
+    manifest = workdir / "corpus" / "manifest.json"
+    if command == "adapt":
+        argv = ["adapt", "--checkpoint", ckpt, "--corpus", manifest, "--language", "T0",
+                "--k", "2", "--tasks", "1", "--q", "2", "--config", workdir / "config.json",
+                "--out", tmp_path / "out"]
+    else:
+        argv = ["map-phonemes", "--checkpoint", ckpt, "--corpus", manifest,
+                "--out", tmp_path / "out"]
+    assert_one_error(argv, category, needle)
