@@ -15,23 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, NumericError
+from .errors import ConfigError, NumericError
 from .queries import QueryMatrix
-from .tensorio import (
-    read_header,
-    read_tensor,
-    read_u32s,
-    write_header,
-    write_tensor,
-    write_u32s,
-)
-
-CODEBOOK_MAGIC = b"XPCB"
-CODEBOOK_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -45,7 +33,7 @@ class CodebookConfig:
     def __post_init__(self):
         for name in ("n", "heads", "d_k", "d_v", "dim"):
             if getattr(self, name) < 1:
-                raise ValueError(f"codebook config: {name} must be >= 1")
+                raise ConfigError(f"codebook config: {name} must be >= 1")
 
     @property
     def embed_dim(self) -> int:
@@ -61,14 +49,6 @@ class CodebookParams:
 
     def copy(self) -> "CodebookParams":
         return CodebookParams(self.config, self.w_q.copy(), self.keys.copy(), self.codes.copy())
-
-    def astype(self, dtype) -> "CodebookParams":
-        return CodebookParams(
-            self.config,
-            self.w_q.astype(dtype),
-            self.keys.astype(dtype),
-            self.codes.astype(dtype),
-        )
 
 
 @dataclass
@@ -189,41 +169,3 @@ def forward(
         EmbeddingTable(embedding, queries.language, queries.phonemes),
         AttentionRecord(weights),
     )
-
-
-def save_codebook(params: CodebookParams, path) -> None:
-    cfg = params.config
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as f:
-        write_header(f, CODEBOOK_MAGIC, CODEBOOK_VERSION)
-        write_u32s(f, cfg.n, cfg.heads, cfg.d_k, cfg.d_v, cfg.dim)
-        for h in range(cfg.heads):
-            write_tensor(f, params.w_q[h])
-            write_tensor(f, params.keys[h])
-            write_tensor(f, params.codes[h])
-    tmp.replace(path)
-
-
-def load_codebook(path) -> CodebookParams:
-    with open(path, "rb") as f:
-        version = read_header(f, CODEBOOK_MAGIC, str(path))
-        if version != CODEBOOK_VERSION:
-            raise FormatError(f"unsupported codebook checkpoint version {version} in {path}")
-        n, heads, d_k, d_v, dim = read_u32s(f, 5, str(path))
-        cfg = CodebookConfig(n=n, heads=heads, d_k=d_k, d_v=d_v, dim=dim)
-        w_q = np.empty((heads, dim, d_k), dtype=np.float32)
-        keys = np.empty((heads, n, d_k), dtype=np.float32)
-        codes = np.empty((heads, n, d_v), dtype=np.float32)
-        for h in range(heads):
-            for name, dest, shape in (
-                ("w_q", w_q, (dim, d_k)),
-                ("keys", keys, (n, d_k)),
-                ("codes", codes, (n, d_v)),
-            ):
-                t = read_tensor(f, str(path))
-                if t.shape != shape:
-                    raise FormatError(
-                        f"{path}: tensor {name}[{h}] has shape {t.shape}, expected {shape}"
-                    )
-                dest[h] = t
-    return CodebookParams(cfg, w_q, keys, codes)

@@ -11,18 +11,12 @@ into the codebook attention).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .codebook import EmbeddingTable, xavier_bound
 from .datamodel import LanguagePhonemeSet
-from .errors import FormatError
-from .tensorio import read_header, read_tensor, write_header, write_tensor
-
-DECODER_MAGIC = b"XPDC"
-DECODER_VERSION = 1
 
 
 @dataclass
@@ -32,9 +26,6 @@ class DecoderParams:
 
     def copy(self) -> "DecoderParams":
         return DecoderParams(self.w_d.copy(), self.b_d.copy())
-
-    def astype(self, dtype) -> "DecoderParams":
-        return DecoderParams(self.w_d.astype(dtype), self.b_d.astype(dtype))
 
 
 @dataclass
@@ -87,41 +78,22 @@ def build_frame_bundle(utterances, phoneme_index) -> FrameBundle:
 
 
 def loss_and_grads(
-    decoder: DecoderParams, table: EmbeddingTable, bundle: FrameBundle
+    decoder: DecoderParams, table: EmbeddingTable, data: FrameBundle
 ) -> tuple[float, DecoderGrads, np.ndarray]:
-    """MSE over covered frames plus exact gradients.
+    """MSE over the covered frames in data plus exact gradients.
 
     Returns (loss, decoder grads, table-row gradient (m, embed_dim)); gradient
     arrays are in the table's dtype. The table-row gradient chains into the
     codebook backward pass.
     """
-    if bundle.n_frames == 0:
+    if data.n_frames == 0:
         raise ValueError("loss over zero covered frames is undefined")
     per_row = table.matrix @ decoder.w_d + decoder.b_d  # (m, dim)
-    sq, gsum = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row)
-    denom = bundle.n_frames * bundle.frames.shape[1]
+    sq, gsum = kernels.frame_residual_stats(data.frames, data.rows, per_row)
+    denom = data.n_frames * data.frames.shape[1]
     loss = sq / denom
     d_pred = ((2.0 / denom) * gsum).astype(table.matrix.dtype)  # (m, dim)
     d_w = table.matrix.T @ d_pred
     d_b = d_pred.sum(axis=0)
     d_table = d_pred @ decoder.w_d.T
     return float(loss), DecoderGrads(d_w, d_b), d_table
-
-
-def save_decoder(decoder: DecoderParams, path) -> None:
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as f:
-        write_header(f, DECODER_MAGIC, DECODER_VERSION)
-        write_tensor(f, decoder.w_d)
-        write_tensor(f, decoder.b_d)
-    tmp.replace(path)
-
-
-def load_decoder(path) -> DecoderParams:
-    with open(path, "rb") as f:
-        version = read_header(f, DECODER_MAGIC, str(path))
-        if version != DECODER_VERSION:
-            raise FormatError(f"unsupported decoder checkpoint version {version} in {path}")
-        w_d = read_tensor(f, str(path))
-        b_d = read_tensor(f, str(path)).reshape(-1)
-    return DecoderParams(w_d, b_d)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,26 +27,15 @@ from .codebook import (
     forward,
     attention_backward,
     init_params,
-    load_codebook,
-    save_codebook,
 )
 from .datamodel import Corpus, Utterance
-from .decoder import (
-    DecoderParams,
-    FrameBundle,
-    init_decoder,
-    load_decoder,
-    loss_and_grads,
-    save_decoder,
-)
+from .decoder import DecoderParams, FrameBundle, init_decoder, loss_and_grads
 from .errors import ConfigError, CoverageError, FormatError
 from .optim import AdamState, adam_step, init_adam, scheduled_lr
 from .queries import aggregate_from_matrices, phoneme_rep_matrix
+from .tensorio import read_blob, write_blob
 
-OPTIM_MAGIC = b"XPOP"
-OPTIM_VERSION = 1
 META_VERSION = 1
-PARAM_ORDER = ("w_q", "keys", "codes", "w_d", "b_d")
 
 # How many fresh batches to draw when a batch admits no coverage-valid split.
 _BATCH_RESAMPLE_LIMIT = 20
@@ -316,35 +305,25 @@ def _rng_from_json(obj: dict) -> np.random.Generator:
     return rng
 
 
-def _save_optim(state: AdamState, params: dict[str, np.ndarray], path: Path) -> None:
-    from .tensorio import write_header, write_tensor
-
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as f:
-        write_header(f, OPTIM_MAGIC, OPTIM_VERSION)
-        f.write(struct.pack("<Q", state.step))
-        for name in PARAM_ORDER:
-            shape = params[name].shape
-            write_tensor(f, state.m[name].reshape(-1, shape[-1]))
-            write_tensor(f, state.v[name].reshape(-1, shape[-1]))
-    tmp.replace(path)
+# The three blobs, in the tensorio container:
+#   codebook.bin  XPCB, header n, heads, d_k, d_v, dim (u32), then per head
+#                 w_q (dim x d_k), keys (n x d_k), codes (n x d_v)
+#   decoder.bin   XPDC, no header, then w_d (embed_dim x dim), b_d (dim)
+#   optim.bin     XPOP, header step (u64), then m and v of each tensor in
+#                 param_dict order, flattened to (-1, last axis)
+CODEBOOK_MAGIC, DECODER_MAGIC, OPTIM_MAGIC = b"XPCB", b"XPDC", b"XPOP"
+BLOB_VERSION = 1
 
 
-def _load_optim(path: Path, params: dict[str, np.ndarray]) -> AdamState:
-    from .tensorio import read_header, read_tensor
+def _codebook_shapes(*fields):
+    """(name, shape) of each codebook.bin tensor, lazily: heads comes from the file."""
+    cfg = CodebookConfig(*fields)  # a zero field raises ConfigError here
+    per_head = {"w_q": (cfg.dim, cfg.d_k), "keys": (cfg.n, cfg.d_k), "codes": (cfg.n, cfg.d_v)}
+    return ((f"{name}[{h}]", shape) for h in range(cfg.heads) for name, shape in per_head.items())
 
-    with open(path, "rb") as f:
-        version = read_header(f, OPTIM_MAGIC, str(path))
-        if version != OPTIM_VERSION:
-            raise FormatError(f"unsupported optimizer state version {version} in {path}")
-        step = struct.unpack("<Q", f.read(8))[0]
-        m: dict[str, np.ndarray] = {}
-        v: dict[str, np.ndarray] = {}
-        for name in PARAM_ORDER:
-            shape = params[name].shape
-            m[name] = read_tensor(f, str(path)).reshape(shape)
-            v[name] = read_tensor(f, str(path)).reshape(shape)
-    return AdamState(m=m, v=v, step=step)
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
 
 
 def save_checkpoint(
@@ -352,9 +331,24 @@ def save_checkpoint(
 ) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_codebook(state.params, out / "codebook.bin")
-    save_decoder(state.decoder, out / "decoder.bin")
-    _save_optim(state.opt, param_dict(state.params, state.decoder), out / "optim.bin")
+    p = state.params
+    write_blob(
+        out / "codebook.bin",
+        CODEBOOK_MAGIC,
+        BLOB_VERSION,
+        struct.pack("<5I", *astuple(p.config)),
+        (t[h] for h in range(p.config.heads) for t in (p.w_q, p.keys, p.codes)),
+    )
+    d = state.decoder
+    write_blob(out / "decoder.bin", DECODER_MAGIC, BLOB_VERSION, b"", (d.w_d, d.b_d))
+    opt = state.opt
+    write_blob(
+        out / "optim.bin",
+        OPTIM_MAGIC,
+        BLOB_VERSION,
+        struct.pack("<Q", opt.step),
+        (_flat(moments[name]) for name in param_dict(p, d) for moments in (opt.m, opt.v)),
+    )
     meta = {
         "version": META_VERSION,
         "step": state.step,
@@ -383,11 +377,23 @@ def load_checkpoint(
             "checkpoint was written with a different configuration; refusing to resume"
         )
     params, decoder = load_checkpoint_params(out)
-    opt = _load_optim(out / "optim.bin", param_dict(params, decoder))
-    if opt.step != meta["step"]:
+    named = param_dict(params, decoder)
+    (step,), moments = read_blob(
+        out / "optim.bin",
+        OPTIM_MAGIC,
+        BLOB_VERSION,
+        "<Q",
+        lambda step: (
+            (f"{kind}[{name}]", _flat(p).shape) for name, p in named.items() for kind in "mv"
+        ),
+    )
+    m = {name: t.reshape(p.shape) for (name, p), t in zip(named.items(), moments[0::2])}
+    v = {name: t.reshape(p.shape) for (name, p), t in zip(named.items(), moments[1::2])}
+    if step != meta["step"]:
         raise FormatError(
-            f"checkpoint step mismatch: meta says {meta['step']}, optimizer says {opt.step}"
+            f"checkpoint step mismatch: meta says {meta['step']}, optimizer says {step}"
         )
+    opt = AdamState(m=m, v=v, step=step)
     return TrainState(params, decoder, opt, _rng_from_json(meta["rng_state"]))
 
 
@@ -397,19 +403,19 @@ def load_checkpoint_params(ckpt_dir) -> tuple[CodebookParams, DecoderParams]:
     The decoder's shapes are checked against the codebook's config.
     """
     out = Path(ckpt_dir)
-    params = load_codebook(out / "codebook.bin")
-    decoder = load_decoder(out / "decoder.bin")
-    cfg = params.config
-    for name, shape, expected in (
-        ("w_d", decoder.w_d.shape, (cfg.embed_dim, cfg.dim)),
-        ("b_d", decoder.b_d.shape, (cfg.dim,)),
-    ):
-        if shape != expected:
-            raise FormatError(
-                f"{out / 'decoder.bin'}: {name} has shape {shape}, expected {expected} "
-                f"for the codebook in {out / 'codebook.bin'}"
-            )
-    return params, decoder
+    fields, tensors = read_blob(
+        out / "codebook.bin", CODEBOOK_MAGIC, BLOB_VERSION, "<5I", _codebook_shapes
+    )
+    cfg = CodebookConfig(*fields)
+    _, (w_d, b_d) = read_blob(
+        out / "decoder.bin",
+        DECODER_MAGIC,
+        BLOB_VERSION,
+        "",
+        lambda: (("w_d", (cfg.embed_dim, cfg.dim)), ("b_d", (cfg.dim,))),
+    )
+    w_q, keys, codes = (np.stack(tensors[i::3]) for i in range(3))
+    return CodebookParams(cfg, w_q, keys, codes), DecoderParams(w_d, b_d)
 
 
 # ---------------------------------------------------------------------------

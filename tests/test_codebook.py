@@ -11,12 +11,10 @@ from xpq.codebook import (
     attention_forward,
     forward,
     init_params,
-    load_codebook,
-    save_codebook,
     softmax_rows,
     xavier_bound,
 )
-from xpq.errors import FormatError, NumericError
+from xpq.errors import NumericError
 from xpq.gradcheck import CheckShape, check_codebook_gradients
 from xpq.queries import QueryMatrix
 
@@ -217,26 +215,3 @@ class TestBackward:
         _, weights = attention_forward(params, q)
         with pytest.raises(ValueError):
             attention_backward(params, q, weights[:, :2], np.zeros((3, 4), dtype=np.float32))
-
-
-class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
-        cfg = CodebookConfig(n=6, heads=3, d_k=4, d_v=2, dim=5)
-        params = init_params(cfg, 9)
-        save_codebook(params, tmp_path / "cb.bin")
-        loaded = load_codebook(tmp_path / "cb.bin")
-        assert loaded.config == cfg
-        assert np.array_equal(loaded.w_q, params.w_q)
-        assert np.array_equal(loaded.keys, params.keys)
-        assert np.array_equal(loaded.codes, params.codes)
-        save_codebook(loaded, tmp_path / "cb2.bin")
-        assert (tmp_path / "cb.bin").read_bytes() == (tmp_path / "cb2.bin").read_bytes()
-
-    def test_corrupt_magic(self, tmp_path):
-        cfg = CodebookConfig(n=2, heads=1, d_k=2, d_v=2, dim=2)
-        save_codebook(init_params(cfg, 0), tmp_path / "cb.bin")
-        raw = bytearray((tmp_path / "cb.bin").read_bytes())
-        raw[:4] = b"NOPE"
-        (tmp_path / "cb.bin").write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
-            load_codebook(tmp_path / "cb.bin")

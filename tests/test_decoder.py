@@ -6,12 +6,9 @@ from xpq.decoder import (
     DecoderParams,
     FrameBundle,
     build_frame_bundle,
-    init_decoder,
-    load_decoder,
     loss_and_grads,
-    save_decoder,
 )
-from xpq.errors import FormatError, VocabularyError
+from xpq.errors import VocabularyError
 from xpq.gradcheck import CheckShape, check_decoder_gradients
 
 from conftest import make_utterance
@@ -142,16 +139,3 @@ class TestBundle:
         assert bundle.rows.tolist() == [1, 0, 0, 0, 0]
         assert np.array_equal(bundle.frames[0], [0, 1])
         assert bundle.n_frames == 5
-
-
-def test_checkpoint_round_trip(tmp_path):
-    dec = init_decoder(8, 3, seed=4)
-    save_decoder(dec, tmp_path / "dec.bin")
-    loaded = load_decoder(tmp_path / "dec.bin")
-    assert np.array_equal(loaded.w_d, dec.w_d)
-    assert np.array_equal(loaded.b_d, dec.b_d)
-    raw = bytearray((tmp_path / "dec.bin").read_bytes())
-    raw[:4] = b"NOPE"
-    (tmp_path / "dec.bin").write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        load_decoder(tmp_path / "dec.bin")

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from xpq.cli import main
-from xpq.decoder import DecoderParams, load_decoder, save_decoder
 
 ERROR_LINE = re.compile(r"^error:[a-z]+: ")
 HUGE = 0xFFFFFFFF
@@ -183,6 +182,7 @@ CONFIG_CASES = {
     "codebook-heads-bool": ("train", ("codebook", "heads", True),
                             "codebook.heads must be an integer"),
     "codebook-null": ("train", ("codebook", None, None), "codebook must be an object"),
+    "codebook-n-zero": ("train", ("codebook", "n", 0), "codebook config: n must be >= 1"),
     "train-list": ("train", ("train", None, []), "train must be an object"),
     "total-steps-float": ("train", ("train", "total_steps", 3.5),
                           "train.total_steps must be an integer"),
@@ -225,26 +225,64 @@ def test_config_error_names_the_line(workdir, tmp_path):
     )
 
 
-def _huge_decoder_header(path):
+# Blob edits work on bytes, following the README layout: magic and version
+# (8 bytes), the header, then tensors as rows u32, cols u32, float32 payload.
+
+
+def _tensor_at(data, offset):
+    """(rows, cols, offset of the next tensor) of the tensor at offset."""
+    rows, cols = struct.unpack_from("<II", data, offset)
+    return rows, cols, offset + 8 + 4 * rows * cols
+
+
+def _edit(path, fn):
     data = bytearray(path.read_bytes())
+    path.write_bytes(bytes(fn(data)))
+
+
+def _huge_decoder_header(data):
     data[8:16] = struct.pack("<II", HUGE, HUGE)  # w_d rows, cols after magic + version
-    path.write_bytes(bytes(data))
+    return data
 
 
-def _transposed_decoder(path):
-    decoder = load_decoder(path)
-    save_decoder(DecoderParams(np.ascontiguousarray(decoder.w_d.T), decoder.b_d), path)
+def _transposed_decoder(data):
+    rows, cols, end = _tensor_at(data, 8)
+    w_d = np.frombuffer(bytes(data[16:end]), dtype="<f4").reshape(rows, cols)
+    data[8:end] = struct.pack("<II", cols, rows) + np.ascontiguousarray(w_d.T).tobytes()
+    return data
 
 
-def _long_bias(path):
-    decoder = load_decoder(path)
-    save_decoder(DecoderParams(decoder.w_d, np.append(decoder.b_d, 0.0)), path)
+def _long_bias(data):
+    _, _, bias = _tensor_at(data, 8)
+    _, cols, _ = _tensor_at(data, bias)
+    data[bias : bias + 8] = struct.pack("<II", 1, cols + 1)
+    return data + struct.pack("<f", 0.0)
 
 
-def _huge_codebook_tensor(path):
-    data = bytearray(path.read_bytes())
+def _huge_codebook_tensor(data):
     data[28:36] = struct.pack("<II", HUGE, HUGE)  # w_q[0] rows, cols after the 5 config u32s
-    path.write_bytes(bytes(data))
+    return data
+
+
+def _zero_codebook_size(data):
+    data[8:12] = struct.pack("<I", 0)  # n, the first config u32
+    return data
+
+
+def _cut_to_ten_bytes(data):
+    return data[:10]
+
+
+def _swapped_keys_moment(data):
+    _, _, at = _tensor_at(data, 16)  # past the u64 step and m of w_q
+    _, _, at = _tensor_at(data, at)  # past v of w_q: the m of keys
+    rows, cols, _ = _tensor_at(data, at)
+    data[at : at + 8] = struct.pack("<II", cols, rows)
+    return data
+
+
+def _junk_tail(data):
+    return data + b"junk"
 
 
 # (blob, corruption, command, category, needle)
@@ -259,6 +297,18 @@ BLOB_CASES = {
                                "w_d has shape (6, 8), expected (8, 6)"),
     "decoder-long-bias": ("decoder.bin", _long_bias, "adapt", "format",
                           "b_d has shape (7,), expected (6,)"),
+    "codebook-zero-n": ("codebook.bin", _zero_codebook_size, "adapt", "format",
+                        "codebook.bin: codebook config: n must be >= 1"),
+    "optim-cut": ("optim.bin", _cut_to_ten_bytes, "resume", "truncation",
+                  "unexpected end of file in "),
+    "optim-keys-moment-swapped": ("optim.bin", _swapped_keys_moment, "resume", "format",
+                                  "m[keys] has shape (4, 16), expected (16, 4)"),
+    "codebook-junk-tail": ("codebook.bin", _junk_tail, "adapt", "format",
+                           "codebook.bin: 4 bytes follow the last tensor"),
+    "decoder-junk-tail": ("decoder.bin", _junk_tail, "map-phonemes", "format",
+                          "decoder.bin: 4 bytes follow the last tensor"),
+    "optim-junk-tail": ("optim.bin", _junk_tail, "resume", "format",
+                        "optim.bin: 4 bytes follow the last tensor"),
 }
 
 
@@ -267,13 +317,16 @@ def test_hostile_checkpoint_blob(workdir, tmp_path, case):
     blob, corrupt, command, category, needle = BLOB_CASES[case]
     ckpt = tmp_path / "ckpt"
     shutil.copytree(workdir / "ckpt", ckpt)
-    corrupt(ckpt / blob)
+    _edit(ckpt / blob, corrupt)
     manifest = workdir / "corpus" / "manifest.json"
     if command == "adapt":
         argv = ["adapt", "--checkpoint", ckpt, "--corpus", manifest, "--language", "T0",
                 "--k", "2", "--tasks", "1", "--q", "2", "--config", workdir / "config.json",
                 "--out", tmp_path / "out"]
-    else:
+    elif command == "map-phonemes":
         argv = ["map-phonemes", "--checkpoint", ckpt, "--corpus", manifest,
                 "--out", tmp_path / "out"]
+    else:
+        argv = ["train", "--config", workdir / "config.json", "--corpus", manifest,
+                "--out", ckpt, "--resume"]
     assert_one_error(argv, category, needle)

@@ -1,13 +1,20 @@
 import itertools
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import xpq.trainer as trainer_mod
-from xpq.codebook import CodebookConfig, EmbeddingTable, attention_backward, attention_forward
+from xpq.codebook import (
+    CodebookConfig,
+    CodebookParams,
+    EmbeddingTable,
+    attention_backward,
+    attention_forward,
+)
 from xpq.datamodel import LanguagePhonemeSet
-from xpq.decoder import FrameBundle, loss_and_grads
+from xpq.decoder import DecoderParams, FrameBundle, loss_and_grads
 from xpq.errors import ConfigError, CoverageError, FormatError
 from xpq.gradcheck import central_difference, max_rel_err
 from xpq.queries import aggregate_queries
@@ -221,8 +228,11 @@ class TestTrainStep:
             caches.batch_bundle(loss_group).frames.astype(np.float64),
             caches.batch_bundle(loss_group).rows,
         )
-        params = state.params.astype(np.float64)
-        decoder = state.decoder.astype(np.float64)
+        p, d = state.params, state.decoder
+        params = CodebookParams(
+            TOY_CB, *(a.astype(np.float64) for a in (p.w_q, p.keys, p.codes))
+        )
+        decoder = DecoderParams(d.w_d.astype(np.float64), d.b_d.astype(np.float64))
 
         def objective():
             emb, _ = attention_forward(params, queries)
@@ -303,14 +313,44 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert log.read_text() == original
 
-    def test_corrupt_magic_rejected(self, tmp_path):
+    def test_blobs_follow_the_documented_layout(self, tmp_path):
+        corpus = _toy_corpus()
+        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        caches = CorpusCaches(corpus)
+        for _ in range(2):
+            batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, state.rng)
+            train_step(state, batch, caches, TOY_TRAIN)
+        save_checkpoint(state, tmp_path, TOY_TRAIN, TOY_CB)
+
+        def tensor(a):
+            a = np.asarray(a, dtype="<f4")
+            rows, cols = (1, a.shape[0]) if a.ndim == 1 else a.shape
+            return struct.pack("<II", rows, cols) + a.tobytes()
+
+        c, p, d, opt = TOY_CB, state.params, state.decoder, state.opt
+        codebook = b"XPCB" + struct.pack("<6I", 1, c.n, c.heads, c.d_k, c.d_v, c.dim)
+        codebook += b"".join(tensor(t[h]) for h in range(c.heads) for t in (p.w_q, p.keys, p.codes))
+        decoder = b"XPDC" + struct.pack("<I", 1) + tensor(d.w_d) + tensor(d.b_d)
+        optim = b"XPOP" + struct.pack("<IQ", 1, 2)
+        for name in ("w_q", "keys", "codes", "w_d", "b_d"):
+            for moments in (opt.m, opt.v):
+                optim += tensor(moments[name].reshape(-1, moments[name].shape[-1]))
+        assert (tmp_path / "codebook.bin").read_bytes() == codebook
+        assert (tmp_path / "decoder.bin").read_bytes() == decoder
+        assert (tmp_path / "optim.bin").read_bytes() == optim
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "codebook.bin", "decoder.bin", "meta.json", "optim.bin"
+        ]
+
+    @pytest.mark.parametrize("blob", ["codebook.bin", "decoder.bin", "optim.bin"])
+    def test_corrupt_magic_rejected(self, tmp_path, blob):
         corpus = _toy_corpus()
         state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
         save_checkpoint(state, tmp_path, TOY_TRAIN, TOY_CB)
-        raw = bytearray((tmp_path / "optim.bin").read_bytes())
+        raw = bytearray((tmp_path / blob).read_bytes())
         raw[:4] = b"NOPE"
-        (tmp_path / "optim.bin").write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
+        (tmp_path / blob).write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"bad magic in .*{blob}"):
             load_checkpoint(tmp_path, TOY_TRAIN, TOY_CB)
 
     def test_config_mismatch_rejected(self, tmp_path):
