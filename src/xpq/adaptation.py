@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .codebook import CodebookParams, EmbeddingTable, forward, xavier_bound
 from .datamodel import Corpus, LanguagePhonemeSet, Utterance
-from .decoder import DecoderParams, build_frame_bundle, loss_and_grads
+from .decoder import DecoderParams, FrameBundle, loss_and_grads
 from .errors import ConfigError, TaskError, VocabularyError
 from .optim import adam_step, init_adam
 from .queries import aggregate_queries
@@ -52,11 +52,8 @@ class AdaptConfig:
     finetune_steps: int = 500
     lr: float = 0.001  # constant during fine-tuning
     eval_checkpoints: tuple[int, ...] = (0, 50, 200, 500)
-    mode: str = "codebook_init"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.finetune_steps < 0 or self.lr <= 0:
             raise ConfigError("finetune_steps must be >= 0 and lr > 0")
         cps = self.eval_checkpoints
@@ -99,7 +96,7 @@ def sample_task(corpus: Corpus, spec: TaskSpec, limit: int = 100) -> FewShotTask
 
 def init_embedding(
     mode: str,
-    params: CodebookParams | None,
+    params: CodebookParams,
     shots: list[Utterance],
     phoneme_set: LanguagePhonemeSet,
     rng: np.random.Generator,
@@ -111,13 +108,11 @@ def init_embedding(
     given their inputs (rng is consumed only by random_init).
     """
     if mode == "codebook_init":
-        if params is None:
-            raise ValueError("codebook_init requires trained codebook parameters")
         qm = aggregate_queries(shots, phoneme_set)
         table, _ = forward(params, qm)
         return table
     if mode == "random_init":
-        embed_dim = params.config.embed_dim if params is not None else 256
+        embed_dim = params.config.embed_dim
         m = phoneme_set.size
         bound = xavier_bound(m, embed_dim)
         matrix = rng.uniform(-bound, bound, (m, embed_dim)).astype(np.float32)
@@ -136,17 +131,17 @@ class FinetunePoint:
 def finetune(
     table: EmbeddingTable,
     decoder: DecoderParams,
-    shots: list[Utterance],
+    bundle: FrameBundle,
     config: AdaptConfig,
 ) -> list[FinetunePoint]:
-    """Adam on (table rows, decoder) minimizing shot reconstruction error.
+    """Adam on (table rows, decoder) minimizing the reconstruction error of
+    the shots' frame bundle, whose rows index the table.
 
     Returns deep-copied snapshots at config.eval_checkpoints; the inputs are
     not mutated. train_loss at step s is the loss after s updates.
     """
     table = table.copy()
     decoder = decoder.copy()
-    bundle = build_frame_bundle(shots, table)
     params = {"table": table.matrix, "w_d": decoder.w_d, "b_d": decoder.b_d}
     opt = init_adam(params)
     wanted = set(config.eval_checkpoints)
@@ -174,23 +169,22 @@ class EvalResult:
 
 
 def evaluate(
-    table: EmbeddingTable, decoder: DecoderParams, queries: list[Utterance]
+    table: EmbeddingTable, decoder: DecoderParams, query_bundles: list[FrameBundle]
 ) -> EvalResult:
-    """Frame reconstruction MSE over query utterances.
+    """Frame reconstruction MSE over query utterances, one frame bundle each.
 
     mean_mse averages over all covered frames of all queries; the
     per-utterance breakdown supports task-level reporting. Permutation
     invariant over query order up to float summation order.
     """
-    if not queries:
+    if not query_bundles:
         raise ValueError("evaluate requires at least one query utterance")
     per_row = table.matrix @ decoder.w_d + decoder.b_d
     per_utt = []
     total_sq = 0.0
     total_frames = 0
-    dim = queries[0].features.shape[1]
-    for utt in queries:
-        bundle = build_frame_bundle([utt], table)
+    dim = query_bundles[0].frames.shape[1]
+    for bundle in query_bundles:
         sq, _ = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row)
         per_utt.append(sq / (bundle.n_frames * dim))
         total_sq += sq
@@ -212,13 +206,17 @@ def adapt_task(
     mode: str,
     config: AdaptConfig,
 ) -> list[dict]:
-    """Run one task end to end; returns [{step, mean_mse}] per eval checkpoint."""
+    """Run one task end to end; returns [{step, mean_mse}] per eval checkpoint.
+
+    Frame bundles come from the corpus memo, so each is built once per corpus.
+    """
     task = sample_task(corpus, spec)
     phoneme_set = corpus.phoneme_set(spec.language)
     table0 = init_embedding(mode, params, task.shots, phoneme_set, _init_rng_for_task(spec.seed))
-    points = finetune(table0, decoder, task.shots, config)
+    points = finetune(table0, decoder, corpus.bundle(task.shots), config)
+    query_bundles = [corpus.bundle([q]) for q in task.queries]
     return [
-        {"step": p.step, "mean_mse": evaluate(p.table, p.decoder, task.queries).mean_mse}
+        {"step": p.step, "mean_mse": evaluate(p.table, p.decoder, query_bundles).mean_mse}
         for p in points
     ]
 

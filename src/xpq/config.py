@@ -1,6 +1,6 @@
 """Run configuration: one strict JSON file with per-component sections.
 
-Top-level keys: "synth", "codebook", "train", "adapt", "seed". Unknown keys
+Top-level keys: "synth", "codebook", "train", "adapt". Unknown keys
 and values that do not fit their field's declared type are rejected, naming
 the key and (best effort) its line in the file. Omitted
 sections and fields fall back to the component defaults; command-line flags
@@ -109,7 +109,6 @@ class RunConfig:
     codebook: CodebookConfig | None = None
     train: TrainConfig | None = None
     adapt: AdaptConfig | None = None
-    seed: int | None = None
 
 
 def load_run_config(path) -> RunConfig:
@@ -128,7 +127,6 @@ def load_run_config(path) -> RunConfig:
             codebook=parse_codebook(obj["codebook"], text) if "codebook" in obj else None,
             train=parse_train(obj["train"], text) if "train" in obj else None,
             adapt=parse_adapt(obj["adapt"], text) if "adapt" in obj else None,
-            seed=obj.get("seed"),
         )
     except TypeError as e:
         raise ConfigError(f"config {path}: {e}") from e

@@ -23,6 +23,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from .errors import (
     VocabularyError,
     XpqError,
 )
+
+if TYPE_CHECKING:
+    from .decoder import FrameBundle
 
 FEATURE_MAGIC = b"XPQF"
 FEATURE_VERSION = 1
@@ -125,7 +129,12 @@ class Utterance:
         return self.features.shape[1]
 
     def phoneme_symbols(self) -> frozenset[str]:
-        return frozenset(seg.phoneme for seg in self.alignment)
+        """The alignment's phoneme symbols; computed at first call and kept."""
+        try:
+            return self._symbols
+        except AttributeError:
+            self._symbols = frozenset(seg.phoneme for seg in self.alignment)
+            return self._symbols
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +434,9 @@ class Corpus:
     """In-memory corpus: manifest plus fully loaded utterances.
 
     Utterances keep manifest order; values are immutable after load and safe
-    to share across threads.
+    to share across threads. Data derived from them (train pools, rep
+    matrices, frame bundles) is built at first use and kept here, never at
+    load; being a pure function of immutable values, the memo changes no result.
     """
 
     manifest: CorpusManifest
@@ -439,6 +450,8 @@ class Corpus:
             self._by_lang.setdefault(utt.language, []).append(i)
             self._by_lang_split.setdefault((utt.language, split), []).append(i)
         self._train_pools: dict[int, tuple[tuple[Utterance, ...], ...]] = {}
+        self._reps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._bundles: dict[str, FrameBundle] = {}
 
     @property
     def feature_spec(self) -> FeatureSpec:
@@ -462,17 +475,44 @@ class Corpus:
 
     def train_pools(self, min_size: int) -> tuple[tuple[Utterance, ...], ...]:
         """The train-split utterances of each language that has at least
-        min_size of them, in manifest language order.
-
-        Built at first use for each min_size and kept: utterances are
-        immutable after load.
-        """
+        min_size of them, in manifest language order."""
         out = self._train_pools.get(min_size)
         if out is None:
             pools = (tuple(self.by_language(lang, "train")) for lang in self.language_ids)
             out = tuple(pool for pool in pools if len(pool) >= min_size)
             self._train_pools[min_size] = out
         return out
+
+    def reps(self, utt: Utterance) -> tuple[np.ndarray, np.ndarray]:
+        """queries.phoneme_rep_matrix of utt over its language's phoneme set."""
+        out = self._reps.get(utt.id)
+        if out is None:
+            from .queries import phoneme_rep_matrix
+
+            out = phoneme_rep_matrix(utt, self.phoneme_set(utt.language))
+            self._reps[utt.id] = out
+        return out
+
+    def bundle(self, utterances: Iterable[Utterance]) -> FrameBundle:
+        """decoder.build_frame_bundle of the utterances, each over its language's
+        phoneme set: the per-utterance bundles concatenated in order."""
+        from .decoder import FrameBundle, build_frame_bundle
+
+        parts = []
+        for utt in utterances:
+            if not utt.alignment:
+                continue  # adds no covered frame
+            part = self._bundles.get(utt.id)
+            if part is None:
+                part = build_frame_bundle([utt], self.phoneme_set(utt.language))
+                self._bundles[utt.id] = part
+            parts.append(part)
+        if not parts:
+            raise ValueError("no covered frames: utterance list is empty or has no segments")
+        return FrameBundle(
+            np.concatenate([p.frames for p in parts], axis=0),
+            np.concatenate([p.rows for p in parts]),
+        )
 
 
 def load_corpus(manifest_or_path) -> Corpus:

@@ -58,20 +58,18 @@ class FrameBundle:
         return self.frames.shape[0]
 
 
-def build_frame_bundle(utterances, phoneme_index) -> FrameBundle:
+def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBundle:
     """Concatenate covered frames with their table-row indices.
 
-    phoneme_index may be a LanguagePhonemeSet or an EmbeddingTable; rows follow
-    its canonical phoneme order.
+    Rows follow phoneme_set's canonical order, which is an embedding table's
+    row order. A loaded corpus keeps each utterance's bundle: Corpus.bundle.
     """
-    if isinstance(phoneme_index, EmbeddingTable):
-        phoneme_index = LanguagePhonemeSet(phoneme_index.language, phoneme_index.phonemes)
     chunks = []
     rows = []
     for utt in utterances:
         for seg in utt.alignment:
             chunks.append(utt.features[seg.start_frame : seg.end_frame])
-            rows.append(np.full(seg.n_frames, phoneme_index.index(seg.phoneme), dtype=np.int64))
+            rows.append(np.full(seg.n_frames, phoneme_set.index(seg.phoneme), dtype=np.int64))
     if not chunks:
         raise ValueError("no covered frames: utterance list is empty or has no segments")
     return FrameBundle(np.concatenate(chunks, axis=0), np.concatenate(rows))

@@ -8,7 +8,8 @@ values is stored as 1 x n. Nothing follows the last tensor.
 The reader checks the magic, the version and the header length, compares
 each tensor's declared size with the bytes left in the file before anything
 is read or allocated, checks each tensor's shape against the one the header
-implies, and refuses trailing bytes.
+implies, refuses a tensor holding a NaN or an infinity, and refuses
+trailing bytes.
 """
 
 from __future__ import annotations
@@ -88,7 +89,10 @@ def read_blob(
             if (rows, cols) != _stored_shape(shape):
                 got = (cols,) if len(shape) == 1 and rows == 1 else (rows, cols)
                 raise FormatError(f"{path}: {name} has shape {got}, expected {shape}")
-            tensors.append(np.frombuffer(f.read(nbytes), dtype="<f4").reshape(shape).copy())
+            tensor = np.frombuffer(f.read(nbytes), dtype="<f4").reshape(shape).copy()
+            if not np.isfinite(tensor).all():
+                raise FormatError(f"{path}: {name} holds a non-finite value")
+            tensors.append(tensor)
         left = size - f.tell()
         if left:
             raise FormatError(f"{path}: {left} bytes follow the last tensor")

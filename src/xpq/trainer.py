@@ -29,10 +29,10 @@ from .codebook import (
     init_params,
 )
 from .datamodel import Corpus, Utterance
-from .decoder import DecoderParams, FrameBundle, init_decoder, loss_and_grads
+from .decoder import DecoderParams, init_decoder, loss_and_grads
 from .errors import ConfigError, CoverageError, FormatError
 from .optim import AdamState, adam_step, init_adam, scheduled_lr
-from .queries import aggregate_from_matrices, phoneme_rep_matrix
+from .queries import aggregate_from_matrices
 from .tensorio import read_blob, write_blob
 
 META_VERSION = 1
@@ -71,50 +71,6 @@ class TrainConfig:
             raise ConfigError("total_steps must be >= 1 and warmup_steps >= 0")
 
 
-class CorpusCaches:
-    """Per-utterance derived data reused across steps.
-
-    Representations and bundles are pure functions of the immutable
-    utterances, so caching cannot change results.
-    """
-
-    def __init__(self, corpus: Corpus):
-        self.corpus = corpus
-        self._reps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._bundles: dict[str, FrameBundle] = {}
-        self._symbols: dict[str, frozenset[str]] = {}
-
-    def reps(self, utt: Utterance) -> tuple[np.ndarray, np.ndarray]:
-        out = self._reps.get(utt.id)
-        if out is None:
-            out = phoneme_rep_matrix(utt, self.corpus.phoneme_set(utt.language))
-            self._reps[utt.id] = out
-        return out
-
-    def bundle(self, utt: Utterance) -> FrameBundle:
-        out = self._bundles.get(utt.id)
-        if out is None:
-            from .decoder import build_frame_bundle
-
-            out = build_frame_bundle([utt], self.corpus.phoneme_set(utt.language))
-            self._bundles[utt.id] = out
-        return out
-
-    def symbols(self, utt: Utterance) -> frozenset[str]:
-        out = self._symbols.get(utt.id)
-        if out is None:
-            out = utt.phoneme_symbols()
-            self._symbols[utt.id] = out
-        return out
-
-    def batch_bundle(self, utterances) -> FrameBundle:
-        parts = [self.bundle(u) for u in utterances]
-        return FrameBundle(
-            np.concatenate([p.frames for p in parts], axis=0),
-            np.concatenate([p.rows for p in parts]),
-        )
-
-
 def sample_language_batch(
     corpus: Corpus, batch_size: int, rng: np.random.Generator
 ) -> list[Utterance]:
@@ -138,7 +94,6 @@ def split_with_coverage(
     gen_size: int,
     loss_size: int,
     limit: int = 100,
-    symbols_fn=None,
 ) -> tuple[list[Utterance], list[Utterance]]:
     """Split a batch so every loss-group phoneme occurs in the generation group.
 
@@ -149,7 +104,7 @@ def split_with_coverage(
     """
     if len(batch) != gen_size + loss_size:
         raise ValueError(f"batch size {len(batch)} != {gen_size} + {loss_size}")
-    syms = [symbols_fn(u) if symbols_fn else u.phoneme_symbols() for u in batch]
+    syms = [u.phoneme_symbols() for u in batch]
 
     def split_ok(gen_idx, loss_idx):
         gen_set: set[str] = set()
@@ -229,7 +184,7 @@ def init_train_state(
 
 
 def train_step(
-    state: TrainState, batch: list[Utterance], caches: CorpusCaches, config: TrainConfig
+    state: TrainState, batch: list[Utterance], corpus: Corpus, config: TrainConfig
 ) -> tuple[float, float]:
     """One update: split batch, generate table, loss on the other group, Adam.
 
@@ -237,21 +192,18 @@ def train_step(
     split; the caller resamples the batch in that case.
     """
     language = batch[0].language
-    phoneme_set = caches.corpus.phoneme_set(language)
+    phoneme_set = corpus.phoneme_set(language)
     gen_group, loss_group = split_with_coverage(
         batch,
         state.rng,
         config.gen_group_size,
         config.loss_group_size,
         config.coverage_resample_limit,
-        symbols_fn=caches.symbols,
     )
     dtype = gen_group[0].features.dtype
-    qm = aggregate_from_matrices([caches.reps(u) for u in gen_group], phoneme_set, dtype)
+    qm = aggregate_from_matrices([corpus.reps(u) for u in gen_group], phoneme_set, dtype)
     table, record = forward(state.params, qm)
-    loss, dec_grads, d_table = loss_and_grads(
-        state.decoder, table, caches.batch_bundle(loss_group)
-    )
+    loss, dec_grads, d_table = loss_and_grads(state.decoder, table, corpus.bundle(loss_group))
     cb_grads, _ = attention_backward(state.params, qm.matrix, record.weights, d_table)
     lr = scheduled_lr(state.step + 1, config.lr, config.warmup_steps, config.decay_rate)
     adam_step(
@@ -443,7 +395,7 @@ def _truncate_loss_log(path: Path, step: int) -> None:
     tmp.replace(path)
 
 
-def _validation_report(corpus: Corpus, caches: CorpusCaches, state: TrainState) -> list[str]:
+def _validation_report(corpus: Corpus, state: TrainState) -> list[str]:
     """Per-language loss on the held-out val split; reported, never acted on."""
     lines = ["# language\tn_val\tloss"]
     for language in corpus.language_ids:
@@ -453,9 +405,9 @@ def _validation_report(corpus: Corpus, caches: CorpusCaches, state: TrainState) 
             continue
         phoneme_set = corpus.phoneme_set(language)
         dtype = train[0].features.dtype
-        qm = aggregate_from_matrices([caches.reps(u) for u in train], phoneme_set, dtype)
+        qm = aggregate_from_matrices([corpus.reps(u) for u in train], phoneme_set, dtype)
         table, _ = forward(state.params, qm)
-        loss, _, _ = loss_and_grads(state.decoder, table, caches.batch_bundle(val))
+        loss, _, _ = loss_and_grads(state.decoder, table, corpus.bundle(val))
         lines.append(f"{language}\t{len(val)}\t{loss!r}")
     return lines
 
@@ -476,7 +428,6 @@ def run_training(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    caches = CorpusCaches(corpus)
     if resume:
         state = load_checkpoint(out, config, cb_config)
         _truncate_loss_log(out / "loss_log.tsv", state.step)
@@ -493,7 +444,7 @@ def run_training(
             for _ in range(_BATCH_RESAMPLE_LIMIT):
                 batch = sample_language_batch(corpus, config.batch_size, state.rng)
                 try:
-                    loss, lr = train_step(state, batch, caches, config)
+                    loss, lr = train_step(state, batch, corpus, config)
                     break
                 except CoverageError:
                     continue
@@ -511,6 +462,6 @@ def run_training(
                 save_checkpoint(state, out, config, cb_config)
     save_checkpoint(state, out, config, cb_config)
     (out / "val_loss.tsv").write_text(
-        "\n".join(_validation_report(corpus, caches, state)) + "\n", encoding="utf-8"
+        "\n".join(_validation_report(corpus, state)) + "\n", encoding="utf-8"
     )
     return state

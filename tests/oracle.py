@@ -3,8 +3,9 @@
 Each function is the straightforward version the production code replaced:
 per-head attention that recomputes the softmax in its backward pass, the
 residual scatter through np.add.at, query aggregation by masked adds,
-frame-by-frame loops for segment pooling and the loss residual, and the
-per-pair mapping score. test_oracle.py states each pair's contract: bitwise
+frame-by-frame loops for segment pooling and the loss residual, the
+per-pair mapping score, and fine-tuning and evaluation that build their frame
+bundles from the utterances on every call. test_oracle.py states each pair's contract: bitwise
 or a named tolerance. Tests only; nothing in src/ imports this module.
 """
 
@@ -14,8 +15,13 @@ import math
 
 import numpy as np
 
+from xpq import kernels
+from xpq.adaptation import EvalResult, FinetunePoint
 from xpq.codebook import CodebookGrads, CodebookParams
+from xpq.datamodel import LanguagePhonemeSet
+from xpq.decoder import build_frame_bundle, loss_and_grads
 from xpq.errors import NumericError, UndefinedScoreError
+from xpq.optim import adam_step, init_adam
 from xpq.queries import QueryMatrix
 
 
@@ -146,3 +152,50 @@ def mapping_score(record_p: np.ndarray, record_q: np.ndarray) -> float:
             raise UndefinedScoreError("cosine of a zero-norm attention row is undefined")
         cosines.append(float(a[h] @ b[h] / (na * nb)))
     return float(np.clip(np.mean(cosines), -1.0, 1.0))
+
+
+def _table_phonemes(table) -> LanguagePhonemeSet:
+    return LanguagePhonemeSet(table.language, table.phonemes)
+
+
+def finetune(table, decoder, shots, config) -> list[FinetunePoint]:
+    """adaptation.finetune building the shots' frame bundle itself."""
+    table = table.copy()
+    decoder = decoder.copy()
+    bundle = build_frame_bundle(shots, _table_phonemes(table))
+    params = {"table": table.matrix, "w_d": decoder.w_d, "b_d": decoder.b_d}
+    opt = init_adam(params)
+    wanted = set(config.eval_checkpoints)
+    points: list[FinetunePoint] = []
+    loss, dec_grads, d_table = loss_and_grads(decoder, table, bundle)
+    if 0 in wanted:
+        points.append(FinetunePoint(0, table.copy(), decoder.copy(), loss))
+    for step in range(1, config.finetune_steps + 1):
+        adam_step(
+            opt,
+            params,
+            {"table": d_table, "w_d": dec_grads.w_d, "b_d": dec_grads.b_d},
+            config.lr,
+        )
+        loss, dec_grads, d_table = loss_and_grads(decoder, table, bundle)
+        if step in wanted:
+            points.append(FinetunePoint(step, table.copy(), decoder.copy(), loss))
+    return points
+
+
+def evaluate(table, decoder, queries) -> EvalResult:
+    """adaptation.evaluate building each query's frame bundle on every call."""
+    if not queries:
+        raise ValueError("evaluate requires at least one query utterance")
+    per_row = table.matrix @ decoder.w_d + decoder.b_d
+    per_utt = []
+    total_sq = 0.0
+    total_frames = 0
+    dim = queries[0].features.shape[1]
+    for utt in queries:
+        bundle = build_frame_bundle([utt], _table_phonemes(table))
+        sq, _ = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row)
+        per_utt.append(sq / (bundle.n_frames * dim))
+        total_sq += sq
+        total_frames += bundle.n_frames
+    return EvalResult(per_utt, total_sq / (total_frames * dim))

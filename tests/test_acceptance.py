@@ -22,7 +22,6 @@ from xpq.mapping import build_score_table, top_k_mappings
 from xpq.queries import aggregate_queries
 from xpq.synth import SynthConfig, SynthLanguage, generate_corpus, load_ground_truth
 from xpq.trainer import (
-    CorpusCaches,
     TrainConfig,
     init_train_state,
     run_training,
@@ -217,18 +216,17 @@ def test_coverage_properties(criterion, default_corpus, monkeypatch):
         recorded = []
         original = trainer_mod.split_with_coverage
 
-        def spy(batch, rng, gen_size, loss_size, limit=100, symbols_fn=None):
-            out = original(batch, rng, gen_size, loss_size, limit, symbols_fn)
+        def spy(batch, rng, gen_size, loss_size, limit=100):
+            out = original(batch, rng, gen_size, loss_size, limit)
             recorded.append(out)
             return out
 
         monkeypatch.setattr(trainer_mod, "split_with_coverage", spy)
         config = TrainConfig(total_steps=100, warmup_steps=20, seed=9)
         state = init_train_state(default_corpus, config, CodebookConfig(dim=16))
-        caches = CorpusCaches(default_corpus)
         for _ in range(100):
             batch = sample_language_batch(default_corpus, config.batch_size, state.rng)
-            train_step(state, batch, caches, config)
+            train_step(state, batch, default_corpus, config)
         assert len(recorded) >= 100
         for gen, loss in recorded:
             gen_syms = set().union(*(u.phoneme_symbols() for u in gen))

@@ -14,7 +14,7 @@ from xpq.adaptation import (
 )
 from xpq.codebook import CodebookConfig, EmbeddingTable, init_params
 from xpq.datamodel import LanguagePhonemeSet
-from xpq.decoder import DecoderParams, init_decoder
+from xpq.decoder import DecoderParams, build_frame_bundle, init_decoder
 from xpq.errors import ConfigError, TaskError, VocabularyError
 
 from conftest import make_corpus, make_utterance
@@ -39,10 +39,6 @@ class TestConfig:
             AdaptConfig(finetune_steps=100, eval_checkpoints=(0, 200))
         with pytest.raises(ConfigError):
             AdaptConfig(eval_checkpoints=(50, 0, 500))
-
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            AdaptConfig(mode="magic_init")
 
     def test_task_spec_positive(self):
         with pytest.raises(ConfigError):
@@ -122,7 +118,7 @@ class TestInitEmbedding:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            init_embedding("nope", None, [], PS, np.random.default_rng(0))
+            init_embedding("nope", init_params(CB, 0), [], PS, np.random.default_rng(0))
 
 
 class TestFinetune:
@@ -138,28 +134,32 @@ class TestFinetune:
             ),
             make_utterance("s1", "x", rng.standard_normal((4, 2)), [("a", 0, 2), ("c", 2, 4)]),
         ]
-        return table, decoder, shots
+        return table, decoder, build_frame_bundle(shots, PS)
 
     def test_zero_steps_returns_initialization(self):
-        table, decoder, shots = self._setup()
-        points = finetune(table, decoder, shots, AdaptConfig(finetune_steps=0, eval_checkpoints=(0,)))
+        table, decoder, bundle = self._setup()
+        points = finetune(table, decoder, bundle, AdaptConfig(finetune_steps=0, eval_checkpoints=(0,)))
         assert len(points) == 1 and points[0].step == 0
         assert np.array_equal(points[0].table.matrix, table.matrix)
         assert np.array_equal(points[0].decoder.w_d, decoder.w_d)
 
     def test_inputs_not_mutated_and_loss_decreases(self):
-        table, decoder, shots = self._setup()
+        table, decoder, bundle = self._setup()
         before = table.matrix.copy()
         cfg = AdaptConfig(finetune_steps=200, eval_checkpoints=(0, 200))
-        points = finetune(table, decoder, shots, cfg)
+        points = finetune(table, decoder, bundle, cfg)
         assert np.array_equal(table.matrix, before)
         assert points[-1].train_loss < points[0].train_loss
 
     def test_snapshots_at_requested_steps(self):
-        table, decoder, shots = self._setup()
+        table, decoder, bundle = self._setup()
         cfg = AdaptConfig(finetune_steps=20, eval_checkpoints=(0, 5, 20))
-        points = finetune(table, decoder, shots, cfg)
+        points = finetune(table, decoder, bundle, cfg)
         assert [p.step for p in points] == [0, 5, 20]
+
+
+def _bundles(queries):
+    return [build_frame_bundle([q], PS) for q in queries]
 
 
 class TestEvaluate:
@@ -170,7 +170,7 @@ class TestEvaluate:
             make_utterance("q0", "x", np.tile([1.0, 2.0], (4, 1)), [("a", 0, 4)]),
             make_utterance("q1", "x", np.tile([1.0, 2.0], (2, 1)), [("b", 0, 2)]),
         ]
-        result = evaluate(table, decoder, queries)
+        result = evaluate(table, decoder, _bundles(queries))
         assert result.mean_mse == 0.0
         assert result.per_utterance == [0.0, 0.0]
 
@@ -184,8 +184,8 @@ class TestEvaluate:
             make_utterance(f"q{i}", "x", rng.standard_normal((3, 2)), [("a", 0, 3)])
             for i in range(5)
         ]
-        r1 = evaluate(table, decoder, queries)
-        r2 = evaluate(table, decoder, queries[::-1])
+        r1 = evaluate(table, decoder, _bundles(queries))
+        r2 = evaluate(table, decoder, _bundles(queries[::-1]))
         assert r1.mean_mse == pytest.approx(r2.mean_mse, rel=1e-12)
         assert r1.per_utterance == pytest.approx(r2.per_utterance[::-1], rel=1e-12)
 

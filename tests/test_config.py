@@ -15,7 +15,7 @@ def _write(tmp_path, obj):
 class TestRunConfig:
     def test_sections_optional(self, tmp_path):
         cfg = load_run_config(_write(tmp_path, {}))
-        assert cfg.synth is None and cfg.train is None and cfg.seed is None
+        assert cfg.synth is None and cfg.train is None and cfg.adapt is None
 
     def test_partial_section_uses_defaults(self, tmp_path):
         cfg = load_run_config(_write(tmp_path, {"train": {"total_steps": 7}}))

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import xpq.decoder
+import xpq.queries
 from xpq.datamodel import (
     FEATURE_MAGIC,
     CorpusManifest,
@@ -25,6 +27,7 @@ from xpq.datamodel import (
     save_manifest,
     validate_corpus,
 )
+from xpq.decoder import build_frame_bundle
 from xpq.errors import (
     FormatError,
     TruncationError,
@@ -32,9 +35,10 @@ from xpq.errors import (
     VocabularyError,
     XpqError,
 )
+from xpq.queries import phoneme_rep_matrix
 from xpq.synth import SynthConfig, SynthLanguage, generate_corpus
 
-from conftest import SMALL_SYNTH
+from conftest import SMALL_SYNTH, make_corpus, make_utterance
 
 
 class TestFeatureFile:
@@ -256,6 +260,50 @@ class TestValidateCorpus:
         train = corpus.by_language("L0", "train")
         val = corpus.by_language("L0", "val")
         assert len(train) + len(val) == 60 and len(val) == 6
+
+
+class TestCorpusMemo:
+    def test_load_derives_nothing(self, small_corpus_dir, monkeypatch):
+        # the memo fills at first use, so a load never pays for it
+        def refuse(*args, **kwargs):
+            raise AssertionError("derived data built during load")
+
+        monkeypatch.setattr(xpq.decoder, "build_frame_bundle", refuse)
+        monkeypatch.setattr(xpq.queries, "phoneme_rep_matrix", refuse)
+        corpus = load_corpus(small_corpus_dir / "manifest.json")
+        assert len(corpus.utterances) == 180
+        with pytest.raises(AssertionError, match="during load"):
+            corpus.bundle(corpus.utterances[:1])
+
+    def test_bundle_is_build_frame_bundle(self, small_corpus):
+        u1, u2 = small_corpus.by_language("L0", "train")[:2]
+        want = build_frame_bundle([u1, u2], small_corpus.phoneme_set("L0"))
+        for _ in range(2):  # built, then from the memo
+            got = small_corpus.bundle([u1, u2])
+            for a, b in ((got.frames, want.frames), (got.rows, want.rows)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_bundle_skips_an_utterance_without_segments(self):
+        # an empty alignment is a valid corpus entry; it adds no covered frame
+        bare = make_utterance("bare", "x", np.ones((2, 1)), [])
+        full = make_utterance("full", "x", [[1.0], [2.0]], [("b", 0, 2)])
+        phoneme_set = LanguagePhonemeSet("x", ("a", "b"))
+        corpus = make_corpus([phoneme_set], [bare, full])
+        got = corpus.bundle([bare, full])
+        want = build_frame_bundle([bare, full], phoneme_set)
+        assert got.frames.tobytes() == want.frames.tobytes()
+        assert got.rows.tolist() == want.rows.tolist() == [1, 1]
+        with pytest.raises(ValueError, match="no covered frames"):
+            corpus.bundle([bare])
+
+    def test_reps_is_phoneme_rep_matrix(self, small_corpus):
+        utt = small_corpus.utterances[0]
+        want = phoneme_rep_matrix(utt, small_corpus.phoneme_set(utt.language))
+        got = small_corpus.reps(utt)
+        assert small_corpus.reps(utt) is got
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 TINY_SYNTH = SynthConfig(

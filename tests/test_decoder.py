@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xpq.codebook import EmbeddingTable
+from xpq.datamodel import LanguagePhonemeSet
 from xpq.decoder import (
     DecoderParams,
     FrameBundle,
@@ -18,14 +19,18 @@ def _table(matrix, language="x", phonemes=("a", "b")):
     return EmbeddingTable(np.asarray(matrix, dtype=np.float64), language, tuple(phonemes))
 
 
+def _phoneme_set(table):
+    return LanguagePhonemeSet(table.language, table.phonemes)
+
+
 def predict_frames(dec, table, utt):
     """Predicted frames for every covered frame of utt, as the loss sees them."""
-    bundle = build_frame_bundle([utt], table)
+    bundle = build_frame_bundle([utt], _phoneme_set(table))
     return (table.matrix @ dec.w_d + dec.b_d)[bundle.rows]
 
 
 def _loss(dec, table, utts):
-    return loss_and_grads(dec, table, build_frame_bundle(utts, table))
+    return loss_and_grads(dec, table, build_frame_bundle(utts, _phoneme_set(table)))
 
 
 class TestPredict:
@@ -115,7 +120,7 @@ class TestLoss:
         table = _table(np.zeros((1, 2)), phonemes=("a",))
         dec = DecoderParams(np.zeros((2, 1)), np.zeros(1))
         with pytest.raises(ValueError):
-            build_frame_bundle([], table)
+            build_frame_bundle([], _phoneme_set(table))
         empty = FrameBundle(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             loss_and_grads(dec, table, empty)
@@ -133,8 +138,6 @@ class TestBundle:
     def test_frame_and_row_layout(self):
         utt1 = make_utterance("u1", "x", np.arange(8).reshape(4, 2), [("b", 0, 1), ("a", 2, 4)])
         utt2 = make_utterance("u2", "x", np.ones((2, 2)), [("a", 0, 2)])
-        from xpq.datamodel import LanguagePhonemeSet
-
         bundle = build_frame_bundle([utt1, utt2], LanguagePhonemeSet("x", ("a", "b")))
         assert bundle.rows.tolist() == [1, 0, 0, 0, 0]
         assert np.array_equal(bundle.frames[0], [0, 1])

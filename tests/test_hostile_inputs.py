@@ -189,6 +189,10 @@ CONFIG_CASES = {
     "lr-string": ("train", ("train", "lr", "0.1"), "train.lr must be a number"),
     "synth-language-number": ("gen-corpus", ("synth", "languages", [1]),
                               "synth.languages[0] must be an object"),
+    # `adapt --mode` picks the modes; a config mode would be ignored
+    "adapt-mode": ("adapt", ("adapt", "mode", "random_init"), "adapt: unknown key 'mode'"),
+    # seeds are per section or per command; a top-level one would be ignored
+    "top-level-seed": ("train", ("seed", None, 3), "unknown key 'seed'"),
 }
 
 
@@ -202,9 +206,14 @@ def test_hostile_config(workdir, tmp_path, case):
         cfg[section][key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=2))
+    manifest = workdir / "corpus" / "manifest.json"
     if command == "train":
-        argv = ["train", "--config", path, "--corpus", workdir / "corpus" / "manifest.json",
+        argv = ["train", "--config", path, "--corpus", manifest,
                 "--out", tmp_path / "out", "--stop-after", "1"]
+    elif command == "adapt":
+        argv = ["adapt", "--checkpoint", workdir / "ckpt", "--corpus", manifest,
+                "--language", "T0", "--k", "2", "--tasks", "1", "--q", "2",
+                "--config", path, "--out", tmp_path / "out"]
     else:
         argv = ["gen-corpus", "--config", path, "--out", tmp_path / "corpus"]
     assert_one_error(argv, "config", needle)
@@ -285,6 +294,26 @@ def _junk_tail(data):
     return data + b"junk"
 
 
+def _first_value(of_tensor, value):
+    """An edit setting the first float32 of the tensor at of_tensor(data)."""
+
+    def edit(data):
+        at = of_tensor(data) + 8  # past rows and cols
+        data[at : at + 4] = struct.pack("<f", value)
+        return data
+
+    return edit
+
+
+def _bias(data):
+    return _tensor_at(data, 8)[2]  # b_d follows w_d
+
+
+_nan_bias = _first_value(_bias, float("nan"))
+_inf_w_q = _first_value(lambda data: 28, float("inf"))  # w_q[0], after 5 config u32s
+_nan_first_moment = _first_value(lambda data: 16, float("nan"))  # m[w_q], after the u64 step
+
+
 # (blob, corruption, command, category, needle)
 BLOB_CASES = {
     "decoder-huge-header": ("decoder.bin", _huge_decoder_header, "adapt", "truncation",
@@ -309,6 +338,12 @@ BLOB_CASES = {
                           "decoder.bin: 4 bytes follow the last tensor"),
     "optim-junk-tail": ("optim.bin", _junk_tail, "resume", "format",
                         "optim.bin: 4 bytes follow the last tensor"),
+    "decoder-nan-bias": ("decoder.bin", _nan_bias, "adapt", "format",
+                         "decoder.bin: b_d holds a non-finite value"),
+    "codebook-inf-w-q": ("codebook.bin", _inf_w_q, "map-phonemes", "format",
+                         "codebook.bin: w_q[0] holds a non-finite value"),
+    "optim-nan-moment": ("optim.bin", _nan_first_moment, "resume", "format",
+                         "optim.bin: m[w_q] holds a non-finite value"),
 }
 
 

@@ -10,14 +10,24 @@ either order.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from xpq import kernels
+from xpq.adaptation import (
+    MODES,
+    AdaptConfig,
+    TaskSpec,
+    evaluate,
+    finetune,
+    init_embedding,
+    sample_task,
+)
 from xpq.codebook import CodebookConfig, attention_backward, attention_forward, init_params
 from xpq.datamodel import LanguagePhonemeSet
-from xpq.decoder import build_frame_bundle
+from xpq.decoder import build_frame_bundle, init_decoder
 from xpq.queries import aggregate_from_matrices, phoneme_rep_matrix
 
 from conftest import make_utterance
@@ -202,3 +212,33 @@ def test_frame_residual_matches_frame_loop(exact, n, m, dim, dtype, scale, seed)
     assert abs(sq - sq_ref) <= n * dim * EPS * sq_ref
     if exact:
         assert sq == sq_ref == 0.0
+
+
+@pytest.mark.parametrize("k", [4, 16])
+def test_finetune_and_evaluate_on_memoized_bundles_match_oracle(small_corpus, k):
+    """Bitwise: bundles from the corpus memo are the bundles the utterances
+    give, so fine-tuning and evaluation on them repeat every bit, in both
+    initialisation modes."""
+    cb = CodebookConfig(n=16, heads=2, d_k=8, d_v=8, dim=small_corpus.feature_spec.dim)
+    params = init_params(cb, 3)
+    decoder = init_decoder(cb.embed_dim, cb.dim, 4)
+    config = AdaptConfig(finetune_steps=40, eval_checkpoints=(0, 10, 40))
+    spec = TaskSpec("T0", k=k, q=16, seed=7)
+    task = sample_task(small_corpus, spec)
+    phoneme_set = small_corpus.phoneme_set("T0")
+    query_bundles = [small_corpus.bundle([q]) for q in task.queries]
+    for mode in MODES:
+        rng = np.random.default_rng(spec.seed)
+        table0 = init_embedding(mode, params, task.shots, phoneme_set, rng)
+        points = finetune(table0, decoder, small_corpus.bundle(task.shots), config)
+        points_ref = oracle.finetune(table0, decoder, task.shots, config)
+        assert [p.step for p in points] == [p.step for p in points_ref] == [0, 10, 40]
+        for p, ref in zip(points, points_ref):
+            assert_bitwise(p.table.matrix, ref.table.matrix)
+            assert_bitwise(p.decoder.w_d, ref.decoder.w_d)
+            assert_bitwise(p.decoder.b_d, ref.decoder.b_d)
+            assert type(p.train_loss) is float and p.train_loss == ref.train_loss
+            got = evaluate(p.table, p.decoder, query_bundles)
+            want = oracle.evaluate(p.table, p.decoder, task.queries)
+            assert_bitwise(got.per_utterance, want.per_utterance)
+            assert_bitwise(got.mean_mse, want.mean_mse)

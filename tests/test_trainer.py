@@ -19,7 +19,6 @@ from xpq.errors import ConfigError, CoverageError, FormatError
 from xpq.gradcheck import central_difference, max_rel_err
 from xpq.queries import aggregate_queries
 from xpq.trainer import (
-    CorpusCaches,
     TrainConfig,
     init_train_state,
     load_checkpoint,
@@ -174,11 +173,10 @@ class TestTrainStep:
     def test_loss_decreases_on_miniature(self):
         corpus = _toy_corpus()
         state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
-        caches = CorpusCaches(corpus)
         losses = []
         for _ in range(50):
             batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, state.rng)
-            loss, _ = train_step(state, batch, caches, TOY_TRAIN)
+            loss, _ = train_step(state, batch, corpus, TOY_TRAIN)
             losses.append(loss)
         assert losses[-1] < losses[0] * 0.9
 
@@ -197,17 +195,16 @@ class TestTrainStep:
         recorded = []
         original = trainer_mod.split_with_coverage
 
-        def spy(batch, rng, gen_size, loss_size, limit=100, symbols_fn=None):
-            gen, loss = original(batch, rng, gen_size, loss_size, limit, symbols_fn)
+        def spy(batch, rng, gen_size, loss_size, limit=100):
+            gen, loss = original(batch, rng, gen_size, loss_size, limit)
             recorded.append((gen, loss))
             return gen, loss
 
         monkeypatch.setattr(trainer_mod, "split_with_coverage", spy)
         state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
-        caches = CorpusCaches(corpus)
         for _ in range(100):
             batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, state.rng)
-            train_step(state, batch, caches, TOY_TRAIN)
+            train_step(state, batch, corpus, TOY_TRAIN)
         assert len(recorded) == 100
         for gen, loss in recorded:
             gen_syms = set().union(*(u.phoneme_symbols() for u in gen))
@@ -218,16 +215,13 @@ class TestTrainStep:
         # using real corpus data promoted to float64
         corpus = _toy_corpus()
         state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
-        caches = CorpusCaches(corpus)
         rng = np.random.default_rng(0)
         batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, rng)
         gen, loss_group = split_with_coverage(batch, rng, 6, 2)
         ps = corpus.phoneme_set("L0")
         queries = aggregate_queries(gen, ps).matrix.astype(np.float64)
-        bundle64 = FrameBundle(
-            caches.batch_bundle(loss_group).frames.astype(np.float64),
-            caches.batch_bundle(loss_group).rows,
-        )
+        bundle = corpus.bundle(loss_group)
+        bundle64 = FrameBundle(bundle.frames.astype(np.float64), bundle.rows)
         p, d = state.params, state.decoder
         params = CodebookParams(
             TOY_CB, *(a.astype(np.float64) for a in (p.w_q, p.keys, p.codes))
@@ -269,10 +263,9 @@ class TestCheckpoint:
     def test_save_load_save_identical_bytes(self, tmp_path):
         corpus = _toy_corpus()
         state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
-        caches = CorpusCaches(corpus)
         for _ in range(5):
             batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, state.rng)
-            train_step(state, batch, caches, TOY_TRAIN)
+            train_step(state, batch, corpus, TOY_TRAIN)
         save_checkpoint(state, tmp_path / "a", TOY_TRAIN, TOY_CB)
         loaded = load_checkpoint(tmp_path / "a", TOY_TRAIN, TOY_CB)
         assert loaded.step == 5
@@ -316,10 +309,9 @@ class TestCheckpoint:
     def test_blobs_follow_the_documented_layout(self, tmp_path):
         corpus = _toy_corpus()
         state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
-        caches = CorpusCaches(corpus)
         for _ in range(2):
             batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, state.rng)
-            train_step(state, batch, caches, TOY_TRAIN)
+            train_step(state, batch, corpus, TOY_TRAIN)
         save_checkpoint(state, tmp_path, TOY_TRAIN, TOY_CB)
 
         def tensor(a):
