@@ -1,106 +1,104 @@
 """Run configuration: one strict JSON file with per-component sections.
 
-Top-level keys: "synth", "codebook", "train", "adapt". Unknown keys
-and values that do not fit their field's declared type are rejected, naming
-the key and (best effort) its line in the file. Omitted
-sections and fields fall back to the component defaults; command-line flags
-override file values. The fully resolved configuration is written next to the
-outputs as resolved_config.json.
+Top-level keys: "synth", "codebook", "train", "adapt". The config
+dataclasses' type hints are the only schema: one recursive builder turns the
+parsed JSON into them, rejecting unknown keys, missing required keys and
+values that do not fit their field's declared type, naming the path and the
+line of the key at that path. An integer given for a number field is stored
+as a number, so `1` and `1.0` resolve (and hash) alike. Omitted sections and
+fields fall back to the component defaults; command-line flags override file
+values. The fully resolved configuration is written next to the outputs as
+resolved_config.json.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import typing
 from pathlib import Path
-from typing import Any
 
 from .adaptation import AdaptConfig
 from .codebook import CodebookConfig
 from .errors import ConfigError
-from .synth import SynthConfig, SynthLanguage
+from .synth import SynthConfig
 from .trainer import TrainConfig
 
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string"}
+# JSON strings hold no raw newline, so a newline token is always a line break.
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}\[\],\n]')
 
 
-def _find_line(text: str, key: str) -> str:
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if f'"{key}"' in line:
-            return f" (line {lineno})"
+def _find_line(text: str, path: tuple) -> str:
+    """' (line N)' for the key at path (object keys and list indices) in the
+    JSON text; trailing list indices name the list's key, the root names none."""
+    while path and isinstance(path[-1], int):
+        path = path[:-1]
+    if not path:
+        return ""
+    stack, line = [], 1  # per open container: [current key or index, is an object]
+    for token in _TOKEN.findall(text):
+        if token == "\n":
+            line += 1
+        elif token in ("{", "["):
+            stack.append([None, True] if token == "{" else [0, False])
+        elif token in ("}", "]"):
+            stack.pop()
+        elif token == ",":
+            top = stack[-1]
+            top[0] = None if top[1] else top[0] + 1
+        elif stack[-1][1] and stack[-1][0] is None:  # a string where a key belongs
+            stack[-1][0] = json.loads(token)
+            if tuple(key for key, _ in stack) == path:
+                return f" (line {line})"
     return ""
 
 
-def _check_type(value, hint, where: str, line: str) -> None:
-    """ConfigError unless the JSON value fits the declared field type.
+def _build(hint, value, where: tuple, text: str):
+    """The value of declared type `hint` built from a parsed JSON value.
 
-    A bool fits no field (none is declared bool, and a bool is not an int),
-    an int is accepted for a float, a dataclass is an
-    object (its fields are checked when it is built), a tuple is a list of
-    fitting items, and `X | None` takes X: null is never a value.
+    where is (name of the root, key or index, ...), the path of the value.
+    A dataclass is an object with no unknown and no missing required key, a
+    `tuple[X, ...]` a list, a `tuple[X, Y]` a list of two, and `X | None`
+    takes X: null is never a value. A bool fits no field, and an int is
+    stored as a float in a float field. Anything else raises ConfigError.
     """
+    path = where[1:]
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:] or where[0]
+
+    def misfit(expected):
+        line = _find_line(text, path)
+        return ConfigError(f"{name} must be {expected}, got {json.dumps(value)}{line}")
+
     if type(None) in typing.get_args(hint):
         hint = typing.get_args(hint)[0]
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {json.dumps(value)}{line}")
-        for i, item in enumerate(value):
-            _check_type(item, typing.get_args(hint)[0], f"{where}[{i}]", line)
-    elif dataclasses.is_dataclass(hint):
+    if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object, got {json.dumps(value)}{line}")
-    elif isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
-        raise ConfigError(f"{where} must be {_JSON_NAMES[hint]}, got {json.dumps(value)}{line}")
-
-
-def _build_dataclass(cls, obj: dict, context: str, text: str):
-    """Keyword arguments for cls from a parsed JSON object, each value type-checked."""
-    hints = typing.get_type_hints(cls)
-    kwargs: dict[str, Any] = {}
-    for key, value in obj.items():
-        if key not in hints:
-            raise ConfigError(
-                f"{context}: unknown key {key!r}{_find_line(text, key)}"
-            )
-        _check_type(value, hints[key], f"{context}.{key}", _find_line(text, key))
-        kwargs[key] = value
-    return kwargs
-
-
-def _tuple2(value: list, context: str) -> tuple[int, int]:
-    if len(value) != 2:
-        raise ConfigError(f"{context} must be a [min, max] pair, got {value!r}")
-    return tuple(value)
-
-
-def parse_synth(obj: dict, text: str = "") -> SynthConfig:
-    kwargs = _build_dataclass(SynthConfig, obj, "synth", text)
-    if "languages" in kwargs:
-        languages = []
-        for i, lang in enumerate(kwargs["languages"]):
-            lang_kwargs = _build_dataclass(SynthLanguage, lang, f"synth.languages[{i}]", text)
-            languages.append(SynthLanguage(**lang_kwargs))
-        kwargs["languages"] = tuple(languages)
-    for key in ("segments_per_utterance", "frames_per_segment"):
-        if key in kwargs:
-            kwargs[key] = _tuple2(kwargs[key], f"synth.{key}")
-    return SynthConfig(**kwargs)
-
-
-def parse_codebook(obj: dict, text: str = "") -> CodebookConfig:
-    return CodebookConfig(**_build_dataclass(CodebookConfig, obj, "codebook", text))
-
-
-def parse_train(obj: dict, text: str = "") -> TrainConfig:
-    return TrainConfig(**_build_dataclass(TrainConfig, obj, "train", text))
-
-
-def parse_adapt(obj: dict, text: str = "") -> AdaptConfig:
-    kwargs = _build_dataclass(AdaptConfig, obj, "adapt", text)
-    if "eval_checkpoints" in kwargs:
-        kwargs["eval_checkpoints"] = tuple(kwargs["eval_checkpoints"])
-    return AdaptConfig(**kwargs)
+            raise misfit("an object")
+        hints = typing.get_type_hints(hint)
+        for key in value:
+            if key not in hints:
+                raise ConfigError(f"{name}: unknown key {key!r}{_find_line(text, path + (key,))}")
+        for field in dataclasses.fields(hint):
+            required = field.default is field.default_factory is dataclasses.MISSING
+            if required and field.name not in value:
+                raise ConfigError(f"{name}: missing key {field.name!r}{_find_line(text, path)}")
+        kwargs = {key: _build(hints[key], v, where + (key,), text) for key, v in value.items()}
+        return hint(**kwargs)
+    if typing.get_origin(hint) is tuple:
+        item_hints = typing.get_args(hint)
+        if not isinstance(value, list):
+            raise misfit("a list")
+        if item_hints[-1] is Ellipsis:
+            item_hints = item_hints[:1] * len(value)
+        elif len(value) != len(item_hints):
+            raise misfit("a [min, max] pair")
+        items = enumerate(zip(item_hints, value))
+        return tuple(_build(h, v, where + (i,), text) for i, (h, v) in items)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
+        raise misfit(_JSON_NAMES[hint])
+    return float(value) if hint is float else value
 
 
 @dataclasses.dataclass
@@ -118,18 +116,7 @@ def load_run_config(path) -> RunConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config {path}: top level must be a JSON object")
-    _build_dataclass(RunConfig, obj, f"config {path}", text)
-    try:
-        return RunConfig(
-            synth=parse_synth(obj["synth"], text) if "synth" in obj else None,
-            codebook=parse_codebook(obj["codebook"], text) if "codebook" in obj else None,
-            train=parse_train(obj["train"], text) if "train" in obj else None,
-            adapt=parse_adapt(obj["adapt"], text) if "adapt" in obj else None,
-        )
-    except TypeError as e:
-        raise ConfigError(f"config {path}: {e}") from e
+    return _build(RunConfig, obj, (f"config {path}",), text)
 
 
 def write_resolved_config(path, **sections) -> None:

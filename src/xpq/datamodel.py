@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -326,26 +326,8 @@ def load_manifest(path) -> CorpusManifest:
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
-    obj = {
-        "feature_spec": {
-            "dim": manifest.feature_spec.dim,
-            "frame_rate_hz": manifest.feature_spec.frame_rate_hz,
-        },
-        "languages": [
-            {"language": ps.language, "phonemes": list(ps.phonemes)}
-            for ps in manifest.languages
-        ],
-        "entries": [
-            {
-                "id": e.id,
-                "language": e.language,
-                "feature_path": e.feature_path,
-                "alignment_path": e.alignment_path,
-                "split": e.split,
-            }
-            for e in manifest.entries
-        ],
-    }
+    obj = asdict(manifest)
+    del obj["root"]  # paths in the file are relative to its own directory
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 

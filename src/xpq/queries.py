@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .datamodel import LanguagePhonemeSet, Utterance, load_feature_file, save_feature_file
+from .datamodel import LanguagePhonemeSet, Utterance, save_feature_file
 from .errors import ValidationError
 
 
@@ -126,16 +126,3 @@ def save_query_matrix(qm: QueryMatrix, base_path) -> None:
     base.with_suffix(".json").write_text(
         json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
     )
-
-
-def load_query_matrix(base_path) -> QueryMatrix:
-    base = Path(base_path)
-    matrix = load_feature_file(base.with_suffix(".xpqf"))
-    sidecar = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
-    present = np.array(sidecar["present"], dtype=bool)
-    if matrix.shape[0] != present.shape[0]:
-        raise ValidationError(
-            f"query dump {base}: matrix has {matrix.shape[0]} rows but sidecar "
-            f"declares {present.shape[0]} phonemes"
-        )
-    return QueryMatrix(matrix, present, sidecar["language"], tuple(sidecar["phonemes"]))

@@ -321,9 +321,17 @@ def load_checkpoint(
     meta_path = out / "meta.json"
     if not meta_path.exists():
         raise FormatError(f"no checkpoint found at {out} (missing meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as e:  # invalid JSON or UTF-8
+        raise FormatError(f"{meta_path}: not valid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"{meta_path}: the top level must be an object")
     if meta.get("version") != META_VERSION:
         raise FormatError(f"unsupported checkpoint version {meta.get('version')} in {meta_path}")
+    for key in ("step", "config_hash", "rng_state"):
+        if key not in meta:
+            raise FormatError(f"{meta_path}: missing key {key!r}")
     if meta["config_hash"] != config_hash(config, cb_config):
         raise ConfigError(
             "checkpoint was written with a different configuration; refusing to resume"

@@ -1,9 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
-from xpq.config import load_run_config, write_resolved_config
+from xpq.adaptation import AdaptConfig
+from xpq.codebook import CodebookConfig
+from xpq.config import RunConfig, load_run_config, write_resolved_config
 from xpq.errors import ConfigError
+from xpq.synth import SynthConfig
+from xpq.trainer import TrainConfig, config_hash
 
 
 def _write(tmp_path, obj):
@@ -72,3 +77,37 @@ class TestRunConfig:
         write_resolved_config(tmp_path / "resolved.json", train=TrainConfig(), seed=3)
         obj = json.loads((tmp_path / "resolved.json").read_text())
         assert obj["train"]["batch_size"] == 40 and obj["seed"] == 3
+
+    def test_default_sections_round_trip_through_the_loader(self, tmp_path):
+        defaults = RunConfig(SynthConfig(), CodebookConfig(), TrainConfig(), AdaptConfig())
+        path = tmp_path / "resolved.json"
+        write_resolved_config(path, **dataclasses.asdict(defaults))
+        assert load_run_config(path) == defaults
+
+    def test_int_for_a_number_is_stored_as_a_number(self, tmp_path):
+        as_int = load_run_config(_write(tmp_path, {"train": {"total_steps": 4, "lr": 1}}))
+        as_float = load_run_config(_write(tmp_path, {"train": {"total_steps": 4, "lr": 1.0}}))
+        assert type(as_int.train.lr) is float
+        cb = CodebookConfig()
+        assert config_hash(as_int.train, cb) == config_hash(as_float.train, cb)
+
+
+class TestErrorLocation:
+    """Lines are those of json.dumps(obj, indent=2), one key per line."""
+
+    def test_unknown_top_level_key_names_its_own_line(self, tmp_path):
+        path = _write(tmp_path, {"synth": {"seed": 5}, "seed": 3})
+        with pytest.raises(ConfigError, match=r": unknown key 'seed' \(line 5\)$"):
+            load_run_config(path)
+
+    def test_key_in_two_sections_names_the_checked_one(self, tmp_path):
+        path = _write(tmp_path, {"synth": {"seed": 5}, "train": {"seed": "x"}})
+        message = r'^train.seed must be an integer, got "x" \(line 6\)$'
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(path)
+
+    def test_missing_required_key_names_its_path(self, tmp_path):
+        path = _write(tmp_path, {"synth": {"languages": [{"language": "a", "m": 3}]}})
+        message = r"^synth.languages\[0\]: missing key 'shared_fraction'"
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(path)

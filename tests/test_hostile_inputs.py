@@ -314,7 +314,11 @@ _inf_w_q = _first_value(lambda data: 28, float("inf"))  # w_q[0], after 5 config
 _nan_first_moment = _first_value(lambda data: 16, float("nan"))  # m[w_q], after the u64 step
 
 
-# (blob, corruption, command, category, needle)
+def _replaced_by(content):
+    return lambda data: content
+
+
+# (checkpoint file, corruption, command, category, needle)
 BLOB_CASES = {
     "decoder-huge-header": ("decoder.bin", _huge_decoder_header, "adapt", "truncation",
                             "declares 4294967295x4294967295"),
@@ -344,6 +348,12 @@ BLOB_CASES = {
                          "codebook.bin: w_q[0] holds a non-finite value"),
     "optim-nan-moment": ("optim.bin", _nan_first_moment, "resume", "format",
                          "optim.bin: m[w_q] holds a non-finite value"),
+    "meta-list": ("meta.json", _replaced_by(b"[]"), "resume", "format",
+                  "meta.json: the top level must be an object"),
+    "meta-version-only": ("meta.json", _replaced_by(b'{"version": 1}'), "resume", "format",
+                          "meta.json: missing key 'step'"),
+    "meta-invalid-json": ("meta.json", _replaced_by(b'{"version": 1,'), "resume", "format",
+                          "meta.json: not valid JSON"),
 }
 
 

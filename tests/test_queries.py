@@ -1,13 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from xpq.datamodel import LanguagePhonemeSet, load_feature_file, namespaced
-from xpq.queries import (
-    aggregate_queries,
-    load_query_matrix,
-    phoneme_rep_matrix,
-    save_query_matrix,
-)
+from xpq.queries import aggregate_queries, phoneme_rep_matrix, save_query_matrix
 from xpq.synth import load_ground_truth
 
 from conftest import make_utterance
@@ -138,7 +135,8 @@ def test_dump_round_trip(tmp_path):
     u1 = make_utterance("u1", "x", [[1.5, -2.0]], [("a", 0, 1)])
     qm = aggregate_queries([u1], PS)
     save_query_matrix(qm, tmp_path / "q")
-    loaded = load_query_matrix(tmp_path / "q")
-    assert np.array_equal(loaded.matrix, qm.matrix)
-    assert np.array_equal(loaded.present, qm.present)
-    assert loaded.language == "x" and loaded.phonemes == PS.phonemes
+    matrix = load_feature_file(tmp_path / "q.xpqf")
+    sidecar = json.loads((tmp_path / "q.json").read_text())
+    assert np.array_equal(matrix, qm.matrix)
+    assert np.array_equal(sidecar["present"], qm.present)
+    assert sidecar["language"] == "x" and tuple(sidecar["phonemes"]) == PS.phonemes
