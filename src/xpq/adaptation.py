@@ -138,15 +138,18 @@ def finetune(
     the shots' frame bundle, whose rows index the table.
 
     Returns deep-copied snapshots at config.eval_checkpoints; the inputs are
-    not mutated. train_loss at step s is the loss after s updates.
+    not mutated. train_loss at step s is the loss after s updates. The
+    bundle's loss constants (its float64 frames and cell index) are computed
+    once here and reused by every step.
     """
     table = table.copy()
     decoder = decoder.copy()
     params = {"table": table.matrix, "w_d": decoder.w_d, "b_d": decoder.b_d}
     opt = init_adam(params)
+    constants = kernels.residual_constants(bundle.frames, bundle.rows)
     wanted = set(config.eval_checkpoints)
     points: list[FinetunePoint] = []
-    loss, dec_grads, d_table = loss_and_grads(decoder, table, bundle)
+    loss, dec_grads, d_table = loss_and_grads(decoder, table, bundle, constants=constants)
     if 0 in wanted:
         points.append(FinetunePoint(0, table.copy(), decoder.copy(), loss))
     for step in range(1, config.finetune_steps + 1):
@@ -156,7 +159,7 @@ def finetune(
             {"table": d_table, "w_d": dec_grads.w_d, "b_d": dec_grads.b_d},
             config.lr,
         )
-        loss, dec_grads, d_table = loss_and_grads(decoder, table, bundle)
+        loss, dec_grads, d_table = loss_and_grads(decoder, table, bundle, constants=constants)
         if step in wanted:
             points.append(FinetunePoint(step, table.copy(), decoder.copy(), loss))
     return points
@@ -169,23 +172,31 @@ class EvalResult:
 
 
 def evaluate(
-    table: EmbeddingTable, decoder: DecoderParams, query_bundles: list[FrameBundle]
+    table: EmbeddingTable,
+    decoder: DecoderParams,
+    query_bundles: list[FrameBundle],
+    query_constants: list[dict] | None = None,
 ) -> EvalResult:
     """Frame reconstruction MSE over query utterances, one frame bundle each.
 
     mean_mse averages over all covered frames of all queries; the
     per-utterance breakdown supports task-level reporting. Permutation
-    invariant over query order up to float summation order.
+    invariant over query order up to float summation order. query_constants,
+    when given, holds kernels.residual_constants of each bundle, so a caller
+    evaluating the same queries at several checkpoints computes them once;
+    the result is the same bytes either way.
     """
     if not query_bundles:
         raise ValueError("evaluate requires at least one query utterance")
+    if query_constants is None:
+        query_constants = [{}] * len(query_bundles)
     per_row = table.matrix @ decoder.w_d + decoder.b_d
     per_utt = []
     total_sq = 0.0
     total_frames = 0
     dim = query_bundles[0].frames.shape[1]
-    for bundle in query_bundles:
-        sq, _ = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row)
+    for bundle, constants in zip(query_bundles, query_constants, strict=True):
+        sq, _ = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row, **constants)
         per_utt.append(sq / (bundle.n_frames * dim))
         total_sq += sq
         total_frames += bundle.n_frames
@@ -209,14 +220,20 @@ def adapt_task(
     """Run one task end to end; returns [{step, mean_mse}] per eval checkpoint.
 
     Frame bundles come from the corpus memo, so each is built once per corpus.
+    The queries' loss constants are computed once per task, not per
+    checkpoint, and never stored in the memo.
     """
     task = sample_task(corpus, spec)
     phoneme_set = corpus.phoneme_set(spec.language)
     table0 = init_embedding(mode, params, task.shots, phoneme_set, _init_rng_for_task(spec.seed))
     points = finetune(table0, decoder, corpus.bundle(task.shots), config)
     query_bundles = [corpus.bundle([q]) for q in task.queries]
+    query_constants = [kernels.residual_constants(b.frames, b.rows) for b in query_bundles]
     return [
-        {"step": p.step, "mean_mse": evaluate(p.table, p.decoder, query_bundles).mean_mse}
+        {
+            "step": p.step,
+            "mean_mse": evaluate(p.table, p.decoder, query_bundles, query_constants).mean_mse,
+        }
         for p in points
     ]
 

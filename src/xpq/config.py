@@ -3,7 +3,8 @@
 Top-level keys: "synth", "codebook", "train", "adapt". The config
 dataclasses' type hints are the only schema: one recursive builder turns the
 parsed JSON into them, rejecting unknown keys, missing required keys and
-values that do not fit their field's declared type, naming the path and the
+values that do not fit their field's declared type (NaN and Infinity, which
+Python's JSON parser takes, fit no number field), naming the path and the
 line of the key at that path. An integer given for a number field is stored
 as a number, so `1` and `1.0` resolve (and hash) alike. Omitted sections and
 fields fall back to the component defaults; command-line flags override file
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import typing
 from pathlib import Path
@@ -61,8 +63,9 @@ def _build(hint, value, where: tuple, text: str):
     where is (name of the root, key or index, ...), the path of the value.
     A dataclass is an object with no unknown and no missing required key, a
     `tuple[X, ...]` a list, a `tuple[X, Y]` a list of two, and `X | None`
-    takes X: null is never a value. A bool fits no field, and an int is
-    stored as a float in a float field. Anything else raises ConfigError.
+    takes X: null is never a value. A bool fits no field, an int is stored as
+    a float in a float field, and NaN and the infinities fit none. Anything
+    else raises ConfigError.
     """
     path = where[1:]
     name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:] or where[0]
@@ -98,6 +101,8 @@ def _build(hint, value, where: tuple, text: str):
         return tuple(_build(h, v, where + (i,), text) for i, (h, v) in items)
     if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
         raise misfit(_JSON_NAMES[hint])
+    if hint is float and not math.isfinite(value):  # json.loads takes NaN and Infinity
+        raise misfit("a finite number")
     return float(value) if hint is float else value
 
 

@@ -76,18 +76,23 @@ def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBund
 
 
 def loss_and_grads(
-    decoder: DecoderParams, table: EmbeddingTable, data: FrameBundle
+    decoder: DecoderParams,
+    table: EmbeddingTable,
+    data: FrameBundle,
+    *,
+    constants: dict | None = None,
 ) -> tuple[float, DecoderGrads, np.ndarray]:
     """MSE over the covered frames in data plus exact gradients.
 
     Returns (loss, decoder grads, table-row gradient (m, embed_dim)); gradient
     arrays are in the table's dtype. The table-row gradient chains into the
-    codebook backward pass.
+    codebook backward pass. constants, when given, is
+    kernels.residual_constants of data's frames and rows.
     """
     if data.n_frames == 0:
         raise ValueError("loss over zero covered frames is undefined")
     per_row = table.matrix @ decoder.w_d + decoder.b_d  # (m, dim)
-    sq, gsum = kernels.frame_residual_stats(data.frames, data.rows, per_row)
+    sq, gsum = kernels.frame_residual_stats(data.frames, data.rows, per_row, **(constants or {}))
     denom = data.n_frames * data.frames.shape[1]
     loss = sq / denom
     d_pred = ((2.0 / denom) * gsum).astype(table.matrix.dtype)  # (m, dim)

@@ -246,14 +246,21 @@ def _rng_state_to_json(rng: np.random.Generator) -> dict:
     }
 
 
-def _rng_from_json(obj: dict) -> np.random.Generator:
+def _rng_from_json(obj, meta_path: Path) -> np.random.Generator:
+    """The generator _rng_state_to_json wrote; FormatError naming meta_path
+    for anything numpy does not take as a PCG64 state."""
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = {
-        "bit_generator": obj["bit_generator"],
-        "state": {"state": int(obj["state"], 16), "inc": int(obj["inc"], 16)},
-        "has_uint32": obj["has_uint32"],
-        "uinteger": obj["uinteger"],
-    }
+    try:
+        rng.bit_generator.state = {
+            "bit_generator": obj["bit_generator"],
+            "state": {"state": int(obj["state"], 16), "inc": int(obj["inc"], 16)},
+            "has_uint32": obj["has_uint32"],
+            "uinteger": obj["uinteger"],
+        }
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(
+            f"{meta_path}: rng_state is not a PCG64 state ({type(e).__name__}: {e})"
+        ) from e
     return rng
 
 
@@ -354,7 +361,7 @@ def load_checkpoint(
             f"checkpoint step mismatch: meta says {meta['step']}, optimizer says {step}"
         )
     opt = AdamState(m=m, v=v, step=step)
-    return TrainState(params, decoder, opt, _rng_from_json(meta["rng_state"]))
+    return TrainState(params, decoder, opt, _rng_from_json(meta["rng_state"], meta_path))
 
 
 def load_checkpoint_params(ckpt_dir) -> tuple[CodebookParams, DecoderParams]:

@@ -4,14 +4,17 @@ Each function is the straightforward version the production code replaced:
 per-head attention that recomputes the softmax in its backward pass, the
 residual scatter through np.add.at, query aggregation by masked adds,
 frame-by-frame loops for segment pooling and the loss residual, the
-per-pair mapping score, and fine-tuning and evaluation that build their frame
-bundles from the utterances on every call. test_oracle.py states each pair's contract: bitwise
-or a named tolerance. Tests only; nothing in src/ imports this module.
+per-pair mapping score, Adam updating one tensor at a time with per-tensor
+moments and temporaries, and fine-tuning (on that Adam) and evaluation that
+build their frame bundles from the utterances and recast their frames on every
+call. test_oracle.py states each pair's contract: bitwise or a named
+tolerance. Tests only; nothing in src/ imports this module.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from xpq.codebook import CodebookGrads, CodebookParams
 from xpq.datamodel import LanguagePhonemeSet
 from xpq.decoder import build_frame_bundle, loss_and_grads
 from xpq.errors import NumericError, UndefinedScoreError
-from xpq.optim import adam_step, init_adam
 from xpq.queries import QueryMatrix
 
 
@@ -154,12 +156,51 @@ def mapping_score(record_p: np.ndarray, record_q: np.ndarray) -> float:
     return float(np.clip(np.mean(cosines), -1.0, 1.0))
 
 
+@dataclass
+class AdamState:
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int = 0
+
+
+def init_adam(params: dict[str, np.ndarray]) -> AdamState:
+    return AdamState(
+        m={k: np.zeros_like(p) for k, p in params.items()},
+        v={k: np.zeros_like(p) for k, p in params.items()},
+    )
+
+
+def adam_step(
+    state: AdamState,
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.98,
+    eps: float = 1e-9,
+) -> None:
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=p.dtype)
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
 def _table_phonemes(table) -> LanguagePhonemeSet:
     return LanguagePhonemeSet(table.language, table.phonemes)
 
 
 def finetune(table, decoder, shots, config) -> list[FinetunePoint]:
-    """adaptation.finetune building the shots' frame bundle itself."""
+    """adaptation.finetune building the shots' frame bundle itself, on the
+    per-tensor Adam and the kernel's default (recasting) path."""
     table = table.copy()
     decoder = decoder.copy()
     bundle = build_frame_bundle(shots, _table_phonemes(table))

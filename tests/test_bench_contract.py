@@ -53,3 +53,14 @@ def test_observed_arguments_keep_position_and_name(perfbench, target):
     for position, name in enumerate(OBSERVED[target]):
         if name is not None:
             assert params[position] == name, (target, position, params)
+
+
+def test_residual_kernel_takes_its_constants_by_keyword_only(perfbench):
+    """The observer reads frame_residual_stats' first three arguments by
+    position; a parameter added after them must be keyword-only, so no call
+    can shift what sits at those positions."""
+    _, tracing = perfbench
+    kernel = tracing.resolve("kernels.frame_residual_stats")
+    params = list(inspect.signature(kernel).parameters.values())
+    after = params[[p.name for p in params].index("preds") + 1 :]
+    assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in after), after

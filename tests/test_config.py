@@ -111,3 +111,13 @@ class TestErrorLocation:
         message = r"^synth.languages\[0\]: missing key 'shared_fraction'"
         with pytest.raises(ConfigError, match=message):
             load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "section, literal", [("train", "NaN"), ("adapt", "Infinity"), ("train", "-Infinity")]
+    )
+    def test_non_finite_number_names_its_path_and_line(self, tmp_path, section, literal):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{\n  "{section}": {{\n    "lr": {literal}\n  }}\n}}\n')
+        message = rf"^{section}.lr must be a finite number, got {literal} \(line 3\)$"
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(path)

@@ -187,6 +187,10 @@ CONFIG_CASES = {
     "total-steps-float": ("train", ("train", "total_steps", 3.5),
                           "train.total_steps must be an integer"),
     "lr-string": ("train", ("train", "lr", "0.1"), "train.lr must be a number"),
+    # json.loads takes the NaN and Infinity that json.dumps writes for them
+    "lr-nan": ("train", ("train", "lr", float("nan")), "train.lr must be a finite number"),
+    "adapt-lr-infinity": ("adapt", ("adapt", "lr", float("inf")),
+                          "adapt.lr must be a finite number, got Infinity"),
     "synth-language-number": ("gen-corpus", ("synth", "languages", [1]),
                               "synth.languages[0] must be an object"),
     # `adapt --mode` picks the modes; a config mode would be ignored
@@ -318,6 +322,17 @@ def _replaced_by(content):
     return lambda data: content
 
 
+def _rng_state(edit):
+    """A meta.json edit replacing rng_state by edit(rng_state)."""
+
+    def edit_meta(data):
+        meta = json.loads(bytes(data))
+        meta["rng_state"] = edit(meta["rng_state"])
+        return json.dumps(meta).encode()
+
+    return edit_meta
+
+
 # (checkpoint file, corruption, command, category, needle)
 BLOB_CASES = {
     "decoder-huge-header": ("decoder.bin", _huge_decoder_header, "adapt", "truncation",
@@ -354,6 +369,10 @@ BLOB_CASES = {
                           "meta.json: missing key 'step'"),
     "meta-invalid-json": ("meta.json", _replaced_by(b'{"version": 1,'), "resume", "format",
                           "meta.json: not valid JSON"),
+    "meta-rng-empty": ("meta.json", _rng_state(lambda rng: {}), "resume", "format",
+                       "meta.json: rng_state is not a PCG64 state"),
+    "meta-rng-bad-hex": ("meta.json", _rng_state(lambda rng: dict(rng, state="0xnothex")),
+                         "resume", "format", "meta.json: rng_state is not a PCG64 state"),
 }
 
 

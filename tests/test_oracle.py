@@ -2,11 +2,11 @@
 
 A bitwise pair has the same bytes, dtype and shape. Inputs include the edge
 cases the rewrites could treat differently: m=1, n=1, one head, repeated
-rows, all-zero query rows, one-frame segments, the exact-zero residual, and
-m * dim == 1 with many utterances or heads. The frame-loop pairs are bitwise
-except for sums whose add order differs; those hold to a tolerance set from
-float64's epsilon and the number of terms, which bounds the rounding error of
-either order.
+rows, all-zero query rows, one-frame segments, the exact-zero residual,
+m * dim == 1 with many utterances or heads, and 1-element Adam tensors. The
+frame-loop pairs are bitwise except for sums whose add order differs; those
+hold to a tolerance set from float64's epsilon and the number of terms, which
+bounds the rounding error of either order.
 """
 
 import numpy as np
@@ -28,6 +28,7 @@ from xpq.adaptation import (
 from xpq.codebook import CodebookConfig, attention_backward, attention_forward, init_params
 from xpq.datamodel import LanguagePhonemeSet
 from xpq.decoder import build_frame_bundle, init_decoder
+from xpq.optim import adam_step, init_adam, scheduled_lr
 from xpq.queries import aggregate_from_matrices, phoneme_rep_matrix
 
 from conftest import make_utterance
@@ -150,6 +151,78 @@ def test_frame_residual_of_no_frames_matches_oracle():
     sq_ref, gsum_ref = oracle.frame_residual_stats(frames, rows, preds)
     assert sq == sq_ref == 0.0
     assert_bitwise(gsum, gsum_ref)
+
+
+@ORACLE
+@given(
+    n_utts=st.integers(0, 6),
+    m=st.integers(1, 5),
+    dim=st.integers(1, 4),
+    dtype=DTYPES,
+    exact=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_residual_with_precomputed_constants_is_the_default_path(
+    n_utts, m, dim, dtype, exact, seed
+):
+    """Bitwise: the float64 frames and cell index a caller computes once are
+    the ones the kernel would compute on each call; n_utts == 0 is the
+    no-frame case."""
+    rng = np.random.default_rng(seed)
+    if n_utts:
+        phoneme_set, utts = _utterances(rng, n_utts, m, dim, dtype)
+        bundle = build_frame_bundle(utts, phoneme_set)
+        frames, rows = bundle.frames, bundle.rows
+    else:
+        frames, rows = np.zeros((0, dim), dtype=dtype), np.zeros(0, dtype=np.int64)
+    preds = rng.standard_normal((m, dim)).astype(dtype)
+    if exact:
+        frames = preds[rows]
+    constants = kernels.residual_constants(frames, rows)
+    sq, gsum = kernels.frame_residual_stats(frames, rows, preds, **constants)
+    sq_ref, gsum_ref = kernels.frame_residual_stats(frames, rows, preds)
+    assert type(sq) is float and sq == sq_ref
+    assert_bitwise(gsum, gsum_ref)
+
+
+@ORACLE
+@given(
+    shapes=st.lists(
+        st.lists(st.integers(1, 5), min_size=0, max_size=3).map(tuple), min_size=1, max_size=4
+    ),
+    dtype=DTYPES,
+    grad_dtype=st.sampled_from(["same", "float64"]),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 10.0]),
+    hyper=st.sampled_from([(0.9, 0.98, 1e-9), (0.8, 0.999, 1e-6)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example([(1,)], np.float32, "float64", 1e-6, (0.9, 0.98, 1e-9), 0)  # 1-element tensor
+@example([(20, 256), (256, 16), (16,)], np.float32, "float32", 1.0, (0.9, 0.98, 1e-9), 1)
+def test_adam_matches_per_tensor_oracle(shapes, dtype, grad_dtype, scale, hyper, seed):
+    """Bitwise on params, m and v after each of 50 steps: the flat update
+    applies the per-tensor update's operations to every element in the same
+    order and dtype, on float32 and float64 tensors, with float64 gradients
+    fed to float32 params, at gradient scales from 1e-6 to 10 and under a
+    warmup-then-decay learning rate."""
+    rng = np.random.default_rng(seed)
+    beta1, beta2, eps = hyper
+    params = {f"p{i}": rng.standard_normal(shape).astype(dtype) for i, shape in enumerate(shapes)}
+    params_ref = {name: p.copy() for name, p in params.items()}
+    state, state_ref = init_adam(params), oracle.init_adam(params_ref)
+    g_dtype = dtype if grad_dtype == "same" else np.float64
+    for step in range(1, 51):
+        grads = {
+            name: (rng.standard_normal(p.shape) * scale).astype(g_dtype)
+            for name, p in params.items()
+        }
+        lr = scheduled_lr(step, 0.01, 10, 0.99)
+        adam_step(state, params, grads, lr, beta1, beta2, eps)
+        oracle.adam_step(state_ref, params_ref, grads, lr, beta1, beta2, eps)
+        assert state.step == state_ref.step == step
+        for name in params:
+            assert_bitwise(params[name], params_ref[name])
+            assert_bitwise(state.m[name], state_ref.m[name])
+            assert_bitwise(state.v[name], state_ref.v[name])
 
 
 def _loop_shape():
