@@ -12,6 +12,8 @@ queries for a given task seed, so comparisons are paired.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +22,8 @@ import numpy as np
 from . import kernels
 from .codebook import CodebookParams, EmbeddingTable, forward, xavier_bound
 from .datamodel import Corpus, LanguagePhonemeSet, Utterance
-from .decoder import DecoderParams, FrameBundle, loss_and_grads
-from .errors import ConfigError, TaskError, VocabularyError
+from .decoder import DecoderGrads, DecoderParams, FrameBundle, loss_and_grads
+from .errors import ConfigError, NumericError, TaskError, VocabularyError
 from .optim import adam_step, init_adam
 from .queries import aggregate_queries
 
@@ -140,26 +142,24 @@ def finetune(
     Returns deep-copied snapshots at config.eval_checkpoints; the inputs are
     not mutated. train_loss at step s is the loss after s updates. The
     bundle's loss constants (its float64 frames and cell index) are computed
-    once here and reused by every step.
+    once here and reused by every step. Every gradient is written straight
+    into Adam's gradient views.
     """
     table = table.copy()
     decoder = decoder.copy()
     params = {"table": table.matrix, "w_d": decoder.w_d, "b_d": decoder.b_d}
     opt = init_adam(params)
+    grads = opt.grads
+    out = DecoderGrads(grads["w_d"], grads["b_d"])
     constants = kernels.residual_constants(bundle.frames, bundle.rows)
     wanted = set(config.eval_checkpoints)
     points: list[FinetunePoint] = []
-    loss, dec_grads, d_table = loss_and_grads(decoder, table, bundle, constants=constants)
-    if 0 in wanted:
-        points.append(FinetunePoint(0, table.copy(), decoder.copy(), loss))
-    for step in range(1, config.finetune_steps + 1):
-        adam_step(
-            opt,
-            params,
-            {"table": d_table, "w_d": dec_grads.w_d, "b_d": dec_grads.b_d},
-            config.lr,
+    for step in range(config.finetune_steps + 1):
+        if step:
+            adam_step(opt, params, grads, config.lr)
+        loss, _, _ = loss_and_grads(
+            decoder, table, bundle, constants=constants, out=out, out_table=grads["table"]
         )
-        loss, dec_grads, d_table = loss_and_grads(decoder, table, bundle, constants=constants)
         if step in wanted:
             points.append(FinetunePoint(step, table.copy(), decoder.copy(), loss))
     return points
@@ -221,21 +221,35 @@ def adapt_task(
 
     Frame bundles come from the corpus memo, so each is built once per corpus.
     The queries' loss constants are computed once per task, not per
-    checkpoint, and never stored in the memo.
+    checkpoint, and never stored in the memo. A fine-tune that diverges
+    raises NumericError at the first checkpoint whose MSE is not finite, and
+    the overflow warnings on the way there are dropped; a run that ends
+    finite issues them as they came.
     """
     task = sample_task(corpus, spec)
     phoneme_set = corpus.phoneme_set(spec.language)
     table0 = init_embedding(mode, params, task.shots, phoneme_set, _init_rng_for_task(spec.seed))
-    points = finetune(table0, decoder, corpus.bundle(task.shots), config)
-    query_bundles = [corpus.bundle([q]) for q in task.queries]
-    query_constants = [kernels.residual_constants(b.frames, b.rows) for b in query_bundles]
-    return [
-        {
-            "step": p.step,
-            "mean_mse": evaluate(p.table, p.decoder, query_bundles, query_constants).mean_mse,
-        }
-        for p in points
-    ]
+    with warnings.catch_warnings(record=True) as caught:
+        points = finetune(table0, decoder, corpus.bundle(task.shots), config)
+        query_bundles = [corpus.bundle([q]) for q in task.queries]
+        query_constants = [kernels.residual_constants(b.frames, b.rows) for b in query_bundles]
+        checkpoints = [
+            {
+                "step": p.step,
+                "mean_mse": evaluate(p.table, p.decoder, query_bundles, query_constants).mean_mse,
+            }
+            for p in points
+        ]
+    for cp in checkpoints:
+        if not math.isfinite(cp["mean_mse"]):
+            raise NumericError(
+                f"{spec.language} k={spec.k} task seed {spec.seed} ({mode}): query MSE is "
+                f"{cp['mean_mse']} at fine-tune step {cp['step']}; fine-tuning diverged "
+                f"at lr {config.lr}"
+            )
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return checkpoints
 
 
 def run_experiment(
@@ -291,7 +305,7 @@ def run_experiment(
 
 
 def write_report_json(cells: list[dict], path) -> None:
-    Path(path).write_text(json.dumps(cells, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(cells, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def write_report_tsv(cells: list[dict], path) -> None:

@@ -71,6 +71,7 @@ class EmbeddingTable:
 @dataclass
 class AttentionRecord:
     weights: np.ndarray  # (H, m, n); each row is a probability distribution
+    projected: np.ndarray  # (H, m, d_k) queries @ w_q, which the backward pass reuses
 
 
 def xavier_bound(fan_in: int, fan_out: int) -> float:
@@ -92,9 +93,10 @@ def init_params(config: CodebookConfig, seed, dtype=np.float32) -> CodebookParam
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row softmax with max subtraction; softmax(x + c) == softmax(x) per row."""
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def attention_forward(
@@ -107,6 +109,12 @@ def attention_forward(
     All heads run as stacked (H, m, .) matmuls; each head's product is the
     same BLAS call a per-head loop would make, so the result is bitwise equal.
     """
+    embedding, weights, _ = _attention(params, queries)
+    return embedding, weights
+
+
+def _attention(params: CodebookParams, queries: np.ndarray):
+    """attention_forward's (embedding, weights) and the projected queries."""
     cfg = params.config
     q = np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != cfg.dim:
@@ -114,23 +122,37 @@ def attention_forward(
     m = q.shape[0]
     scale = 1.0 / math.sqrt(cfg.d_k)
     projected = q @ params.w_q  # (H, m, d_k)
-    weights = softmax_rows((projected @ params.keys.transpose(0, 2, 1)) * scale)
+    logits = projected @ params.keys.transpose(0, 2, 1)
+    logits *= scale
+    weights = softmax_rows(logits)
     heads_out = weights @ params.codes  # (H, m, d_v)
     embedding = heads_out.transpose(1, 0, 2).reshape(m, cfg.embed_dim)
-    if not np.all(np.isfinite(embedding)) or not np.all(np.isfinite(weights)):
+    if not np.isfinite(embedding).all() or not np.isfinite(weights).all():
         raise NumericError("non-finite values in attention forward")
-    return embedding, weights
+    return embedding, weights, projected
 
 
 def attention_backward(
-    params: CodebookParams, queries: np.ndarray, weights: np.ndarray, upstream: np.ndarray
-) -> tuple[CodebookGrads, np.ndarray]:
+    params: CodebookParams,
+    queries: np.ndarray,
+    weights: np.ndarray,
+    upstream: np.ndarray,
+    *,
+    projected: np.ndarray | None = None,
+    with_d_q: bool = True,
+    out: CodebookGrads | None = None,
+) -> tuple[CodebookGrads, np.ndarray | None]:
     """Exact gradients of <upstream, embedding> w.r.t. parameters and queries.
 
     weights are the (H, m, n) attention weights attention_forward returned for
     the same params and queries; the softmax is not recomputed. upstream has
-    the embedding's shape (m, H*d_v). All heads run as stacked matmuls; d_q
-    sums the heads' contributions in head order, starting from zeros.
+    the embedding's shape (m, H*d_v). projected, when given, is the forward's
+    queries @ w_q (AttentionRecord.projected), and is not recomputed either;
+    the result is the same bytes. All heads run as stacked matmuls; d_q sums
+    the heads' contributions in head order, starting from zeros. d_q is None
+    unless with_d_q (the default): training needs only the parameter
+    gradients. out, when given, receives the parameter gradients (arrays of
+    their shapes and dtype, such as Adam's gradient views) and is returned.
     """
     cfg = params.config
     q = np.asarray(queries)
@@ -142,30 +164,35 @@ def attention_backward(
     if upstream.shape != (m, cfg.embed_dim):
         raise ValueError(f"upstream must be {(m, cfg.embed_dim)}, got {upstream.shape}")
     scale = 1.0 / math.sqrt(cfg.d_k)
-    projected = q @ params.w_q  # (H, m, d_k)
+    if projected is None:
+        projected = q @ params.w_q  # (H, m, d_k)
+    if out is None:
+        out = CodebookGrads(None, None, None)
     g_out = upstream.reshape(m, cfg.heads, cfg.d_v).transpose(1, 0, 2)  # (H, m, d_v)
-    d_codes = weights.transpose(0, 2, 1) @ g_out
+    out.codes = np.matmul(weights.transpose(0, 2, 1), g_out, out=out.codes)
     d_w = g_out @ params.codes.transpose(0, 2, 1)
     # softmax Jacobian: dL/dz = w * (dL/dw - sum_j dL/dw_j * w_j)
     d_logits = weights * (d_w - (d_w * weights).sum(axis=-1, keepdims=True))
     d_scores = d_logits * scale
     d_proj = d_scores @ params.keys  # (H, m, d_k)
-    d_keys = d_scores.transpose(0, 2, 1) @ projected
-    d_wq = q.T @ d_proj
+    out.keys = np.matmul(d_scores.transpose(0, 2, 1), projected, out=out.keys)
+    out.w_q = np.matmul(q.T, d_proj, out=out.w_q)
+    if not with_d_q:
+        return out, None
     d_q_heads = d_proj @ params.w_q.transpose(0, 2, 1)  # (H, m, dim)
     d_q = np.zeros_like(q)
     # not d_q_heads.sum(axis=0): that reduces pairwise when m * dim == 1 and H >= 8
     for h in range(cfg.heads):
         d_q += d_q_heads[h]
-    return CodebookGrads(d_wq, d_keys, d_codes), d_q
+    return out, d_q
 
 
 def forward(
     params: CodebookParams, queries: QueryMatrix
 ) -> tuple[EmbeddingTable, AttentionRecord]:
     """Generate the phoneme embedding table for one language's queries."""
-    embedding, weights = attention_forward(params, queries.matrix)
+    embedding, weights, projected = _attention(params, queries.matrix)
     return (
         EmbeddingTable(embedding, queries.language, queries.phonemes),
-        AttentionRecord(weights),
+        AttentionRecord(weights, projected),
     )

@@ -137,6 +137,19 @@ class Utterance:
             return self._symbols
 
 
+def segment_arrays(
+    utterance: Utterance, phoneme_set: LanguagePhonemeSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, ends, rows) of the utterance's segments as int64 arrays, in
+    alignment order; rows index phoneme_set's canonical order."""
+    index = phoneme_set.index
+    table = np.array(
+        [(s.start_frame, s.end_frame, index(s.phoneme)) for s in utterance.alignment],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2]
+
+
 # ---------------------------------------------------------------------------
 # feature files
 
@@ -411,14 +424,31 @@ def validate_corpus(manifest: CorpusManifest) -> CorpusValidationReport:
 # loaded corpus
 
 
+@dataclass(frozen=True)
+class RepStack:
+    """One language's train-split utterances as stacked query inputs.
+
+    Utterance u is the u-th train utterance of the language in manifest
+    order. reps[u] is its queries.phoneme_rep_matrix reps and present[u] its
+    counts > 0; bit r of masks[u] is present[u, r], row r of the language's
+    phoneme set. row maps an utterance id to its u.
+    """
+
+    reps: np.ndarray  # (U, m, dim) float64
+    present: np.ndarray  # (U, m) bool
+    masks: tuple[int, ...]
+    row: dict[str, int]
+
+
 @dataclass
 class Corpus:
     """In-memory corpus: manifest plus fully loaded utterances.
 
     Utterances keep manifest order; values are immutable after load and safe
-    to share across threads. Data derived from them (train pools, rep
-    matrices, frame bundles) is built at first use and kept here, never at
-    load; being a pure function of immutable values, the memo changes no result.
+    to share across threads. Data derived from them (train pools, each
+    language's RepStack, frame bundles) is built at first use and kept here,
+    never at load; being a pure function of immutable values, the memo
+    changes no result.
     """
 
     manifest: CorpusManifest
@@ -432,7 +462,7 @@ class Corpus:
             self._by_lang.setdefault(utt.language, []).append(i)
             self._by_lang_split.setdefault((utt.language, split), []).append(i)
         self._train_pools: dict[int, tuple[tuple[Utterance, ...], ...]] = {}
-        self._reps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._rep_stacks: dict[str, RepStack] = {}
         self._bundles: dict[str, FrameBundle] = {}
 
     @property
@@ -465,14 +495,26 @@ class Corpus:
             self._train_pools[min_size] = out
         return out
 
-    def reps(self, utt: Utterance) -> tuple[np.ndarray, np.ndarray]:
-        """queries.phoneme_rep_matrix of utt over its language's phoneme set."""
-        out = self._reps.get(utt.id)
+    def rep_stack(self, language: str) -> RepStack:
+        """The language's train-split RepStack, built through
+        queries.phoneme_rep_matrix at first use."""
+        out = self._rep_stacks.get(language)
         if out is None:
             from .queries import phoneme_rep_matrix
 
-            out = phoneme_rep_matrix(utt, self.phoneme_set(utt.language))
-            self._reps[utt.id] = out
+            utterances = self.by_language(language, "train")
+            phoneme_set = self.phoneme_set(language)
+            reps = np.zeros((len(utterances), phoneme_set.size, self.feature_spec.dim))
+            present = np.zeros((len(utterances), phoneme_set.size), dtype=bool)
+            for u, utt in enumerate(utterances):
+                reps[u], counts = phoneme_rep_matrix(utt, phoneme_set)
+                present[u] = counts > 0
+            masks = tuple(
+                int.from_bytes(np.packbits(p, bitorder="little").tobytes(), "little")
+                for p in present
+            )
+            row = {utt.id: u for u, utt in enumerate(utterances)}
+            out = self._rep_stacks[language] = RepStack(reps, present, masks, row)
         return out
 
     def bundle(self, utterances: Iterable[Utterance]) -> FrameBundle:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .codebook import EmbeddingTable, xavier_bound
-from .datamodel import LanguagePhonemeSet
+from .datamodel import LanguagePhonemeSet, segment_arrays
 
 
 @dataclass
@@ -63,13 +63,19 @@ def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBund
 
     Rows follow phoneme_set's canonical order, which is an embedding table's
     row order. A loaded corpus keeps each utterance's bundle: Corpus.bundle.
+    Each utterance's covered frames are gathered with one index array.
     """
     chunks = []
     rows = []
     for utt in utterances:
-        for seg in utt.alignment:
-            chunks.append(utt.features[seg.start_frame : seg.end_frame])
-            rows.append(np.full(seg.n_frames, phoneme_set.index(seg.phoneme), dtype=np.int64))
+        if not utt.alignment:
+            continue
+        starts, ends, seg_rows = segment_arrays(utt, phoneme_set)
+        lengths = ends - starts
+        # frame j of segment k sits at starts[k] + j: one arange, shifted per segment
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        chunks.append(utt.features[np.arange(shift.shape[0]) + shift])
+        rows.append(np.repeat(seg_rows, lengths))
     if not chunks:
         raise ValueError("no covered frames: utterance list is empty or has no segments")
     return FrameBundle(np.concatenate(chunks, axis=0), np.concatenate(rows))
@@ -81,13 +87,17 @@ def loss_and_grads(
     data: FrameBundle,
     *,
     constants: dict | None = None,
+    out: DecoderGrads | None = None,
+    out_table: np.ndarray | None = None,
 ) -> tuple[float, DecoderGrads, np.ndarray]:
     """MSE over the covered frames in data plus exact gradients.
 
     Returns (loss, decoder grads, table-row gradient (m, embed_dim)); gradient
     arrays are in the table's dtype. The table-row gradient chains into the
     codebook backward pass. constants, when given, is
-    kernels.residual_constants of data's frames and rows.
+    kernels.residual_constants of data's frames and rows. out and out_table,
+    when given, receive the decoder and table-row gradients (arrays of their
+    shapes and dtype, such as Adam's gradient views) and are returned.
     """
     if data.n_frames == 0:
         raise ValueError("loss over zero covered frames is undefined")
@@ -96,7 +106,9 @@ def loss_and_grads(
     denom = data.n_frames * data.frames.shape[1]
     loss = sq / denom
     d_pred = ((2.0 / denom) * gsum).astype(table.matrix.dtype)  # (m, dim)
-    d_w = table.matrix.T @ d_pred
-    d_b = d_pred.sum(axis=0)
-    d_table = d_pred @ decoder.w_d.T
-    return float(loss), DecoderGrads(d_w, d_b), d_table
+    if out is None:
+        out = DecoderGrads(None, None)
+    out.w_d = np.matmul(table.matrix.T, d_pred, out=out.w_d)
+    out.b_d = np.add.reduce(d_pred, axis=0, out=out.b_d)
+    d_table = np.matmul(d_pred, decoder.w_d.T, out=out_table)
+    return float(loss), out, d_table

@@ -22,8 +22,32 @@ def segment_pool(features, starts, ends, rows, n_rows):
     """Per-row frame sums and counts over [start, end) segments.
 
     Returns (sums, counts): float64 (n_rows, dim) and int64 (n_rows,).
-    Rows may repeat; repeated rows pool all their segments' frames.
+    Rows may repeat; repeated rows pool all their segments' frames. Each
+    segment's frames are summed in frame order, then the segment sums are
+    added into their rows in segment order.
     """
+    dim = features.shape[1]
+    lengths = ends - starts
+    # all segments at once, each zero-padded to the longest: a sum over the
+    # padded frame axis adds frame by frame when dim > 1 (with dim == 1 numpy
+    # would sum pairwise), and the padding's +0.0 changes no row's total. When
+    # padding would more than double the frames read (one long segment among
+    # short ones), the loop is the cheaper way.
+    if dim == 1 or not lengths.shape[0] or lengths.shape[0] * lengths.max() > 2 * lengths.sum():
+        return _segment_pool_loop(features, starts, ends, rows, n_rows)
+    offsets = np.arange(lengths.max())
+    frame = starts[:, None] + offsets
+    padded = features[np.minimum(frame, features.shape[0] - 1)].astype(np.float64)
+    padded[offsets >= lengths[:, None]] = 0.0
+    partial = padded.sum(axis=1)
+    sums = np.bincount(
+        _cells(rows, dim), weights=partial.ravel(), minlength=n_rows * dim
+    ).reshape(n_rows, dim)
+    counts = np.bincount(rows, weights=lengths, minlength=n_rows).astype(np.int64)
+    return sums, counts
+
+
+def _segment_pool_loop(features, starts, ends, rows, n_rows):
     dim = features.shape[1]
     sums = np.zeros((n_rows, dim), dtype=np.float64)
     counts = np.zeros(n_rows, dtype=np.int64)

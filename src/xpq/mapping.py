@@ -162,4 +162,4 @@ def write_scores_json(scores: MappingScores, path) -> None:
         "languages": list(scores.languages),
         "scores": [[float(x) for x in row] for row in scores.matrix],
     }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="utf-8")

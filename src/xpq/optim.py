@@ -2,10 +2,14 @@
 
 The moments live in flat buffers in the parameters' dtype, so one step runs
 each of Adam's operations once over all tensors instead of once per tensor.
+Every element sees the operations of the textbook per-tensor update in the
+same order and dtype, so the flat update is bitwise that update, and bitwise
+deterministic.
+
 The parameters stay the caller's own arrays and are updated in place, one
-tensor at a time. Every element sees the operations of the textbook
-per-tensor update in the same order and dtype, so the flat update is bitwise
-that update, and bitwise deterministic.
+tensor at a time. A gradient written straight into its view of state.grads
+(through a ufunc's or matmul's out=) is not copied; training and fine-tuning
+both write their gradients there.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ class AdamState:
 
     m and v are one flat buffer each; state.m[name] and state.v[name] are
     views into them, in the order of the moments given. A flat gradient
-    buffer and a scratch buffer of the same size hold each step's
-    temporaries. All four share the moments' dtype, which must be one.
+    buffer (state.grads holds its named views) and a scratch buffer of the
+    same size hold each step's temporaries; adam_step overwrites the
+    gradient buffer, so a caller writes every gradient anew before each
+    step. All share the moments' dtype, which must be one.
     """
 
     def __init__(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step: int = 0):
@@ -61,7 +67,7 @@ class AdamState:
         for name in shapes:
             self.m[name][...] = m[name]
             self.v[name][...] = v[name]
-        self._grads = _views(self._grad, shapes)
+        self.grads = _views(self._grad, shapes)
         self._updates = _views(self._scratch, shapes)
         self.step = step
 
@@ -83,8 +89,9 @@ def adam_step(
     """One Adam update of the caller's params, in place.
 
     params must hold the names the state was made for. Each gradient is cast
-    to the moments' dtype as it is copied into the gradient buffer; the
-    hyperparameters are Python floats, which numpy applies in that dtype.
+    to the moments' dtype as it is copied into the gradient buffer, unless it
+    is its own view of that buffer (state.grads[name]); the hyperparameters
+    are Python floats, which numpy applies in that dtype.
     """
     if params.keys() != state.m.keys():
         raise KeyError(f"params {list(params)} do not match Adam's {list(state.m)}")
@@ -93,8 +100,9 @@ def adam_step(
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, g in state._grads.items():
-        g[...] = grads[name]
+    for name, g in state.grads.items():
+        if grads[name] is not g:
+            g[...] = grads[name]
     g, update, m, v = state._grad, state._scratch, state._m, state._v
     m *= beta1
     np.multiply(g, 1.0 - beta1, out=update)

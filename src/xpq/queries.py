@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .datamodel import LanguagePhonemeSet, Utterance, save_feature_file
+from .datamodel import LanguagePhonemeSet, Utterance, save_feature_file, segment_arrays
 from .errors import ValidationError
 
 
@@ -33,15 +33,6 @@ class QueryMatrix:
         return self.matrix.shape[1]
 
 
-def _segment_arrays(utterance: Utterance, phoneme_set: LanguagePhonemeSet):
-    starts = np.array([s.start_frame for s in utterance.alignment], dtype=np.int64)
-    ends = np.array([s.end_frame for s in utterance.alignment], dtype=np.int64)
-    rows = np.array(
-        [phoneme_set.index(s.phoneme) for s in utterance.alignment], dtype=np.int64
-    )
-    return starts, ends, rows
-
-
 def phoneme_rep_matrix(
     utterance: Utterance, phoneme_set: LanguagePhonemeSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -52,7 +43,7 @@ def phoneme_rep_matrix(
     float64 regardless of the feature dtype; long utterances would otherwise
     lose precision.
     """
-    starts, ends, rows = _segment_arrays(utterance, phoneme_set)
+    starts, ends, rows = segment_arrays(utterance, phoneme_set)
     sums, counts = kernels.segment_pool(
         utterance.features, starts, ends, rows, phoneme_set.size
     )
@@ -63,27 +54,33 @@ def phoneme_rep_matrix(
 
 
 def aggregate_from_matrices(
-    rep_counts: list[tuple[np.ndarray, np.ndarray]],
+    rep_counts: tuple[np.ndarray, np.ndarray],
     phoneme_set: LanguagePhonemeSet,
     dtype,
 ) -> QueryMatrix:
     """Mean of per-utterance representations, reduced in the given order.
 
-    An absent phoneme's rep row is exactly +0.0, and a sum that starts at
-    +0.0 is never -0.0, so adding that row changes no bit: each utterance's
-    whole matrix is added without a presence mask. The adds stay one
-    utterance at a time because a single sum(axis=0) over the stack reduces
-    pairwise when m * dim == 1.
+    rep_counts is the utterances' phoneme_rep_matrix results stacked: a pair
+    of (U, m, dim) reps and (U, m) counts or presence, such as rows of a
+    Corpus.rep_stack. An absent phoneme's rep row is exactly
+    +0.0, and a sum that starts at +0.0 is never -0.0, so adding that row
+    changes no bit: the whole stack is summed without a presence mask, in one
+    reduction over the utterance axis that adds the utterances one at a time,
+    as a loop would. When m * dim == 1 that reduction would run pairwise, so
+    the utterances are then added in a loop.
     """
-    m = phoneme_set.size
-    dim = rep_counts[0][0].shape[1]
-    acc = np.zeros((m, dim), dtype=np.float64)
-    for reps, _ in rep_counts:
-        acc += reps
-    n_utt = (np.stack([counts for _, counts in rep_counts]) > 0).sum(axis=0)
+    reps, counts = rep_counts
+    _, m, dim = reps.shape
+    if m * dim == 1:
+        acc = np.zeros((m, dim), dtype=np.float64)
+        for r in reps:
+            acc += r
+    else:
+        acc = np.add.reduce(reps, axis=0, initial=0.0)
+    n_utt = np.count_nonzero(counts, axis=0)
     present = n_utt > 0
     matrix = np.zeros((m, dim), dtype=np.float64)
-    matrix[present] = acc[present] / n_utt[present, None]
+    np.divide(acc, n_utt[:, None], out=matrix, where=present[:, None])
     return QueryMatrix(
         matrix.astype(dtype), present, phoneme_set.language, phoneme_set.phonemes
     )
@@ -110,8 +107,10 @@ def aggregate_queries(
     dims = {utt.features.shape[1] for utt in utterances}
     if len(dims) != 1:
         raise ValidationError(f"utterances disagree on feature dim: {sorted(dims)}")
-    rep_counts = [phoneme_rep_matrix(u, phoneme_set) for u in utterances]
-    return aggregate_from_matrices(rep_counts, phoneme_set, utterances[0].features.dtype)
+    reps, counts = zip(*(phoneme_rep_matrix(u, phoneme_set) for u in utterances))
+    return aggregate_from_matrices(
+        (np.stack(reps), np.stack(counts)), phoneme_set, utterances[0].features.dtype
+    )
 
 
 def save_query_matrix(qm: QueryMatrix, base_path) -> None:

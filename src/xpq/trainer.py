@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
@@ -23,13 +24,14 @@ import numpy as np
 
 from .codebook import (
     CodebookConfig,
+    CodebookGrads,
     CodebookParams,
     forward,
     attention_backward,
     init_params,
 )
 from .datamodel import Corpus, Utterance
-from .decoder import DecoderParams, init_decoder, loss_and_grads
+from .decoder import DecoderGrads, DecoderParams, init_decoder, loss_and_grads
 from .errors import ConfigError, CoverageError, FormatError
 from .optim import AdamState, adam_step, init_adam, scheduled_lr
 from .queries import aggregate_from_matrices
@@ -85,7 +87,7 @@ def sample_language_batch(
         )
     pool = eligible[int(rng.integers(len(eligible)))]
     idx = rng.choice(len(pool), size=batch_size, replace=False)
-    return [pool[i] for i in idx]
+    return [pool[i] for i in idx.tolist()]
 
 
 def split_with_coverage(
@@ -94,30 +96,38 @@ def split_with_coverage(
     gen_size: int,
     loss_size: int,
     limit: int = 100,
+    *,
+    masks: Sequence[int],
 ) -> tuple[list[Utterance], list[Utterance]]:
     """Split a batch so every loss-group phoneme occurs in the generation group.
 
     Rejection-samples up to `limit` splits, then falls back to a greedy split
-    that forces a bearer of each phoneme (rarest first) into the generation
-    group and fills the remainder randomly. Raises CoverageError when no valid
-    split exists.
+    that forces a bearer of each phoneme (rarest first, ties by symbol) into
+    the generation group and fills the remainder randomly. Raises
+    CoverageError when no valid split exists.
+
+    Coverage is tested on phoneme bitmasks: masks[i] has one bit per phoneme
+    of batch[i], such as RepStack.masks. Any bit assignment that gives each
+    phoneme its own bit gives the same split.
     """
     if len(batch) != gen_size + loss_size:
         raise ValueError(f"batch size {len(batch)} != {gen_size} + {loss_size}")
-    syms = [u.phoneme_symbols() for u in batch]
 
     def split_ok(gen_idx, loss_idx):
-        gen_set: set[str] = set()
+        gen = loss = 0
         for i in gen_idx:
-            gen_set |= syms[i]
-        return all(syms[i] <= gen_set for i in loss_idx)
+            gen |= masks[i]
+        for i in loss_idx:
+            loss |= masks[i]
+        return not loss & ~gen
 
     for _ in range(limit):
-        perm = rng.permutation(len(batch))
+        perm = rng.permutation(len(batch)).tolist()
         gen_idx, loss_idx = perm[:gen_size], perm[gen_size:]
         if split_ok(gen_idx, loss_idx):
             return [batch[i] for i in gen_idx], [batch[i] for i in loss_idx]
 
+    syms = [u.phoneme_symbols() for u in batch]
     counts: dict[str, int] = {}
     for s in syms:
         for ph in s:
@@ -134,7 +144,7 @@ def split_with_coverage(
         covered |= syms[bearer]
     rest = [i for i in range(len(batch)) if i not in in_forced]
     fill_order = rng.permutation(len(rest))
-    fill = [rest[j] for j in fill_order]
+    fill = [rest[j] for j in fill_order.tolist()]
     gen_idx = forced + fill[: gen_size - len(forced)]
     loss_idx = fill[gen_size - len(forced) :]
     if split_ok(gen_idx, loss_idx):
@@ -160,7 +170,8 @@ class TrainState:
         return self.opt.step
 
 
-def param_dict(params: CodebookParams, decoder: DecoderParams) -> dict[str, np.ndarray]:
+def _tensors(params: CodebookParams, decoder: DecoderParams) -> dict[str, np.ndarray]:
+    """The model's tensors by name, in Adam's layout."""
     return {
         "w_q": params.w_q,
         "keys": params.keys,
@@ -179,7 +190,7 @@ def init_train_state(
         )
     params = init_params(cb_config, config.seed)
     decoder = init_decoder(cb_config.embed_dim, cb_config.dim, config.seed + 1)
-    opt = init_adam(param_dict(params, decoder))
+    opt = init_adam(_tensors(params, decoder))
     return TrainState(params, decoder, opt, np.random.default_rng(config.seed + 2))
 
 
@@ -189,33 +200,47 @@ def train_step(
     """One update: split batch, generate table, loss on the other group, Adam.
 
     Returns (loss, lr). Raises CoverageError if the batch admits no valid
-    split; the caller resamples the batch in that case.
+    split; the caller resamples the batch in that case. The batch comes from
+    the train split. Gradients are written straight into Adam's gradient
+    views, and the queries of the generation group are its rows of the
+    corpus's rep stack.
     """
     language = batch[0].language
     phoneme_set = corpus.phoneme_set(language)
+    stack = corpus.rep_stack(language)
     gen_group, loss_group = split_with_coverage(
         batch,
         state.rng,
         config.gen_group_size,
         config.loss_group_size,
         config.coverage_resample_limit,
+        masks=[stack.masks[stack.row[u.id]] for u in batch],
     )
     dtype = gen_group[0].features.dtype
-    qm = aggregate_from_matrices([corpus.reps(u) for u in gen_group], phoneme_set, dtype)
+    rows = [stack.row[u.id] for u in gen_group]
+    qm = aggregate_from_matrices((stack.reps[rows], stack.present[rows]), phoneme_set, dtype)
     table, record = forward(state.params, qm)
-    loss, dec_grads, d_table = loss_and_grads(state.decoder, table, corpus.bundle(loss_group))
-    cb_grads, _ = attention_backward(state.params, qm.matrix, record.weights, d_table)
+    grads = state.opt.grads
+    loss, _, d_table = loss_and_grads(
+        state.decoder,
+        table,
+        corpus.bundle(loss_group),
+        out=DecoderGrads(grads["w_d"], grads["b_d"]),
+    )
+    attention_backward(
+        state.params,
+        qm.matrix,
+        record.weights,
+        d_table,
+        projected=record.projected,
+        with_d_q=False,
+        out=CodebookGrads(grads["w_q"], grads["keys"], grads["codes"]),
+    )
     lr = scheduled_lr(state.step + 1, config.lr, config.warmup_steps, config.decay_rate)
     adam_step(
         state.opt,
-        param_dict(state.params, state.decoder),
-        {
-            "w_q": cb_grads.w_q,
-            "keys": cb_grads.keys,
-            "codes": cb_grads.codes,
-            "w_d": dec_grads.w_d,
-            "b_d": dec_grads.b_d,
-        },
+        _tensors(state.params, state.decoder),
+        grads,
         lr,
         config.beta1,
         config.beta2,
@@ -269,7 +294,8 @@ def _rng_from_json(obj, meta_path: Path) -> np.random.Generator:
 #                 w_q (dim x d_k), keys (n x d_k), codes (n x d_v)
 #   decoder.bin   XPDC, no header, then w_d (embed_dim x dim), b_d (dim)
 #   optim.bin     XPOP, header step (u64), then m and v of each tensor in
-#                 param_dict order, flattened to (-1, last axis)
+#                 Adam's order (w_q, keys, codes, w_d, b_d), flattened to
+#                 (-1, last axis)
 CODEBOOK_MAGIC, DECODER_MAGIC, OPTIM_MAGIC = b"XPCB", b"XPDC", b"XPOP"
 BLOB_VERSION = 1
 
@@ -306,7 +332,7 @@ def save_checkpoint(
         OPTIM_MAGIC,
         BLOB_VERSION,
         struct.pack("<Q", opt.step),
-        (_flat(moments[name]) for name in param_dict(p, d) for moments in (opt.m, opt.v)),
+        (_flat(moments[name]) for name in opt.m for moments in (opt.m, opt.v)),
     )
     meta = {
         "version": META_VERSION,
@@ -321,13 +347,12 @@ def save_checkpoint(
     tmp.replace(out / "meta.json")
 
 
-def load_checkpoint(
-    ckpt_dir, config: TrainConfig, cb_config: CodebookConfig
-) -> TrainState:
-    out = Path(ckpt_dir)
-    meta_path = out / "meta.json"
+def _read_meta(ckpt_dir: Path) -> tuple[dict, Path]:
+    """(meta.json's object, its path); FormatError unless it is an object of
+    the supported version with a step."""
+    meta_path = ckpt_dir / "meta.json"
     if not meta_path.exists():
-        raise FormatError(f"no checkpoint found at {out} (missing meta.json)")
+        raise FormatError(f"no checkpoint found at {ckpt_dir} (missing meta.json)")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except ValueError as e:  # invalid JSON or UTF-8
@@ -336,15 +361,25 @@ def load_checkpoint(
         raise FormatError(f"{meta_path}: the top level must be an object")
     if meta.get("version") != META_VERSION:
         raise FormatError(f"unsupported checkpoint version {meta.get('version')} in {meta_path}")
-    for key in ("step", "config_hash", "rng_state"):
+    if "step" not in meta:
+        raise FormatError(f"{meta_path}: missing key 'step'")
+    return meta, meta_path
+
+
+def load_checkpoint(
+    ckpt_dir, config: TrainConfig, cb_config: CodebookConfig
+) -> TrainState:
+    out = Path(ckpt_dir)
+    meta, meta_path = _read_meta(out)
+    for key in ("config_hash", "rng_state"):
         if key not in meta:
             raise FormatError(f"{meta_path}: missing key {key!r}")
     if meta["config_hash"] != config_hash(config, cb_config):
         raise ConfigError(
             "checkpoint was written with a different configuration; refusing to resume"
         )
-    params, decoder = load_checkpoint_params(out)
-    named = param_dict(params, decoder)
+    params, decoder = _read_model(out)
+    named = _tensors(params, decoder)
     (step,), moments = read_blob(
         out / "optim.bin",
         OPTIM_MAGIC,
@@ -367,9 +402,17 @@ def load_checkpoint(
 def load_checkpoint_params(ckpt_dir) -> tuple[CodebookParams, DecoderParams]:
     """Model tensors only, for adaptation and mapping discovery.
 
-    The decoder's shapes are checked against the codebook's config.
+    meta.json must pass the checks load_checkpoint makes of every checkpoint:
+    an object of the supported version with a step.
     """
     out = Path(ckpt_dir)
+    _read_meta(out)
+    return _read_model(out)
+
+
+def _read_model(out: Path) -> tuple[CodebookParams, DecoderParams]:
+    """codebook.bin and decoder.bin; the decoder's shapes are checked against
+    the codebook's config."""
     fields, tensors = read_blob(
         out / "codebook.bin", CODEBOOK_MAGIC, BLOB_VERSION, "<5I", _codebook_shapes
     )
@@ -420,7 +463,8 @@ def _validation_report(corpus: Corpus, state: TrainState) -> list[str]:
             continue
         phoneme_set = corpus.phoneme_set(language)
         dtype = train[0].features.dtype
-        qm = aggregate_from_matrices([corpus.reps(u) for u in train], phoneme_set, dtype)
+        stack = corpus.rep_stack(language)
+        qm = aggregate_from_matrices((stack.reps, stack.present), phoneme_set, dtype)
         table, _ = forward(state.params, qm)
         loss, _, _ = loss_and_grads(state.decoder, table, corpus.bundle(val))
         lines.append(f"{language}\t{len(val)}\t{loss!r}")

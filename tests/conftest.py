@@ -23,6 +23,13 @@ def make_utterance(uid, language, features, segments, dtype=np.float32):
     )
 
 
+def coverage_masks(batch):
+    """One phoneme bitmask per utterance of batch, as split_with_coverage
+    takes them: bit b is the b-th of the batch's symbols in sorted order."""
+    symbols = sorted(set().union(*(u.phoneme_symbols() for u in batch)))
+    return [sum(1 << symbols.index(ph) for ph in u.phoneme_symbols()) for u in batch]
+
+
 def make_corpus(phoneme_sets, utterances, splits=None, dim=None):
     """In-memory corpus without any files on disk."""
     if dim is None:

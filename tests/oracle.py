@@ -5,10 +5,11 @@ per-head attention that recomputes the softmax in its backward pass, the
 residual scatter through np.add.at, query aggregation by masked adds,
 frame-by-frame loops for segment pooling and the loss residual, the
 per-pair mapping score, Adam updating one tensor at a time with per-tensor
-moments and temporaries, and fine-tuning (on that Adam) and evaluation that
+moments and temporaries, fine-tuning (on that Adam) and evaluation that
 build their frame bundles from the utterances and recast their frames on every
-call. test_oracle.py states each pair's contract: bitwise or a named
-tolerance. Tests only; nothing in src/ imports this module.
+call, and the training split testing coverage on symbol sets. test_oracle.py
+states each pair's contract: bitwise or a named tolerance. Tests only; nothing
+in src/ imports this module.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 from xpq import kernels
 from xpq.adaptation import EvalResult, FinetunePoint
 from xpq.codebook import CodebookGrads, CodebookParams
-from xpq.datamodel import LanguagePhonemeSet
+from xpq.datamodel import LanguagePhonemeSet, Utterance
 from xpq.decoder import build_frame_bundle, loss_and_grads
-from xpq.errors import NumericError, UndefinedScoreError
+from xpq.errors import CoverageError, NumericError, UndefinedScoreError
 from xpq.queries import QueryMatrix
 
 
@@ -240,3 +241,58 @@ def evaluate(table, decoder, queries) -> EvalResult:
         total_sq += sq
         total_frames += bundle.n_frames
     return EvalResult(per_utt, total_sq / (total_frames * dim))
+
+
+def split_with_coverage(
+    batch: list[Utterance],
+    rng: np.random.Generator,
+    gen_size: int,
+    loss_size: int,
+    limit: int = 100,
+) -> tuple[list[Utterance], list[Utterance]]:
+    """trainer.split_with_coverage testing coverage on each utterance's
+    symbol set, with numpy integers for indices."""
+    if len(batch) != gen_size + loss_size:
+        raise ValueError(f"batch size {len(batch)} != {gen_size} + {loss_size}")
+    syms = [u.phoneme_symbols() for u in batch]
+
+    def split_ok(gen_idx, loss_idx):
+        gen_set: set[str] = set()
+        for i in gen_idx:
+            gen_set |= syms[i]
+        return all(syms[i] <= gen_set for i in loss_idx)
+
+    for _ in range(limit):
+        perm = rng.permutation(len(batch))
+        gen_idx, loss_idx = perm[:gen_size], perm[gen_size:]
+        if split_ok(gen_idx, loss_idx):
+            return [batch[i] for i in gen_idx], [batch[i] for i in loss_idx]
+
+    counts: dict[str, int] = {}
+    for s in syms:
+        for ph in s:
+            counts[ph] = counts.get(ph, 0) + 1
+    forced: list[int] = []
+    in_forced: set[int] = set()
+    covered: set[str] = set()
+    for ph in sorted(counts, key=lambda p: (counts[p], p)):
+        if ph in covered or len(forced) == gen_size:
+            continue
+        bearer = next(i for i in range(len(batch)) if ph in syms[i] and i not in in_forced)
+        forced.append(bearer)
+        in_forced.add(bearer)
+        covered |= syms[bearer]
+    rest = [i for i in range(len(batch)) if i not in in_forced]
+    fill_order = rng.permutation(len(rest))
+    fill = [rest[j] for j in fill_order]
+    gen_idx = forced + fill[: gen_size - len(forced)]
+    loss_idx = fill[gen_size - len(forced) :]
+    if split_ok(gen_idx, loss_idx):
+        return [batch[i] for i in gen_idx], [batch[i] for i in loss_idx]
+    gen_set: set[str] = set()
+    for i in gen_idx:
+        gen_set |= syms[i]
+    uncovered = sorted(set().union(*(syms[i] for i in loss_idx)) - gen_set)
+    raise CoverageError(
+        f"no coverage-valid split exists for this batch; uncovered phonemes: {uncovered}"
+    )

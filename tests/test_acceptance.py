@@ -216,8 +216,8 @@ def test_coverage_properties(criterion, default_corpus, monkeypatch):
         recorded = []
         original = trainer_mod.split_with_coverage
 
-        def spy(batch, rng, gen_size, loss_size, limit=100):
-            out = original(batch, rng, gen_size, loss_size, limit)
+        def spy(batch, rng, gen_size, loss_size, limit=100, **kwargs):
+            out = original(batch, rng, gen_size, loss_size, limit, **kwargs)
             recorded.append(out)
             return out
 

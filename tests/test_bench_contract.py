@@ -12,7 +12,19 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+# called through their modules, as perfbench's workloads call them, so the
+# tracer's wrappers see the calls
+import xpq.adaptation
+import xpq.datamodel
+import xpq.mapping
+import xpq.synth
+import xpq.trainer
+from conftest import SMALL_SYNTH
+from xpq.codebook import CodebookConfig, init_params
+from xpq.decoder import init_decoder
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,3 +76,62 @@ def test_residual_kernel_takes_its_constants_by_keyword_only(perfbench):
     params = list(inspect.signature(kernel).parameters.values())
     after = params[[p.name for p in params].index("preds") + 1 :]
     assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in after), after
+
+
+def _traced(perfbench, run):
+    """The tracer after run() under every TARGETS wrapper, as perfbench installs them."""
+    layers, tracing = perfbench
+    tracer = tracing.Tracer("tier1")
+    targets = {name: observe for name, (observe, _) in layers.TARGETS.items()}
+    with tracing.installed(tracer, targets) as absent:
+        run()
+    assert not absent
+    assert not tracer.broken
+    return tracing.Summary(tracer)
+
+
+def _assert_called(perfbench, summary, names):
+    layers, _ = perfbench
+    calls = {name: summary.calls(name) for name in names}
+    assert all(calls.values()), calls
+    tailed = {name: calls[name] for name in layers.TAILED if name in calls}
+    assert all(n >= 20 for n in tailed.values()), tailed
+
+
+SMALL_CB = CodebookConfig(n=16, heads=2, d_k=8, d_v=8, dim=SMALL_SYNTH.dim)
+
+
+def test_train_reaches_every_train_target(perfbench, small_corpus_dir, tmp_path):
+    """A target inlined away, or called less often than its tail needs, would
+    leave the benchmark's traced `train` result without its metrics."""
+    layers, _ = perfbench
+    config = xpq.trainer.TrainConfig(total_steps=25, warmup_steps=5, seed=4)
+
+    def run():
+        corpus = xpq.datamodel.load_corpus(small_corpus_dir / "manifest.json")
+        xpq.trainer.run_training(corpus, config, SMALL_CB, tmp_path / "ckpt")
+
+    summary = _traced(perfbench, run)
+    wanted = [name for name in layers.TARGETS if "train" in layers.EXPECTED[name]]
+    _assert_called(perfbench, summary, wanted)
+
+
+def test_pipeline_reaches_every_pipeline_only_target(perfbench, tmp_path):
+    """The same for the targets only the `pipeline` workload must reach."""
+    layers, _ = perfbench
+
+    def run():
+        manifest, _ = xpq.synth.generate_corpus(SMALL_SYNTH, tmp_path / "corpus")
+        assert xpq.datamodel.validate_corpus(manifest).ok
+        corpus = xpq.datamodel.load_corpus(tmp_path / "corpus" / "manifest.json")
+        params = init_params(SMALL_CB, 0)
+        decoder = init_decoder(SMALL_CB.embed_dim, SMALL_CB.dim, 1)
+        config = xpq.adaptation.AdaptConfig(finetune_steps=4, eval_checkpoints=(0, 4))
+        xpq.adaptation.run_experiment(corpus, params, decoder, "T0", [2], 10, config, q=4)
+        xpq.mapping.build_score_table(corpus, params, 4, np.random.default_rng(0))
+
+    summary = _traced(perfbench, run)
+    wanted = [
+        name for name in layers.TARGETS if layers.EXPECTED[name] == frozenset({"pipeline"})
+    ]
+    _assert_called(perfbench, summary, wanted)

@@ -297,13 +297,21 @@ class TestCorpusMemo:
         with pytest.raises(ValueError, match="no covered frames"):
             corpus.bundle([bare])
 
-    def test_reps_is_phoneme_rep_matrix(self, small_corpus):
-        utt = small_corpus.utterances[0]
-        want = phoneme_rep_matrix(utt, small_corpus.phoneme_set(utt.language))
-        got = small_corpus.reps(utt)
-        assert small_corpus.reps(utt) is got
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    def test_rep_stack_is_phoneme_rep_matrix(self, small_corpus):
+        language = small_corpus.language_ids[0]
+        phoneme_set = small_corpus.phoneme_set(language)
+        train = small_corpus.by_language(language, "train")
+        stack = small_corpus.rep_stack(language)
+        assert small_corpus.rep_stack(language) is stack
+        assert stack.reps.shape == (len(train), phoneme_set.size, 8)
+        assert stack.present.shape == (len(train), phoneme_set.size)
+        for u, utt in enumerate(train):
+            reps, counts = phoneme_rep_matrix(utt, phoneme_set)
+            assert stack.row[utt.id] == u
+            assert stack.reps[u].dtype == reps.dtype and stack.reps[u].tobytes() == reps.tobytes()
+            assert stack.present[u].tolist() == (counts > 0).tolist()
+            bits = {r for r in range(phoneme_set.size) if stack.masks[u] >> r & 1}
+            assert bits == {phoneme_set.index(ph) for ph in utt.phoneme_symbols()}
 
 
 TINY_SYNTH = SynthConfig(

@@ -365,6 +365,11 @@ BLOB_CASES = {
                          "optim.bin: m[w_q] holds a non-finite value"),
     "meta-list": ("meta.json", _replaced_by(b"[]"), "resume", "format",
                   "meta.json: the top level must be an object"),
+    # adapt and map-phonemes check meta.json as resuming does
+    "meta-list-adapt": ("meta.json", _replaced_by(b"[]"), "adapt", "format",
+                        "meta.json: the top level must be an object"),
+    "meta-list-map-phonemes": ("meta.json", _replaced_by(b"[]"), "map-phonemes", "format",
+                               "meta.json: the top level must be an object"),
     "meta-version-only": ("meta.json", _replaced_by(b'{"version": 1}'), "resume", "format",
                           "meta.json: missing key 'step'"),
     "meta-invalid-json": ("meta.json", _replaced_by(b'{"version": 1,'), "resume", "format",
@@ -394,3 +399,41 @@ def test_hostile_checkpoint_blob(workdir, tmp_path, case):
         argv = ["train", "--config", workdir / "config.json", "--corpus", manifest,
                 "--out", ckpt, "--resume"]
     assert_one_error(argv, category, needle)
+
+
+def _adapt_at_lr(workdir, tmp_path, lr):
+    """argv of a one-task k=4 adapt fine-tuning 50 steps at lr, and its --out."""
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["adapt"] = {"lr": lr, "finetune_steps": 50, "eval_checkpoints": [0, 50]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    out = tmp_path / "out"
+    argv = ["adapt", "--checkpoint", workdir / "ckpt", "--corpus",
+            workdir / "corpus" / "manifest.json", "--language", "T0", "--k", "4",
+            "--tasks", "1", "--q", "2", "--config", path, "--out", out]
+    return argv, out
+
+
+def test_diverging_adapt_is_one_numeric_error_and_writes_no_report(workdir, tmp_path):
+    """At lr 1e30 fine-tuning overflows to NaN; that is refused, not reported."""
+    argv, out = _adapt_at_lr(workdir, tmp_path, 1e30)
+    _, line = assert_one_error(argv, "numeric", "query MSE is nan at fine-tune step 50")
+    assert "fine-tuning diverged at lr 1e+30" in line
+    assert not (out / "report.json").exists()
+
+
+def test_adapt_that_overflows_but_ends_finite_keeps_its_warnings(workdir, tmp_path):
+    """At lr 1e8 fine-tuning overflows on the way and ends finite: the run is
+    reported, and the overflow warnings still reach the user."""
+    argv, out = _adapt_at_lr(workdir, tmp_path, 1e8)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, _, err = run_cli(argv)
+    assert code == 0, err
+    assert (out / "report.json").exists()
+
+
+def test_report_writers_refuse_nan(tmp_path):
+    from xpq.adaptation import write_report_json
+
+    with pytest.raises(ValueError):
+        write_report_json([{"mean": float("nan")}], tmp_path / "report.json")

@@ -25,13 +25,22 @@ from xpq.adaptation import (
     init_embedding,
     sample_task,
 )
-from xpq.codebook import CodebookConfig, attention_backward, attention_forward, init_params
+from xpq.codebook import (
+    CodebookConfig,
+    CodebookGrads,
+    attention_backward,
+    attention_forward,
+    forward,
+    init_params,
+)
 from xpq.datamodel import LanguagePhonemeSet
 from xpq.decoder import build_frame_bundle, init_decoder
+from xpq.errors import CoverageError
 from xpq.optim import adam_step, init_adam, scheduled_lr
-from xpq.queries import aggregate_from_matrices, phoneme_rep_matrix
+from xpq.queries import QueryMatrix, aggregate_from_matrices, phoneme_rep_matrix
+from xpq.trainer import split_with_coverage
 
-from conftest import make_utterance
+from conftest import coverage_masks, make_utterance
 
 ORACLE = settings(derandomize=True, max_examples=60, deadline=None)
 # the frame-loop references run in pure Python: fewer, smaller examples
@@ -86,6 +95,50 @@ def test_attention_matches_per_head_oracle(m, n, heads, d_k, d_v, dim, dtype, ro
     assert_bitwise(d_q, d_q_ref)
 
 
+@ORACLE
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 9),
+    heads=st.integers(1, 9),
+    d_k=st.integers(1, 6),
+    d_v=st.integers(1, 6),
+    dim=st.integers(1, 6),
+    dtype=DTYPES,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(20, 128, 4, 64, 64, 16, np.float32, 0)  # production shape
+@example(1, 3, 8, 2, 2, 1, np.float64, 0)  # m * dim == 1, H >= 8
+def test_backward_on_the_forward_projection_is_the_recomputing_backward(
+    m, n, heads, d_k, d_v, dim, dtype, seed
+):
+    """Bitwise: the forward's projected queries are the ones the backward
+    would compute; d_q is the same when asked for and None when not; gradients
+    written into given arrays are the same bytes, in those arrays."""
+    rng = np.random.default_rng(seed)
+    params = init_params(CodebookConfig(n, heads, d_k, d_v, dim), rng, dtype=dtype)
+    q = rng.standard_normal((m, dim)).astype(dtype)
+    qm = QueryMatrix(q, np.ones(m, dtype=bool), "x", tuple(f"p{i}" for i in range(m)))
+    _, record = forward(params, qm)
+    upstream = rng.standard_normal((m, heads * d_v)).astype(dtype)
+
+    want, d_q_want = attention_backward(params, q, record.weights, upstream)
+    got, d_q = attention_backward(
+        params, q, record.weights, upstream, projected=record.projected
+    )
+    assert_bitwise(d_q, d_q_want)
+    out = CodebookGrads(
+        *(np.full_like(a, np.nan) for a in (params.w_q, params.keys, params.codes))
+    )
+    into, none = attention_backward(
+        params, q, record.weights, upstream, projected=record.projected, with_d_q=False, out=out
+    )
+    assert into is out and none is None
+    for grads in (got, into):
+        assert_bitwise(grads.w_q, want.w_q)
+        assert_bitwise(grads.keys, want.keys)
+        assert_bitwise(grads.codes, want.codes)
+
+
 def _utterances(rng, n_utts, m, dim, dtype):
     """Random utterances over m phonemes; segments of 1-3 frames, gaps allowed."""
     phonemes = tuple(f"p{i}" for i in range(m))
@@ -114,7 +167,34 @@ def _utterances(rng, n_utts, m, dim, dtype):
 def test_aggregation_matches_masked_loop_oracle(n_utts, m, dim, dtype, seed):
     phoneme_set, utts = _utterances(np.random.default_rng(seed), n_utts, m, dim, dtype)
     rep_counts = [phoneme_rep_matrix(u, phoneme_set) for u in utts]
-    got = aggregate_from_matrices(rep_counts, phoneme_set, dtype)
+    stacked = tuple(np.stack(arrays) for arrays in zip(*rep_counts))
+    got = aggregate_from_matrices(stacked, phoneme_set, dtype)
+    want = oracle.aggregate_from_matrices(rep_counts, phoneme_set, dtype)
+    assert_bitwise(got.matrix, want.matrix)
+    assert_bitwise(got.present, want.present)
+
+
+@ORACLE
+@given(
+    n_utts=st.sampled_from([1, 2, 8, 9, 33]),
+    m=st.integers(1, 3),
+    dim=st.integers(1, 3),
+    dtype=DTYPES,
+    presence=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_utts=33, m=1, dim=1, dtype=np.float64, presence=True, seed=2)  # m * dim == 1
+@example(n_utts=33, m=2, dim=1, dtype=np.float64, presence=False, seed=3)
+@example(n_utts=9, m=1, dim=3, dtype=np.float32, presence=True, seed=4)
+def test_stacked_aggregation_matches_masked_loop_oracle(n_utts, m, dim, dtype, presence, seed):
+    """Bitwise: one reduction over a (U, m, dim) rep stack, with counts or a
+    presence mask (as Corpus.rep_stack holds), adds the utterances in the
+    loop's order, and the m * dim == 1 case stays a loop."""
+    phoneme_set, utts = _utterances(np.random.default_rng(seed), n_utts, m, dim, dtype)
+    rep_counts = [phoneme_rep_matrix(u, phoneme_set) for u in utts]
+    reps = np.stack([r for r, _ in rep_counts])
+    counts = np.stack([c for _, c in rep_counts])
+    got = aggregate_from_matrices((reps, counts > 0 if presence else counts), phoneme_set, dtype)
     want = oracle.aggregate_from_matrices(rep_counts, phoneme_set, dtype)
     assert_bitwise(got.matrix, want.matrix)
     assert_bitwise(got.present, want.present)
@@ -223,6 +303,84 @@ def test_adam_matches_per_tensor_oracle(shapes, dtype, grad_dtype, scale, hyper,
             assert_bitwise(params[name], params_ref[name])
             assert_bitwise(state.m[name], state_ref.m[name])
             assert_bitwise(state.v[name], state_ref.v[name])
+
+
+@ORACLE
+@given(
+    shapes=st.lists(
+        st.lists(st.integers(1, 5), min_size=0, max_size=3).map(tuple), min_size=1, max_size=4
+    ),
+    dtype=DTYPES,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example([(1,)], np.float32, 0)
+@example([(20, 256), (256, 16), (16,)], np.float32, 1)
+def test_adam_on_gradients_in_its_own_views_matches_per_tensor_oracle(shapes, dtype, seed):
+    """Bitwise on params, m and v after each of 30 steps: gradients written
+    into Adam's own views (state.grads), as training and fine-tuning write
+    them, are not copied and give the per-tensor update's bytes."""
+    rng = np.random.default_rng(seed)
+    params = {f"p{i}": rng.standard_normal(shape).astype(dtype) for i, shape in enumerate(shapes)}
+    params_ref = {name: p.copy() for name, p in params.items()}
+    state, state_ref = init_adam(params), oracle.init_adam(params_ref)
+    for step in range(1, 31):
+        grads = {name: rng.standard_normal(p.shape).astype(dtype) for name, p in params.items()}
+        for name, g in grads.items():
+            state.grads[name][...] = g
+        lr = scheduled_lr(step, 0.01, 10, 0.99)
+        adam_step(state, params, state.grads, lr)
+        oracle.adam_step(state_ref, params_ref, grads, lr)
+        for name in params:
+            assert_bitwise(params[name], params_ref[name])
+            assert_bitwise(state.m[name], state_ref.m[name])
+            assert_bitwise(state.v[name], state_ref.v[name])
+
+
+def _batch(symbol_sets):
+    """One utterance per symbol set, each symbol a one-frame segment."""
+    return [
+        make_utterance(f"u{i}", "x", np.zeros((max(len(syms), 1), 1)),
+                       [(ph, j, j + 1) for j, ph in enumerate(sorted(syms))])
+        for i, syms in enumerate(symbol_sets)
+    ]
+
+
+def _split_outcome(split, batch, seed, *args, **kwargs):
+    """(gen ids, loss ids) or the CoverageError text, and the RNG state after."""
+    rng = np.random.default_rng(seed)
+    try:
+        gen, loss = split(batch, rng, *args, **kwargs)
+        outcome = ([u.id for u in gen], [u.id for u in loss])
+    except CoverageError as e:
+        outcome = str(e)
+    return outcome, rng.bit_generator.state
+
+
+@ORACLE
+@given(
+    symbol_sets=st.lists(
+        st.frozensets(st.sampled_from("abcdefgh"), max_size=4), min_size=2, max_size=12
+    ),
+    gen_share=st.floats(0.3, 0.9),
+    limit=st.sampled_from([0, 1, 3, 100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example([frozenset("a"), frozenset("b")], 0.5, 100, 0)  # no valid split: CoverageError
+@example([frozenset("ab"), frozenset("a"), frozenset("b"), frozenset()], 0.5, 0, 1)  # fallback
+def test_split_on_bitmasks_matches_symbol_set_oracle(symbol_sets, gen_share, limit, seed):
+    """Bitwise in outcome: the same groups in the same order, or the same
+    CoverageError text, and the same RNG state afterwards, through the
+    rejection loop, the greedy fallback and the error; with bits in the
+    batch's sorted symbol order and in another row order."""
+    batch = _batch(symbol_sets)
+    gen_size = min(max(1, round(gen_share * len(batch))), len(batch) - 1)
+    sizes = (gen_size, len(batch) - gen_size, limit)
+    want = _split_outcome(oracle.split_with_coverage, batch, seed, *sizes)
+    masks = coverage_masks(batch)
+    assert _split_outcome(split_with_coverage, batch, seed, *sizes, masks=masks) == want
+    rows = {ph: r for r, ph in enumerate("hgfedcba")}  # any row order gives one bit each
+    masks = [sum(1 << rows[ph] for ph in syms) for syms in symbol_sets]
+    assert _split_outcome(split_with_coverage, batch, seed, *sizes, masks=masks) == want
 
 
 def _loop_shape():

@@ -29,7 +29,7 @@ from xpq.trainer import (
     train_step,
 )
 
-from conftest import make_corpus, make_utterance
+from conftest import coverage_masks, make_corpus, make_utterance
 
 
 def _toy_corpus(n_utts=12, seed=0, m=4, dim=6, language="L0"):
@@ -129,7 +129,9 @@ class TestCoverageSplit:
                 valid_loss_sets.append(loss_ids)
         assert all(0 not in loss_ids for loss_ids in valid_loss_sets)
         for seed in range(40):
-            gen, loss = split_with_coverage(batch, np.random.default_rng(seed), 3, 1)
+            gen, loss = split_with_coverage(
+                batch, np.random.default_rng(seed), 3, 1, masks=coverage_masks(batch)
+            )
             assert "u0" in {u.id for u in gen}
             gen_syms = set().union(*(u.phoneme_symbols() for u in gen))
             assert set().union(*(u.phoneme_symbols() for u in loss)) <= gen_syms
@@ -140,7 +142,7 @@ class TestCoverageSplit:
             for i in range(5)
         ]
         rng = np.random.default_rng(0)
-        gen, loss = split_with_coverage(batch, rng, 4, 1)
+        gen, loss = split_with_coverage(batch, rng, 4, 1, masks=coverage_masks(batch))
         assert len(gen) == 4 and len(loss) == 1
 
     def test_pigeonhole_impossible_split(self):
@@ -150,7 +152,7 @@ class TestCoverageSplit:
             make_utterance("u2", "x", [[1.0]], [("c", 0, 1)]),
         ]
         with pytest.raises(CoverageError):
-            split_with_coverage(batch, np.random.default_rng(0), 2, 1)
+            split_with_coverage(batch, np.random.default_rng(0), 2, 1, masks=coverage_masks(batch))
 
     def test_greedy_fallback_forces_rare_bearers_into_gen(self):
         # limit=0 skips rejection sampling so the greedy path must solve it:
@@ -160,13 +162,16 @@ class TestCoverageSplit:
             make_utterance("u1", "x", [[1.0]], [("b", 0, 1)]),
             make_utterance("u2", "x", [[1.0], [1.0]], [("a", 0, 1), ("b", 1, 2)]),
         ]
-        gen, loss = split_with_coverage(batch, np.random.default_rng(3), 2, 1, limit=0)
+        gen, loss = split_with_coverage(
+            batch, np.random.default_rng(3), 2, 1, limit=0, masks=coverage_masks(batch)
+        )
         assert {u.id for u in gen} == {"u0", "u1"}
         assert {u.id for u in loss} == {"u2"}
 
     def test_batch_size_mismatch(self):
         with pytest.raises(ValueError):
-            split_with_coverage(self._mini_batch(), np.random.default_rng(0), 2, 1)
+            batch = self._mini_batch()
+            split_with_coverage(batch, np.random.default_rng(0), 2, 1, masks=coverage_masks(batch))
 
 
 class TestTrainStep:
@@ -195,8 +200,8 @@ class TestTrainStep:
         recorded = []
         original = trainer_mod.split_with_coverage
 
-        def spy(batch, rng, gen_size, loss_size, limit=100):
-            gen, loss = original(batch, rng, gen_size, loss_size, limit)
+        def spy(batch, rng, gen_size, loss_size, limit=100, **kwargs):
+            gen, loss = original(batch, rng, gen_size, loss_size, limit, **kwargs)
             recorded.append((gen, loss))
             return gen, loss
 
@@ -217,7 +222,7 @@ class TestTrainStep:
         state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
         rng = np.random.default_rng(0)
         batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, rng)
-        gen, loss_group = split_with_coverage(batch, rng, 6, 2)
+        gen, loss_group = split_with_coverage(batch, rng, 6, 2, masks=coverage_masks(batch))
         ps = corpus.phoneme_set("L0")
         queries = aggregate_queries(gen, ps).matrix.astype(np.float64)
         bundle = corpus.bundle(loss_group)
