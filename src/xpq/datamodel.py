@@ -9,7 +9,7 @@ File formats:
     then rows*cols IEEE-754 binary32 values, row-major, little-endian.
   - alignment file: UTF-8 TSV, one `phoneme<TAB>start_frame<TAB>end_frame`
     per line; lines starting with `#` are ignored.
-  - manifest: UTF-8 JSON with keys `feature_spec`, `languages`, `entries`.
+  - manifest: UTF-8 JSON read into CorpusManifest by `schema.build`.
     `languages[].phonemes` is the only phoneme-set source; its order is the
     canonical row order.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -34,6 +34,7 @@ from .errors import (
     VocabularyError,
     XpqError,
 )
+from .schema import build, read_json
 
 if TYPE_CHECKING:
     from .decoder import FrameBundle
@@ -51,7 +52,7 @@ def namespaced(language: str, phoneme: str) -> str:
 @dataclass(frozen=True)
 class FeatureSpec:
     dim: int
-    frame_rate_hz: float = 100.0
+    frame_rate_hz: float
 
     def __post_init__(self):
         if self.dim < 1:
@@ -274,68 +275,10 @@ class CorpusManifest:
         return tuple(ps.language for ps in self.languages)
 
 
-_MANIFEST_KEYS = {"feature_spec", "languages", "entries"}
-_ENTRY_KEYS = {"id", "language", "feature_path", "alignment_path", "split"}
-_JSON_NAMES = {
-    dict: "an object",
-    list: "a list",
-    str: "a string",
-    int: "an integer",
-    float: "a number",
-    bool: "a boolean",
-    type(None): "null",
-}
-
-
-def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(f"{context}: unknown keys {sorted(unknown)}")
-    missing = allowed - set(obj)
-    if missing:
-        raise ValidationError(f"{context}: missing keys {sorted(missing)}")
-
-
 def load_manifest(path) -> CorpusManifest:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise FormatError(f"manifest {path} is not valid JSON: {e}") from e
-
-    def typed(value, kind: type, where: str):
-        """value if its JSON type is kind; an integer is also a number, a boolean is neither."""
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            raise ValidationError(
-                f"manifest {path}: {where} must be {_JSON_NAMES[kind]}, "
-                f"got {_JSON_NAMES[type(value)]}"
-            )
-        return value
-
-    _check_keys(typed(obj, dict, "the top level"), _MANIFEST_KEYS, f"manifest {path}")
-    fs = typed(obj["feature_spec"], dict, "feature_spec")
-    _check_keys(fs, {"dim", "frame_rate_hz"}, f"manifest {path}: feature_spec")
-    spec = FeatureSpec(
-        dim=typed(fs["dim"], int, "feature_spec.dim"),
-        frame_rate_hz=float(typed(fs["frame_rate_hz"], float, "feature_spec.frame_rate_hz")),
-    )
-    languages = []
-    for i, lang in enumerate(typed(obj["languages"], list, "languages")):
-        where = f"languages[{i}]"
-        _check_keys(typed(lang, dict, where), {"language", "phonemes"}, f"manifest {path}: {where}")
-        phonemes = typed(lang["phonemes"], list, f"{where}.phonemes")
-        languages.append(
-            LanguagePhonemeSet(
-                typed(lang["language"], str, f"{where}.language"),
-                tuple(typed(p, str, f"{where}.phonemes[{j}]") for j, p in enumerate(phonemes)),
-            )
-        )
-    entries = []
-    for i, ent in enumerate(typed(obj["entries"], list, "entries")):
-        where = f"entries[{i}]"
-        _check_keys(typed(ent, dict, where), _ENTRY_KEYS, f"manifest {path}: {where}")
-        entries.append(ManifestEntry(**{k: typed(v, str, f"{where}.{k}") for k, v in ent.items()}))
-    return CorpusManifest(spec, tuple(languages), tuple(entries), root=path.parent)
+    obj, text = read_json(path, FormatError, f"manifest {path}")
+    manifest = build(CorpusManifest, obj, text, ValidationError, f"manifest {path}")
+    return replace(manifest, root=Path(path).parent)
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:

@@ -35,6 +35,7 @@ from .decoder import DecoderGrads, DecoderParams, init_decoder, loss_and_grads
 from .errors import ConfigError, CoverageError, FormatError
 from .optim import AdamState, adam_step, init_adam, scheduled_lr
 from .queries import aggregate_from_matrices
+from .schema import build, read_json
 from .tensorio import read_blob, write_blob
 
 META_VERSION = 1
@@ -253,6 +254,18 @@ def train_step(
 # checkpointing
 
 
+@dataclass(frozen=True)
+class CheckpointMeta:
+    """meta.json; rng_state and the two configs are free-form objects."""
+
+    version: int
+    step: int
+    config_hash: str
+    rng_state: dict
+    train_config: dict
+    codebook_config: dict
+
+
 def config_hash(config: TrainConfig, cb_config: CodebookConfig) -> str:
     blob = json.dumps(
         {"train": asdict(config), "codebook": asdict(cb_config)}, sort_keys=True
@@ -334,36 +347,25 @@ def save_checkpoint(
         struct.pack("<Q", opt.step),
         (_flat(moments[name]) for name in opt.m for moments in (opt.m, opt.v)),
     )
-    meta = {
-        "version": META_VERSION,
-        "step": state.step,
-        "config_hash": config_hash(config, cb_config),
-        "rng_state": _rng_state_to_json(state.rng),
-        "train_config": asdict(config),
-        "codebook_config": asdict(cb_config),
-    }
+    meta = CheckpointMeta(
+        META_VERSION, state.step, config_hash(config, cb_config),
+        _rng_state_to_json(state.rng), asdict(config), asdict(cb_config),
+    )
     tmp = out / "meta.json.tmp"
-    tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tmp.write_text(json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     tmp.replace(out / "meta.json")
 
 
-def _read_meta(ckpt_dir: Path) -> tuple[dict, Path]:
-    """(meta.json's object, its path); FormatError unless it is an object of
-    the supported version with a step."""
+def _read_meta(ckpt_dir: Path) -> tuple[CheckpointMeta, Path]:
+    """(meta.json, its path); FormatError unless it is of the supported version
+    and fits CheckpointMeta. The one reader for resume, adapt and mapping."""
     meta_path = ckpt_dir / "meta.json"
     if not meta_path.exists():
         raise FormatError(f"no checkpoint found at {ckpt_dir} (missing meta.json)")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except ValueError as e:  # invalid JSON or UTF-8
-        raise FormatError(f"{meta_path}: not valid JSON: {e}") from e
-    if not isinstance(meta, dict):
-        raise FormatError(f"{meta_path}: the top level must be an object")
-    if meta.get("version") != META_VERSION:
-        raise FormatError(f"unsupported checkpoint version {meta.get('version')} in {meta_path}")
-    if "step" not in meta:
-        raise FormatError(f"{meta_path}: missing key 'step'")
-    return meta, meta_path
+    obj, text = read_json(meta_path, FormatError, str(meta_path))
+    if isinstance(obj, dict) and obj.get("version") != META_VERSION:
+        raise FormatError(f"unsupported checkpoint version {obj.get('version')} in {meta_path}")
+    return build(CheckpointMeta, obj, text, FormatError, str(meta_path)), meta_path
 
 
 def load_checkpoint(
@@ -371,10 +373,7 @@ def load_checkpoint(
 ) -> TrainState:
     out = Path(ckpt_dir)
     meta, meta_path = _read_meta(out)
-    for key in ("config_hash", "rng_state"):
-        if key not in meta:
-            raise FormatError(f"{meta_path}: missing key {key!r}")
-    if meta["config_hash"] != config_hash(config, cb_config):
+    if meta.config_hash != config_hash(config, cb_config):
         raise ConfigError(
             "checkpoint was written with a different configuration; refusing to resume"
         )
@@ -391,20 +390,17 @@ def load_checkpoint(
     )
     m = {name: t.reshape(p.shape) for (name, p), t in zip(named.items(), moments[0::2])}
     v = {name: t.reshape(p.shape) for (name, p), t in zip(named.items(), moments[1::2])}
-    if step != meta["step"]:
+    if step != meta.step:
         raise FormatError(
-            f"checkpoint step mismatch: meta says {meta['step']}, optimizer says {step}"
+            f"checkpoint step mismatch: meta says {meta.step}, optimizer says {step}"
         )
     opt = AdamState(m=m, v=v, step=step)
-    return TrainState(params, decoder, opt, _rng_from_json(meta["rng_state"], meta_path))
+    return TrainState(params, decoder, opt, _rng_from_json(meta.rng_state, meta_path))
 
 
 def load_checkpoint_params(ckpt_dir) -> tuple[CodebookParams, DecoderParams]:
-    """Model tensors only, for adaptation and mapping discovery.
-
-    meta.json must pass the checks load_checkpoint makes of every checkpoint:
-    an object of the supported version with a step.
-    """
+    """Model tensors only, for adaptation and mapping discovery; meta.json
+    must pass _read_meta as for resuming."""
     out = Path(ckpt_dir)
     _read_meta(out)
     return _read_model(out)

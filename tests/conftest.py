@@ -38,7 +38,7 @@ def make_corpus(phoneme_sets, utterances, splits=None, dim=None):
         ManifestEntry(u.id, u.language, f"features/{u.id}.xpqf", f"alignments/{u.id}.tsv", "train")
         for u in utterances
     )
-    manifest = CorpusManifest(FeatureSpec(dim), tuple(phoneme_sets), entries)
+    manifest = CorpusManifest(FeatureSpec(dim, 100.0), tuple(phoneme_sets), entries)
     if splits is None:
         splits = tuple("train" for _ in utterances)
     return Corpus(manifest, tuple(utterances), tuple(splits))

@@ -171,7 +171,7 @@ class TestPhonemeSet:
 class TestManifest:
     def _manifest(self):
         return CorpusManifest(
-            FeatureSpec(4),
+            FeatureSpec(4, 100.0),
             (LanguagePhonemeSet("L0", ("a", "b")),),
             (ManifestEntry("u0", "L0", "features/u0.xpqf", "alignments/u0.tsv", "train"),),
         )
@@ -191,6 +191,33 @@ class TestManifest:
         (tmp_path / "manifest.json").write_text(json.dumps(obj))
         with pytest.raises(ValidationError, match="extra"):
             load_manifest(tmp_path / "manifest.json")
+
+    def _indented(self, tmp_path, edit):
+        """An indent=2 manifest of four entries after edit(obj); (path, its lines)."""
+        manifest = self._manifest()
+        entries = tuple(dataclasses.replace(manifest.entries[0], id=f"u{i}") for i in range(4))
+        path = tmp_path / "manifest.json"
+        save_manifest(dataclasses.replace(manifest, entries=entries), path)
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj, indent=2))
+        return path, path.read_text().splitlines()
+
+    def test_mistyped_value_names_file_path_and_line(self, tmp_path):
+        path, lines = self._indented(tmp_path, lambda obj: obj["feature_spec"].update(dim=6.5))
+        line = lines.index('    "dim": 6.5,') + 1
+        message = f"manifest {path}: feature_spec.dim must be an integer, got 6.5 (line {line})"
+        with pytest.raises(ValidationError) as err:
+            load_manifest(path)
+        assert str(err.value) == message
+
+    def test_unknown_entry_key_names_file_path_and_line(self, tmp_path):
+        path, lines = self._indented(tmp_path, lambda obj: obj["entries"][3].update(extra=1))
+        line = lines.index('      "extra": 1') + 1
+        message = f"manifest {path}: entries[3]: unknown key 'extra' (line {line})"
+        with pytest.raises(ValidationError) as err:
+            load_manifest(path)
+        assert str(err.value) == message
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValidationError):

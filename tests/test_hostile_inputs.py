@@ -102,6 +102,22 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    """A manifest edit: delete obj[path[0]][path[1]]..."""
+
+    def edit(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return obj
+
+    return edit
+
+
+FRAME_RATE = ("feature_spec", "frame_rate_hz")
+FINITE_FRAME_RATE = "feature_spec.frame_rate_hz must be a finite number"
+
 MANIFEST_CASES = {
     "top-level-number": (_set((), 5), "the top level must be an object"),
     "feature-spec-list": (_set(("feature_spec",), []), "feature_spec must be an object"),
@@ -122,6 +138,16 @@ MANIFEST_CASES = {
     "entry-path-number": (
         _set(("entries", 0, "feature_path"), 3), "entries[0].feature_path must be a string"
     ),
+    # json.loads takes the NaN and Infinity that json.dumps writes for them
+    "frame-rate-nan": (_set(FRAME_RATE, float("nan")), f"{FINITE_FRAME_RATE}, got NaN"),
+    "frame-rate-infinity": (_set(FRAME_RATE, float("inf")), f"{FINITE_FRAME_RATE}, got Infinity"),
+    "frame-rate-minus-infinity": (
+        _set(FRAME_RATE, float("-inf")), f"{FINITE_FRAME_RATE}, got -Infinity"
+    ),
+    "frame-rate-huge-integer": (_set(FRAME_RATE, 10**400), FINITE_FRAME_RATE),
+    # the corpus directory is the manifest's own; a "root" key would be ignored
+    "top-level-root": (_set(("root",), "/elsewhere"), "unknown key"),
+    "frame-rate-missing": (_drop(FRAME_RATE), "feature_spec: missing key"),
 }
 
 
@@ -191,6 +217,7 @@ CONFIG_CASES = {
     "lr-nan": ("train", ("train", "lr", float("nan")), "train.lr must be a finite number"),
     "adapt-lr-infinity": ("adapt", ("adapt", "lr", float("inf")),
                           "adapt.lr must be a finite number, got Infinity"),
+    "lr-huge-integer": ("train", ("train", "lr", 10**400), "train.lr must be a finite number"),
     "synth-language-number": ("gen-corpus", ("synth", "languages", [1]),
                               "synth.languages[0] must be an object"),
     # `adapt --mode` picks the modes; a config mode would be ignored
@@ -322,6 +349,16 @@ def _replaced_by(content):
     return lambda data: content
 
 
+def _meta_of(**keys):
+    """A meta.json edit keeping only version and step, then setting keys."""
+
+    def edit_meta(data):
+        meta = json.loads(bytes(data))
+        return json.dumps({"version": meta["version"], "step": meta["step"], **keys}).encode()
+
+    return edit_meta
+
+
 def _rng_state(edit):
     """A meta.json edit replacing rng_state by edit(rng_state)."""
 
@@ -378,6 +415,20 @@ BLOB_CASES = {
                        "meta.json: rng_state is not a PCG64 state"),
     "meta-rng-bad-hex": ("meta.json", _rng_state(lambda rng: dict(rng, state="0xnothex")),
                          "resume", "format", "meta.json: rng_state is not a PCG64 state"),
+    "meta-rng-list": ("meta.json", _rng_state(lambda rng: list(rng.values())), "resume",
+                      "format", "meta.json: rng_state must be an object, got ["),
+    # adapt and map-phonemes read meta.json with the one reader resuming uses
+    "meta-version-step-adapt": ("meta.json", _meta_of(), "adapt", "format",
+                                "meta.json: missing key 'config_hash'"),
+    "meta-version-step-map-phonemes": ("meta.json", _meta_of(), "map-phonemes", "format",
+                                       "meta.json: missing key 'config_hash'"),
+    # the version is checked before the keys, whose set it may change
+    "meta-version-2": ("meta.json", _meta_of(version=2, extra=1), "resume", "format",
+                       "unsupported checkpoint version 2 in "),
+    "meta-version-2-adapt": ("meta.json", _meta_of(version=2, extra=1), "adapt", "format",
+                             "unsupported checkpoint version 2 in "),
+    "meta-version-2-map-phonemes": ("meta.json", _meta_of(version=2, extra=1), "map-phonemes",
+                                    "format", "unsupported checkpoint version 2 in "),
 }
 
 
