@@ -4,8 +4,9 @@ from parsed JSON with their dataclasses' type hints as the only schema.
 A dataclass is an object with no unknown and no missing required key; a field
 whose type JSON cannot express (a `Path`) is not a key. `tuple[X, ...]` is a
 list, `tuple[X, Y]` a list of two, `X | None` takes X (null is never a value)
-and `dict` takes any object as it is. A bool fits no field, an int in a float
-field is stored as a float, and NaN and the infinities fit none.
+and `dict` takes any object as it is; any other hint is a TypeError. A bool
+fits no field, an int in a float field is stored as a float, and NaN and the
+infinities fit none.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import re
+import sys
 import typing
 from pathlib import Path
 
@@ -39,9 +40,8 @@ def _find_line(text: str, path: tuple) -> str:
         elif token in ("}", "]"):
             stack.pop()
         elif token == ",":
-            top = stack[-1]
-            top[0] = None if top[1] else top[0] + 1
-        elif stack[-1][1] and stack[-1][0] is None:  # a string where a key belongs
+            stack[-1][0] = None if stack[-1][1] else stack[-1][0] + 1
+        elif stack and stack[-1][1] and stack[-1][0] is None:  # a string where a key belongs
             stack[-1][0] = json.loads(token)
             if tuple(key for key, _ in stack) == path:
                 return f" (line {line})"
@@ -58,8 +58,11 @@ def read_json(path, error: type[XpqError], label: str) -> tuple[object, str]:
 
 
 class _Misfit(Exception):
-    """args: the path at fault; what is wrong there, "must be ..." for a value
-    or "... key ..." for an object; the path whose line is named."""
+    """args: the path whose value fits no hint, "must be ..." and that path again."""
+
+
+class _KeyMisfit(_Misfit):
+    """args: an object's path, its unknown or missing key, the path whose line is named."""
 
 
 def _misfit(value, path: tuple, expected: str) -> _Misfit:
@@ -80,19 +83,19 @@ def build(hint, value, text: str, error: type[XpqError], label: str, *, name_fil
     try:
         return _builder(hint)(value, ())
     except _Misfit as e:
-        path, problem, key_path = e.args
+        (path, problem, line_path), of_keys = e.args, isinstance(e, _KeyMisfit)
     name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
-    if problem.startswith("must"):
+    if not of_keys:
         problem = f"{name or 'the top level'} {problem}"
     elif name:
         problem = f"{name}: {problem}"
     head = f"{label}: " if name_file or not path else ""
-    raise error(f"{head}{problem}{_find_line(text, key_path)}")
+    raise error(f"{head}{problem}{_find_line(text, line_path)}")
 
 
 @functools.cache
 def _builder(hint):
-    """(value, path) -> value of type hint, made once per hint; None if JSON cannot express it."""
+    """(value, path) -> value of type hint, made once per hint."""
     args = typing.get_args(hint)
     if type(None) in args:
         return _builder(args[0])
@@ -102,19 +105,17 @@ def _builder(hint):
         return _tuple_builder(args)
     if hint is float:
         return _build_float
-    return functools.partial(_typed, hint) if hint in _KINDS else None
+    if hint not in _KINDS:
+        raise TypeError(f"no JSON schema for the type hint {hint!r}")
+    return functools.partial(_typed, hint)
 
 
 def _build_float(value, path):
     if type(value) is not float and type(value) is not int:
         raise _misfit(value, path, "a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+    if not abs(value) <= sys.float_info.max:  # NaN, the infinities, a too large int
         raise _misfit(value, path, "a finite number")
-    return number
+    return float(value)
 
 
 def _tuple_builder(args):
@@ -133,7 +134,7 @@ def _tuple_builder(args):
 
 def _dataclass_builder(cls):
     hints = typing.get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if _builder(hints[f.name])]
+    fields = [f for f in dataclasses.fields(cls) if hints[f.name] is not Path]  # not a key
     builders = {f.name: _builder(hints[f.name]) for f in fields}
     required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
 
@@ -141,10 +142,10 @@ def _dataclass_builder(cls):
         _typed(dict, value, path)
         if not value.keys() <= builders.keys():
             key = next(k for k in value if k not in builders)
-            raise _Misfit(path, f"unknown key {key!r}", path + (key,))
+            raise _KeyMisfit(path, f"unknown key {key!r}", path + (key,))
         if not required <= value.keys():
             key = next(k for k in builders if k in required and k not in value)
-            raise _Misfit(path, f"missing key {key!r}", path)
+            raise _KeyMisfit(path, f"missing key {key!r}", path)
         return cls(**{k: builders[k](v, path + (k,)) for k, v in value.items()})
 
     return build_object

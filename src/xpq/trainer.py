@@ -401,9 +401,8 @@ def load_checkpoint(
 def load_checkpoint_params(ckpt_dir) -> tuple[CodebookParams, DecoderParams]:
     """Model tensors only, for adaptation and mapping discovery; meta.json
     must pass _read_meta as for resuming."""
-    out = Path(ckpt_dir)
-    _read_meta(out)
-    return _read_model(out)
+    _read_meta(Path(ckpt_dir))
+    return _read_model(Path(ckpt_dir))
 
 
 def _read_model(out: Path) -> tuple[CodebookParams, DecoderParams]:

@@ -7,6 +7,7 @@ from xpq.adaptation import AdaptConfig
 from xpq.codebook import CodebookConfig
 from xpq.config import RunConfig, load_run_config, write_resolved_config
 from xpq.errors import ConfigError
+from xpq.schema import build
 from xpq.synth import SynthConfig
 from xpq.trainer import TrainConfig, config_hash
 
@@ -121,3 +122,14 @@ class TestErrorLocation:
         message = rf"^{section}.lr must be a finite number, got {literal} \(line 3\)$"
         with pytest.raises(ConfigError, match=message):
             load_run_config(path)
+
+
+@dataclasses.dataclass
+class _WithFlag:
+    flag: bool = False
+
+
+def test_a_hint_without_a_json_rule_is_refused_not_dropped():
+    """A bool field would otherwise leave the schema: its key "unknown", its default silent."""
+    with pytest.raises(TypeError, match="no JSON schema for the type hint"):
+        build(_WithFlag, {}, "{}", ConfigError, "config")

@@ -120,6 +120,7 @@ FINITE_FRAME_RATE = "feature_spec.frame_rate_hz must be a finite number"
 
 MANIFEST_CASES = {
     "top-level-number": (_set((), 5), "the top level must be an object"),
+    "top-level-string": (_set((), "x"), 'the top level must be an object, got "x"'),
     "feature-spec-list": (_set(("feature_spec",), []), "feature_spec must be an object"),
     "dim-float": (_set(("feature_spec", "dim"), 6.5), "feature_spec.dim must be an integer"),
     "dim-string": (_set(("feature_spec", "dim"), "6"), "feature_spec.dim must be an integer"),
@@ -224,6 +225,8 @@ CONFIG_CASES = {
     "adapt-mode": ("adapt", ("adapt", "mode", "random_init"), "adapt: unknown key 'mode'"),
     # seeds are per section or per command; a top-level one would be ignored
     "top-level-seed": ("train", ("seed", None, 3), "unknown key 'seed'"),
+    # a section of None replaces the whole config
+    "top-level-string": ("train", (None, None, "x"), 'the top level must be an object, got "x"'),
 }
 
 
@@ -231,7 +234,9 @@ CONFIG_CASES = {
 def test_hostile_config(workdir, tmp_path, case):
     command, (section, key, value), needle = CONFIG_CASES[case]
     cfg = json.loads(json.dumps(CONFIG))
-    if key is None:
+    if section is None:
+        cfg = value
+    elif key is None:
         cfg[section] = value
     else:
         cfg[section][key] = value
@@ -407,6 +412,12 @@ BLOB_CASES = {
                         "meta.json: the top level must be an object"),
     "meta-list-map-phonemes": ("meta.json", _replaced_by(b"[]"), "map-phonemes", "format",
                                "meta.json: the top level must be an object"),
+    "meta-string": ("meta.json", _replaced_by(b'"x"'), "resume", "format",
+                    'meta.json: the top level must be an object, got "x"'),
+    "meta-string-adapt": ("meta.json", _replaced_by(b'"x"'), "adapt", "format",
+                          'meta.json: the top level must be an object, got "x"'),
+    "meta-string-map-phonemes": ("meta.json", _replaced_by(b'"x"'), "map-phonemes", "format",
+                                 'meta.json: the top level must be an object, got "x"'),
     "meta-version-only": ("meta.json", _replaced_by(b'{"version": 1}'), "resume", "format",
                           "meta.json: missing key 'step'"),
     "meta-invalid-json": ("meta.json", _replaced_by(b'{"version": 1,'), "resume", "format",
