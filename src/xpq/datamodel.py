@@ -23,7 +23,7 @@ import json
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -61,19 +61,13 @@ class FeatureSpec:
             raise ValidationError(f"frame_rate_hz must be > 0, got {self.frame_rate_hz}")
 
 
-@dataclass(frozen=True)
-class PhonemeSegment:
+class PhonemeSegment(NamedTuple):
+    """Frames [start_frame, end_frame) of one phoneme. load_alignment checks
+    0 <= start_frame < end_frame for segments read from a file."""
+
     phoneme: str
     start_frame: int
     end_frame: int
-
-    def __post_init__(self):
-        if self.start_frame < 0:
-            raise ValidationError(f"segment start must be >= 0, got {self.start_frame}")
-        if self.start_frame >= self.end_frame:
-            raise ValidationError(
-                f"segment [{self.start_frame}, {self.end_frame}) for {self.phoneme!r} is empty or reversed"
-            )
 
     @property
     def n_frames(self) -> int:
@@ -171,7 +165,8 @@ def save_feature_file(matrix: np.ndarray, path) -> None:
 
 
 def load_feature_file(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as f:
+        data = f.read()
     if len(data) < 16 or data[:4] != FEATURE_MAGIC:
         raise FormatError(f"bad magic in {path}: expected {FEATURE_MAGIC!r}, got {data[:4]!r}")
     version, rows, cols = struct.unpack("<III", data[4:16])
@@ -185,7 +180,7 @@ def load_feature_file(path) -> np.ndarray:
             f"feature file {path} declares {rows}x{cols} ({expected} bytes) but has {len(data)} bytes"
         )
     arr = np.frombuffer(data, dtype="<f4", offset=16).reshape(rows, cols).copy()
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"feature file {path} contains non-finite values")
     return arr
 
@@ -198,14 +193,22 @@ def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
     """Parse a TSV alignment; segments must be sorted, non-overlapping, in-vocabulary.
 
     phoneme_set may be a LanguagePhonemeSet or any container of symbols.
+    Each line is checked in turn, in this order: three fields, integer
+    indices, a known phoneme, start >= 0, start < end; the sort and overlap
+    check runs over all segments after the last line. The first fault found
+    is raised.
     """
-    symbols = phoneme_set.phonemes if isinstance(phoneme_set, LanguagePhonemeSet) else phoneme_set
-    symbols = frozenset(symbols)
-    segments: list[PhonemeSegment] = []
+    if isinstance(phoneme_set, LanguagePhonemeSet):
+        symbols = phoneme_set._index
+    else:
+        symbols = frozenset(phoneme_set)
+    with open(path, "rb", buffering=0) as f:
+        data = f.read()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path}: not valid UTF-8 at byte {e.start}") from None
+    segments = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -219,6 +222,10 @@ def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
             raise ValidationError(f"{path}:{lineno}: frame indices must be integers") from None
         if sym not in symbols:
             raise VocabularyError(f"{path}:{lineno}: unknown phoneme {sym!r}")
+        if start < 0:
+            raise ValidationError(f"segment start must be >= 0, got {start}")
+        if start >= end:
+            raise ValidationError(f"segment [{start}, {end}) for {sym!r} is empty or reversed")
         segments.append(PhonemeSegment(sym, start, end))
     for prev, cur in zip(segments, segments[1:]):
         if cur.start_frame < prev.end_frame:
@@ -315,6 +322,18 @@ class CorpusValidationReport:
         return "\n".join(str(i) for i in self.issues)
 
 
+def _file_path(root: Path, rel: str) -> str:
+    """str(root / rel), joined as strings when Path would keep rel as it is:
+    a relative path with no empty and no "." part."""
+    padded = f"/{rel}/"
+    if "//" in padded or "/./" in padded:
+        return str(root / rel)
+    root = str(root)
+    if root == ".":
+        return rel
+    return root + rel if root.endswith("/") else f"{root}/{rel}"
+
+
 def check_entry(manifest: CorpusManifest, entry: ManifestEntry, seen_ids: set[str]) -> Utterance:
     """Load one manifest entry and check it against the corpus invariants.
 
@@ -328,12 +347,12 @@ def check_entry(manifest: CorpusManifest, entry: ManifestEntry, seen_ids: set[st
             raise ValidationError("duplicate utterance id")
         seen_ids.add(entry.id)
         phoneme_set = manifest.phoneme_set(entry.language)
-        features = load_feature_file(manifest.root / entry.feature_path)
+        features = load_feature_file(_file_path(manifest.root, entry.feature_path))
         if features.shape[1] != manifest.feature_spec.dim:
             raise ValidationError(
                 f"feature dim {features.shape[1]} != corpus dim {manifest.feature_spec.dim}"
             )
-        alignment = load_alignment(manifest.root / entry.alignment_path, phoneme_set)
+        alignment = load_alignment(_file_path(manifest.root, entry.alignment_path), phoneme_set)
         if alignment and alignment[-1].end_frame > features.shape[0]:
             raise ValidationError(
                 f"alignment ends at frame {alignment[-1].end_frame} but utterance has "

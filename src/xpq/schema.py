@@ -2,11 +2,12 @@
 from parsed JSON with their dataclasses' type hints as the only schema.
 
 A dataclass is an object with no unknown and no missing required key; a field
-whose type JSON cannot express (a `Path`) is not a key. `tuple[X, ...]` is a
-list, `tuple[X, Y]` a list of two, `X | None` takes X (null is never a value)
-and `dict` takes any object as it is; any other hint is a TypeError. A bool
-fits no field, an int in a float field is stored as a float, and NaN and the
-infinities fit none.
+whose type JSON cannot express (a `Path`) is not a key. An error that the
+dataclass's own `__post_init__` check raises is reported at the object's path
+and the line of its first key. `tuple[X, ...]` is a list, `tuple[X, Y]` a list
+of two, `X | None` takes X (null is never a value) and `dict` takes any object
+as it is; any other hint is a TypeError. A bool fits no field, an int in a
+float field is stored as a float, and NaN and the infinities fit none.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ class _KeyMisfit(_Misfit):
     """args: an object's path, its unknown or missing key, the path whose line is named."""
 
 
+class _CheckMisfit(_KeyMisfit):
+    """args: an object's path, the message of `error`, which the dataclass's
+    own check raised, and the path of the object's first key."""
+
+    def __init__(self, path: tuple, error: XpqError, line_path: tuple):
+        super().__init__(path, str(error), line_path)
+        self.error = error
+
+
 def _misfit(value, path: tuple, expected: str) -> _Misfit:
     return _Misfit(path, f"must be {expected}, got {json.dumps(value)}", path)
 
@@ -78,11 +88,14 @@ def _typed(kind: type, value, path: tuple):
 
 def build(hint, value, text: str, error: type[XpqError], label: str, *, name_file=True):
     """The value of type hint built from value, parsed from the JSON text. A
-    misfit raises error naming its path and line, led by label (the file) on
-    every path when name_file is set and otherwise at the top level only."""
+    misfit, or an error of class error raised by a dataclass's own check,
+    raises error naming its path and line, led by label (the file) on every
+    path when name_file is set and otherwise at the top level only."""
     try:
         return _builder(hint)(value, ())
     except _Misfit as e:
+        if isinstance(e, _CheckMisfit) and not isinstance(e.error, error):
+            raise e.error from None
         (path, problem, line_path), of_keys = e.args, isinstance(e, _KeyMisfit)
     name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
     if not of_keys:
@@ -146,6 +159,10 @@ def _dataclass_builder(cls):
         if not required <= value.keys():
             key = next(k for k in builders if k in required and k not in value)
             raise _KeyMisfit(path, f"missing key {key!r}", path)
-        return cls(**{k: builders[k](v, path + (k,)) for k, v in value.items()})
+        kwargs = {k: builders[k](v, path + (k,)) for k, v in value.items()}
+        try:
+            return cls(**kwargs)
+        except XpqError as e:  # a check in __post_init__; its line is the object's first key
+            raise _CheckMisfit(path, e, path + tuple(value)[:1]) from e
 
     return build_object

@@ -26,7 +26,8 @@ from .datamodel import (
     save_feature_file,
     save_manifest,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
+from .schema import read_json
 
 LANGUAGE_ROLES = ("train", "test")
 
@@ -247,4 +248,9 @@ def save_ground_truth(ground_truth: dict[str, int], path) -> None:
 
 
 def load_ground_truth(path) -> dict[str, int]:
-    return {k: int(v) for k, v in json.loads(Path(path).read_text(encoding="utf-8")).items()}
+    """ground_truth.json: an object mapping namespaced phonemes to prototype indices."""
+    label = f"ground truth {path}"
+    obj, _ = read_json(path, FormatError, label)
+    if type(obj) is not dict or any(type(v) is not int for v in obj.values()):
+        raise FormatError(f"{label}: must be an object of integer values")
+    return obj

@@ -7,15 +7,17 @@ frame-by-frame loops for segment pooling and the loss residual, the
 per-pair mapping score, Adam updating one tensor at a time with per-tensor
 moments and temporaries, fine-tuning (on that Adam) and evaluation that
 build their frame bundles from the utterances and recast their frames on every
-call, and the training split testing coverage on symbol sets. test_oracle.py
-states each pair's contract: bitwise or a named tolerance. Tests only; nothing
-in src/ imports this module.
+call, the training split testing coverage on symbol sets, and the alignment
+parser building frozen-dataclass segments that check their own range.
+test_oracle.py states each pair's contract: bitwise, exact or a named
+tolerance. Tests only; nothing in src/ imports this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +26,13 @@ from xpq.adaptation import EvalResult, FinetunePoint
 from xpq.codebook import CodebookGrads, CodebookParams
 from xpq.datamodel import LanguagePhonemeSet, Utterance
 from xpq.decoder import build_frame_bundle, loss_and_grads
-from xpq.errors import CoverageError, NumericError, UndefinedScoreError
+from xpq.errors import (
+    CoverageError,
+    NumericError,
+    UndefinedScoreError,
+    ValidationError,
+    VocabularyError,
+)
 from xpq.queries import QueryMatrix
 
 
@@ -296,3 +304,56 @@ def split_with_coverage(
     raise CoverageError(
         f"no coverage-valid split exists for this batch; uncovered phonemes: {uncovered}"
     )
+
+
+@dataclass(frozen=True)
+class PhonemeSegment:
+    phoneme: str
+    start_frame: int
+    end_frame: int
+
+    def __post_init__(self):
+        if self.start_frame < 0:
+            raise ValidationError(f"segment start must be >= 0, got {self.start_frame}")
+        if self.start_frame >= self.end_frame:
+            raise ValidationError(
+                f"segment [{self.start_frame}, {self.end_frame}) for {self.phoneme!r} is empty or reversed"
+            )
+
+    @property
+    def n_frames(self) -> int:
+        return self.end_frame - self.start_frame
+
+
+def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
+    """Parse a TSV alignment; segments must be sorted, non-overlapping, in-vocabulary.
+
+    phoneme_set may be a LanguagePhonemeSet or any container of symbols.
+    """
+    symbols = phoneme_set.phonemes if isinstance(phoneme_set, LanguagePhonemeSet) else phoneme_set
+    symbols = frozenset(symbols)
+    segments: list[PhonemeSegment] = []
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not valid UTF-8 at byte {e.start}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValidationError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        sym, start_s, end_s = fields
+        try:
+            start, end = int(start_s), int(end_s)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: frame indices must be integers") from None
+        if sym not in symbols:
+            raise VocabularyError(f"{path}:{lineno}: unknown phoneme {sym!r}")
+        segments.append(PhonemeSegment(sym, start, end))
+    for prev, cur in zip(segments, segments[1:]):
+        if cur.start_frame < prev.end_frame:
+            raise ValidationError(
+                f"{path}: segments overlap or are unsorted at frame {cur.start_frame}"
+            )
+    return tuple(segments)

@@ -78,6 +78,24 @@ def test_residual_kernel_takes_its_constants_by_keyword_only(perfbench):
     assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in after), after
 
 
+def test_loaded_corpus_names_the_files_the_load_observer_reads(perfbench, small_corpus_dir):
+    """The load observer reads load_corpus's result: the manifest at
+    `.manifest.root / "manifest.json"` and each entry's feature and alignment
+    file under that root, whose sizes it sums."""
+    layers, _ = perfbench
+    manifest = xpq.datamodel.load_corpus(small_corpus_dir / "manifest.json").manifest
+    root = manifest.root.resolve()
+    files = [manifest.root / "manifest.json"]
+    files += [
+        manifest.root / p for e in manifest.entries for p in (e.feature_path, e.alignment_path)
+    ]
+    assert len(files) == 1 + 2 * len(manifest.entries) > 1
+    assert all(f.is_file() and f.resolve().is_relative_to(root) for f in files)
+    observe = layers.TARGETS["datamodel.load_corpus"][0]
+    read = observe((), {}, xpq.datamodel.load_corpus(manifest))
+    assert read == {"datamodel.bytes_read": sum(f.stat().st_size for f in files)}
+
+
 def _traced(perfbench, run):
     """The tracer after run() under every TARGETS wrapper, as perfbench installs them."""
     layers, tracing = perfbench

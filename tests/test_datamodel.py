@@ -2,6 +2,7 @@ import dataclasses
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from xpq.datamodel import (
     LanguagePhonemeSet,
     ManifestEntry,
     PhonemeSegment,
+    _file_path,
     load_alignment,
     load_corpus,
     load_feature_file,
@@ -154,6 +156,17 @@ class TestAlignment:
         path = tmp_path / "a.tsv"
         path.write_text("a\t0\t2\nb\t7\t9\n")
         assert len(load_alignment(path, {"a", "b"})) == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    root=st.sampled_from(["", ".", "/", "//", "a", "a/b", "/a", "../a"])
+    | st.text(alphabet="a./", max_size=6),
+    rel=st.text(alphabet="a./", max_size=8),
+)
+def test_entry_file_paths_are_the_path_join(root, rel):
+    """check_entry opens, and names in its messages, exactly str(root / rel)."""
+    assert _file_path(Path(root), rel) == str(Path(root) / rel)
 
 
 class TestPhonemeSet:

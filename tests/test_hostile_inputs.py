@@ -149,6 +149,14 @@ MANIFEST_CASES = {
     # the corpus directory is the manifest's own; a "root" key would be ignored
     "top-level-root": (_set(("root",), "/elsewhere"), "unknown key"),
     "frame-rate-missing": (_drop(FRAME_RATE), "feature_spec: missing key"),
+    # a dataclass's own range check names the file, the object and its line
+    "frame-rate-negative": (
+        _set(FRAME_RATE, -1.0), "json: feature_spec: frame_rate_hz must be > 0, got -1.0 (line 1)"
+    ),
+    "entry-split-dev": (
+        _set(("entries", 5, "split"), "dev"),
+        "json: entries[5]: entry 'L0_0005': split 'dev' not in ('train', 'val', 'test') (line 1)",
+    ),
 }
 
 
@@ -268,6 +276,18 @@ def test_config_error_names_the_line(workdir, tmp_path):
         "config",
         f"train.total_steps must be an integer, got 3.5 (line {line})",
     )
+
+
+def test_manifest_check_names_the_line_of_the_objects_first_key(workdir):
+    obj = json.loads((workdir / "corpus" / "manifest.json").read_text())
+    obj["entries"][5]["split"] = "dev"
+    manifest = workdir / "corpus" / "split-dev-indented.json"
+    manifest.write_text(json.dumps(obj, indent=2))
+    line = next(i for i, text in enumerate(manifest.read_text().splitlines(), start=1)
+                if '"id": "L0_0005"' in text)
+    assert_one_error(["validate", "--manifest", manifest], "validation",
+                     f"{manifest}: entries[5]: entry 'L0_0005': split 'dev' not in "
+                     f"('train', 'val', 'test') (line {line})")
 
 
 # Blob edits work on bytes, following the README layout: magic and version

@@ -6,7 +6,8 @@ rows, all-zero query rows, one-frame segments, the exact-zero residual,
 m * dim == 1 with many utterances or heads, and 1-element Adam tensors. The
 frame-loop pairs are bitwise except for sums whose add order differs; those
 hold to a tolerance set from float64's epsilon and the number of terms, which
-bounds the rounding error of either order.
+bounds the rounding error of either order. The alignment parser pair is exact:
+the same segments, or the same exception class with the same message.
 """
 
 import numpy as np
@@ -33,9 +34,9 @@ from xpq.codebook import (
     forward,
     init_params,
 )
-from xpq.datamodel import LanguagePhonemeSet
+from xpq.datamodel import LanguagePhonemeSet, load_alignment
 from xpq.decoder import build_frame_bundle, init_decoder
-from xpq.errors import CoverageError
+from xpq.errors import CoverageError, XpqError
 from xpq.optim import adam_step, init_adam, scheduled_lr
 from xpq.queries import QueryMatrix, aggregate_from_matrices, phoneme_rep_matrix
 from xpq.trainer import split_with_coverage
@@ -473,3 +474,74 @@ def test_finetune_and_evaluate_on_memoized_bundles_match_oracle(small_corpus, k)
             want = oracle.evaluate(p.table, p.decoder, task.queries)
             assert_bitwise(got.per_utterance, want.per_utterance)
             assert_bitwise(got.mean_mse, want.mean_mse)
+
+
+# Alignment texts over a three-phoneme set: valid segments after gaps of 0-3
+# frames, comments, blank lines (one with two tabs, so three blank fields),
+# and 0-3 faults, each a line placed among them or, for "non-UTF-8", a byte
+# placed anywhere in the file.
+ALIGNMENT_SYMBOLS = ("a", "b", "c")
+ALIGNMENT_FAULTS = {
+    "two fields": "a\t{s}",
+    "four fields": "a\t{s}\t{e}\t{e}",
+    "non-integer start": "a\tx{s}\t{e}",
+    "non-integer end": "b\t{s}\t{e}.5",
+    "unknown phoneme": "zz\t{s}\t{e}",
+    "negative start": "c\t-{e}\t{s}",
+    "empty segment": "a\t{s}\t{s}",
+    "reversed segment": "b\t{e}\t{s}",
+    "overlap": "c\t0\t{e}",
+}
+
+
+@st.composite
+def alignment_files(draw):
+    lines, cursor = [], 0
+    kinds = st.sampled_from(["segment"] * 4 + ["comment", "blank"])
+    for kind in draw(st.lists(kinds, max_size=12)):
+        if kind == "segment":
+            start = cursor + draw(st.integers(0, 3))
+            cursor = start + draw(st.integers(1, 4))
+            lines.append(f"{draw(st.sampled_from(ALIGNMENT_SYMBOLS))}\t{start}\t{cursor}")
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# phoneme\tstart\tend", "#", "#zz\tx"])))
+        else:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \t \t "])))
+    faults = draw(st.lists(st.sampled_from(sorted(ALIGNMENT_FAULTS) + ["non-UTF-8"]), max_size=3))
+    for fault in faults:
+        if fault != "non-UTF-8":
+            at = draw(st.integers(0, len(lines)))
+            s = draw(st.integers(0, cursor + 2))
+            lines.insert(at, ALIGNMENT_FAULTS[fault].format(s=s, e=s + draw(st.integers(1, 3))))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode("utf-8")
+    for _ in range(faults.count("non-UTF-8")):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _parsed(load, path, phoneme_set):
+    """The (phoneme, start, end) triples load gives, or its error's class and message."""
+    try:
+        return [(s.phoneme, s.start_frame, s.end_frame) for s in load(path, phoneme_set)]
+    except XpqError as e:
+        return type(e), str(e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=alignment_files(), as_phoneme_set=st.booleans())
+@example(data=b"a\t0\t5\nb\t3\t4\nzz\t9\t10\n", as_phoneme_set=True)  # vocabulary before overlap
+@example(data=b"a\t0\t5\nb\t5\t5\n", as_phoneme_set=False)  # an empty segment after a valid one
+@example(data=b"b\t-1\t2\nzz\t0\t1", as_phoneme_set=True)  # a range fault is not deferred
+def test_alignment_parser_matches_dataclass_segment_oracle(tmp_path_factory, data, as_phoneme_set):
+    """Exact: the single-pass parser and its NamedTuple segments give the
+    oracle's segments, or raise the oracle's first fault with its class and
+    message; the parser reads a str path, the oracle a Path."""
+    path = tmp_path_factory.getbasetemp() / "alignment.tsv"
+    path.write_bytes(data)
+    symbols = set(ALIGNMENT_SYMBOLS)
+    if as_phoneme_set:
+        symbols = LanguagePhonemeSet("L", ALIGNMENT_SYMBOLS)
+    got = _parsed(load_alignment, str(path), symbols)
+    assert got == _parsed(oracle.load_alignment, path, symbols)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xpq.datamodel import load_corpus, load_feature_file, namespaced, validate_corpus
-from xpq.errors import ConfigError
+from xpq.errors import ConfigError, FormatError
 from xpq.synth import SynthConfig, SynthLanguage, generate_corpus, load_ground_truth
 
 from conftest import SMALL_SYNTH
@@ -45,6 +45,22 @@ def test_zero_noise_frames_equal_prototype(tmp_path):
         proto = protos[gt[namespaced("L0", seg.phoneme)]]
         block = utt.features[seg.start_frame : seg.end_frame]
         assert np.array_equal(block, np.tile(proto, (seg.n_frames, 1)))
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[]", "must be an object of integer values"),
+        ('{"L0-ph00": 1, "L0-ph01": "2"}', "must be an object of integer values"),
+        ('{"L0-ph00": 1,', "not valid JSON"),
+    ],
+)
+def test_malformed_ground_truth_is_one_format_error(tmp_path, text, problem):
+    path = tmp_path / "ground_truth.json"
+    path.write_text(text)
+    with pytest.raises(FormatError) as info:
+        load_ground_truth(path)
+    assert str(info.value).startswith(f"ground truth {path}: {problem}")
 
 
 def test_full_sharing_is_bijection(tmp_path):
