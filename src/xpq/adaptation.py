@@ -141,9 +141,9 @@ def finetune(
 
     Returns deep-copied snapshots at config.eval_checkpoints; the inputs are
     not mutated. train_loss at step s is the loss after s updates. The
-    bundle's loss constants (its float64 frames and cell index) are computed
-    once here and reused by every step. Every gradient is written straight
-    into Adam's gradient views.
+    bundle's loss constant (its cell index) is computed once here and reused
+    by every step. Every gradient is written straight into Adam's gradient
+    views.
     """
     table = table.copy()
     decoder = decoder.copy()

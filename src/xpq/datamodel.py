@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -196,7 +197,7 @@ def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
     Each line is checked in turn, in this order: three fields, integer
     indices, a known phoneme, start >= 0, start < end; the sort and overlap
     check runs over all segments after the last line. The first fault found
-    is raised.
+    is raised. Segments share one interned string per phoneme symbol.
     """
     if isinstance(phoneme_set, LanguagePhonemeSet):
         symbols = phoneme_set._index
@@ -209,6 +210,7 @@ def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path}: not valid UTF-8 at byte {e.start}") from None
     segments = []
+    intern = sys.intern
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -226,7 +228,7 @@ def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
             raise ValidationError(f"segment start must be >= 0, got {start}")
         if start >= end:
             raise ValidationError(f"segment [{start}, {end}) for {sym!r} is empty or reversed")
-        segments.append(PhonemeSegment(sym, start, end))
+        segments.append(PhonemeSegment(intern(sym), start, end))
     for prev, cur in zip(segments, segments[1:]):
         if cur.start_frame < prev.end_frame:
             raise ValidationError(
@@ -410,7 +412,8 @@ class Corpus:
     to share across threads. Data derived from them (train pools, each
     language's RepStack, frame bundles) is built at first use and kept here,
     never at load; being a pure function of immutable values, the memo
-    changes no result.
+    changes no result. An utterance whose alignment has no gaps keeps its
+    frames once: its bundle's frames are a read-only view of its features.
     """
 
     manifest: CorpusManifest
@@ -481,7 +484,8 @@ class Corpus:
 
     def bundle(self, utterances: Iterable[Utterance]) -> FrameBundle:
         """decoder.build_frame_bundle of the utterances, each over its language's
-        phoneme set: the per-utterance bundles concatenated in order."""
+        phoneme set: the per-utterance bundles concatenated in order. One
+        utterance's bundle is the memoized one itself."""
         from .decoder import FrameBundle, build_frame_bundle
 
         parts = []
@@ -495,6 +499,8 @@ class Corpus:
             parts.append(part)
         if not parts:
             raise ValueError("no covered frames: utterance list is empty or has no segments")
+        if len(parts) == 1:
+            return parts[0]
         return FrameBundle(
             np.concatenate([p.frames for p in parts], axis=0),
             np.concatenate([p.rows for p in parts]),

@@ -63,7 +63,10 @@ def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBund
 
     Rows follow phoneme_set's canonical order, which is an embedding table's
     row order. A loaded corpus keeps each utterance's bundle: Corpus.bundle.
-    Each utterance's covered frames are gathered with one index array.
+    An utterance whose segments tile one frame range (each starts where the
+    previous one ends) gives a read-only view of that range of its features;
+    one with gaps gives its covered frames, gathered with one index array.
+    A single utterance's frames are returned as they are, not concatenated.
     """
     chunks = []
     rows = []
@@ -72,12 +75,19 @@ def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBund
             continue
         starts, ends, seg_rows = segment_arrays(utt, phoneme_set)
         lengths = ends - starts
-        # frame j of segment k sits at starts[k] + j: one arange, shifted per segment
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        chunks.append(utt.features[np.arange(shift.shape[0]) + shift])
+        if np.array_equal(starts[1:], ends[:-1]):
+            frames = utt.features[starts[0] : ends[-1]]
+            frames.flags.writeable = False
+        else:
+            # frame j of segment k sits at starts[k] + j: one arange, shifted per segment
+            shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+            frames = utt.features[np.arange(shift.shape[0]) + shift]
+        chunks.append(frames)
         rows.append(np.repeat(seg_rows, lengths))
     if not chunks:
         raise ValueError("no covered frames: utterance list is empty or has no segments")
+    if len(chunks) == 1:
+        return FrameBundle(chunks[0], rows[0])
     return FrameBundle(np.concatenate(chunks, axis=0), np.concatenate(rows))
 
 

@@ -2,10 +2,10 @@
 
 Both accumulate in float64 and are deterministic for fixed inputs. The
 residual kernel adds each frame's residual into its gsum cell in frame order.
-Its frame-only inputs (the float64 frames and the flat cell index) can be
-computed once with residual_constants and passed on every call; callers that
-score fixed frames repeatedly (fine-tuning, evaluation) do so, and training,
-whose loss frames change every step, does not.
+Its one input that depends only on the frames' rows, the flat cell index, can
+be computed once with residual_constants and passed on every call; callers
+that score fixed frames repeatedly (fine-tuning, evaluation) do so, and
+training, whose loss frames change every step, does not.
 """
 
 from __future__ import annotations
@@ -59,12 +59,12 @@ def _segment_pool_loop(features, starts, ends, rows, n_rows):
 
 
 def residual_constants(frames, rows) -> dict:
-    """The keyword arguments of frame_residual_stats that depend only on the
-    frames: their float64 copy and the flat (frame, column) cell index.
+    """The keyword argument of frame_residual_stats that depends only on the
+    frames and their rows: the flat (frame, column) cell index.
 
-    A caller that scores the same frames many times computes these once.
+    A caller that scores the same frames many times computes it once.
     """
-    return {"frames64": frames.astype(np.float64), "cells": _cells(rows, frames.shape[1])}
+    return {"cells": _cells(rows, frames.shape[1])}
 
 
 def _cells(rows, dim):
@@ -72,23 +72,22 @@ def _cells(rows, dim):
     return (rows[:, None] * dim + np.arange(dim)).ravel()
 
 
-def frame_residual_stats(frames, rows, preds, *, frames64=None, cells=None):
+def frame_residual_stats(frames, rows, preds, *, cells=None):
     """Squared reconstruction error and its per-row residual sums.
 
     For each frame i with table row r = rows[i], accumulates
     d = preds[r] - frames[i] into sq += d.d and gsum[r] += d.
     Returns (sq, gsum) in float64. Exact zero when preds[rows] == frames.
-    frames64 and cells, when given, must be residual_constants(frames, rows);
-    the result is the same bytes either way.
+    cells, when given, must be residual_constants(frames, rows)["cells"];
+    the result is the same bytes either way. frames are read in place.
     """
     m, dim = preds.shape
-    if frames64 is None:
-        frames64 = frames.astype(np.float64)
     if cells is None:
         cells = _cells(rows, dim)
     # casting before the gather casts each table row once, to the same values
     d = np.take(preds.astype(np.float64, copy=False), rows, axis=0)
-    d -= frames64
+    # the ufunc widens float32 frames to float64 exactly, element by element
+    d -= frames
     gsum = np.bincount(cells, weights=d.ravel(), minlength=m * dim).reshape(m, dim)
     # bincount returns int64 zeros when there are no frames
     gsum = gsum.astype(np.float64, copy=False)

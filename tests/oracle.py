@@ -3,12 +3,14 @@
 Each function is the straightforward version the production code replaced:
 per-head attention that recomputes the softmax in its backward pass, the
 residual scatter through np.add.at, query aggregation by masked adds,
-frame-by-frame loops for segment pooling and the loss residual, the
+frame-by-frame loops for segment pooling and the loss residual, the frame
+bundle builder that gathers a copy of every utterance's covered frames, the
 per-pair mapping score, Adam updating one tensor at a time with per-tensor
 moments and temporaries, fine-tuning (on that Adam) and evaluation that
-build their frame bundles from the utterances and recast their frames on every
-call, the training split testing coverage on symbol sets, and the alignment
-parser building frozen-dataclass segments that check their own range.
+gather their frame bundles from the utterances and build their cell index on
+every call, the training split testing coverage on symbol sets, and the
+alignment parser building frozen-dataclass segments that check their own
+range.
 test_oracle.py states each pair's contract: bitwise, exact or a named
 tolerance. Tests only; nothing in src/ imports this module.
 """
@@ -24,8 +26,8 @@ import numpy as np
 from xpq import kernels
 from xpq.adaptation import EvalResult, FinetunePoint
 from xpq.codebook import CodebookGrads, CodebookParams
-from xpq.datamodel import LanguagePhonemeSet, Utterance
-from xpq.decoder import build_frame_bundle, loss_and_grads
+from xpq.datamodel import LanguagePhonemeSet, Utterance, segment_arrays
+from xpq.decoder import FrameBundle, loss_and_grads
 from xpq.errors import (
     CoverageError,
     NumericError,
@@ -203,13 +205,31 @@ def adam_step(
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
+def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBundle:
+    """decoder.build_frame_bundle gathering every utterance's covered frames
+    with one index array, gaps or none, and concatenating every result."""
+    chunks = []
+    rows = []
+    for utt in utterances:
+        if not utt.alignment:
+            continue
+        starts, ends, seg_rows = segment_arrays(utt, phoneme_set)
+        lengths = ends - starts
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        chunks.append(utt.features[np.arange(shift.shape[0]) + shift])
+        rows.append(np.repeat(seg_rows, lengths))
+    if not chunks:
+        raise ValueError("no covered frames: utterance list is empty or has no segments")
+    return FrameBundle(np.concatenate(chunks, axis=0), np.concatenate(rows))
+
+
 def _table_phonemes(table) -> LanguagePhonemeSet:
     return LanguagePhonemeSet(table.language, table.phonemes)
 
 
 def finetune(table, decoder, shots, config) -> list[FinetunePoint]:
-    """adaptation.finetune building the shots' frame bundle itself, on the
-    per-tensor Adam and the kernel's default (recasting) path."""
+    """adaptation.finetune gathering the shots' frame bundle itself, on the
+    per-tensor Adam and the kernel's default path."""
     table = table.copy()
     decoder = decoder.copy()
     bundle = build_frame_bundle(shots, _table_phonemes(table))
@@ -234,7 +254,7 @@ def finetune(table, decoder, shots, config) -> list[FinetunePoint]:
 
 
 def evaluate(table, decoder, queries) -> EvalResult:
-    """adaptation.evaluate building each query's frame bundle on every call."""
+    """adaptation.evaluate gathering each query's frame bundle on every call."""
     if not queries:
         raise ValueError("evaluate requires at least one query utterance")
     per_row = table.matrix @ decoder.w_d + decoder.b_d

@@ -337,6 +337,28 @@ class TestCorpusMemo:
         with pytest.raises(ValueError, match="no covered frames"):
             corpus.bundle([bare])
 
+    def test_gapless_bundles_are_read_only_views_of_the_features(self, small_corpus):
+        # synthetic segments tile each utterance, so no frame is stored twice
+        for utt in small_corpus.utterances:
+            bundle = small_corpus.bundle([utt])
+            assert small_corpus.bundle([utt]) is bundle
+            assert np.shares_memory(bundle.frames, utt.features)
+            assert not bundle.frames.flags.writeable
+
+    def test_a_gapped_bundle_copies_its_covered_frames(self):
+        phoneme_set = LanguagePhonemeSet("x", ("a", "b"))
+        features = np.arange(6.0)[:, None]
+        gapped = make_utterance("gapped", "x", features, [("a", 0, 2), ("b", 3, 5)])
+        inner = make_utterance("inner", "x", features, [("a", 1, 2), ("b", 2, 4)])
+        corpus = make_corpus([phoneme_set], [gapped, inner])
+        frames = corpus.bundle([gapped]).frames
+        assert not np.shares_memory(frames, gapped.features)
+        assert frames[:, 0].tolist() == [0.0, 1.0, 3.0, 4.0]
+        frames = corpus.bundle([inner]).frames
+        assert np.shares_memory(frames, inner.features) and not frames.flags.writeable
+        assert frames[:, 0].tolist() == [1.0, 2.0, 3.0]
+        assert inner.features.flags.writeable
+
     def test_rep_stack_is_phoneme_rep_matrix(self, small_corpus):
         language = small_corpus.language_ids[0]
         phoneme_set = small_corpus.phoneme_set(language)

@@ -246,9 +246,8 @@ def test_frame_residual_of_no_frames_matches_oracle():
 def test_frame_residual_with_precomputed_constants_is_the_default_path(
     n_utts, m, dim, dtype, exact, seed
 ):
-    """Bitwise: the float64 frames and cell index a caller computes once are
-    the ones the kernel would compute on each call; n_utts == 0 is the
-    no-frame case."""
+    """Bitwise: the cell index a caller computes once is the one the kernel
+    would compute on each call; n_utts == 0 is the no-frame case."""
     rng = np.random.default_rng(seed)
     if n_utts:
         phoneme_set, utts = _utterances(rng, n_utts, m, dim, dtype)
@@ -545,3 +544,45 @@ def test_alignment_parser_matches_dataclass_segment_oracle(tmp_path_factory, dat
         symbols = LanguagePhonemeSet("L", ALIGNMENT_SYMBOLS)
     got = _parsed(load_alignment, str(path), symbols)
     assert got == _parsed(oracle.load_alignment, path, symbols)
+
+
+@st.composite
+def bundle_cases(draw):
+    """1-4 utterances over three phonemes. Each has 0-4 segments of 1-3
+    frames, 0-2 uncovered frames before the first and after the last, and,
+    unless it is drawn gapless, a gap of 0-2 frames before each later one."""
+    phonemes = ("p0", "p1", "p2")
+    dim, dtype = draw(st.integers(1, 3)), draw(DTYPES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    utts = []
+    for u in range(draw(st.integers(1, 4))):
+        gaps = st.just(0) if draw(st.booleans()) else st.integers(0, 2)
+        segments, cursor = [], draw(st.integers(0, 2))
+        for k in range(draw(st.integers(0, 4))):
+            start = cursor + (draw(gaps) if k else 0)
+            cursor = start + draw(st.integers(1, 3))
+            segments.append((draw(st.sampled_from(phonemes)), start, cursor))
+        features = rng.standard_normal((max(cursor + draw(st.integers(0, 2)), 1), dim))
+        utts.append(make_utterance(f"u{u}", "x", features, segments, dtype=dtype))
+    return LanguagePhonemeSet("x", phonemes), utts
+
+
+def _bundled(build, utts, phoneme_set):
+    """build's frames (dtype, shape, bytes) and rows, or its error message."""
+    try:
+        bundle = build(utts, phoneme_set)
+    except ValueError as e:
+        return str(e)
+    frames = bundle.frames
+    return frames.dtype, frames.shape, frames.tobytes(), bundle.rows.dtype, bundle.rows.tolist()
+
+
+@ORACLE
+@given(case=bundle_cases())
+def test_frame_bundle_matches_gather_oracle(case):
+    """Exact: a bundle whose frames are a view of a gapless utterance's
+    features has the oracle's gathered frames (values, dtype and shape) and
+    rows; a list without segments raises the oracle's message."""
+    phoneme_set, utts = case
+    got = _bundled(build_frame_bundle, utts, phoneme_set)
+    assert got == _bundled(oracle.build_frame_bundle, utts, phoneme_set)
