@@ -7,6 +7,8 @@ either from the trained codebook attention (generated from the shots) or at
 random, then fine-tunes the table and decoder on the shots; the codebook is
 not used or updated during fine-tuning. Both modes see identical shots and
 queries for a given task seed, so comparisons are paired.
+Fine-tuning and evaluation read the shots and queries as per-phoneme
+statistics (decoder.PhonemeStats), so each step is (m, dim) work.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .codebook import CodebookParams, EmbeddingTable, forward, xavier_bound
 from .datamodel import Corpus, LanguagePhonemeSet, Utterance
-from .decoder import DecoderGrads, DecoderParams, FrameBundle, loss_and_grads
+from .decoder import DecoderGrads, DecoderParams, PhonemeStats, loss_and_grads, phoneme_stats
 from .errors import ConfigError, NumericError, TaskError, VocabularyError
 from .optim import adam_step, init_adam
 from .queries import aggregate_queries
@@ -133,17 +134,15 @@ class FinetunePoint:
 def finetune(
     table: EmbeddingTable,
     decoder: DecoderParams,
-    bundle: FrameBundle,
+    shots: PhonemeStats,
     config: AdaptConfig,
 ) -> list[FinetunePoint]:
     """Adam on (table rows, decoder) minimizing the reconstruction error of
-    the shots' frame bundle, whose rows index the table.
+    the shots' frames, given by their statistics over the table's rows.
 
     Returns deep-copied snapshots at config.eval_checkpoints; the inputs are
-    not mutated. train_loss at step s is the loss after s updates. The
-    bundle's loss constant (its cell index) is computed once here and reused
-    by every step. Every gradient is written straight into Adam's gradient
-    views.
+    not mutated. train_loss at step s is the loss after s updates. Every
+    gradient is written straight into Adam's gradient views.
     """
     table = table.copy()
     decoder = decoder.copy()
@@ -151,56 +150,23 @@ def finetune(
     opt = init_adam(params)
     grads = opt.grads
     out = DecoderGrads(grads["w_d"], grads["b_d"])
-    constants = kernels.residual_constants(bundle.frames, bundle.rows)
     wanted = set(config.eval_checkpoints)
     points: list[FinetunePoint] = []
     for step in range(config.finetune_steps + 1):
         if step:
             adam_step(opt, params, grads, config.lr)
-        loss, _, _ = loss_and_grads(
-            decoder, table, bundle, constants=constants, out=out, out_table=grads["table"]
-        )
+        loss, _, _ = loss_and_grads(decoder, table, shots, out=out, out_table=grads["table"])
         if step in wanted:
             points.append(FinetunePoint(step, table.copy(), decoder.copy(), loss))
     return points
 
 
-@dataclass
-class EvalResult:
-    per_utterance: list[float]
-    mean_mse: float
-
-
-def evaluate(
-    table: EmbeddingTable,
-    decoder: DecoderParams,
-    query_bundles: list[FrameBundle],
-    query_constants: list[dict] | None = None,
-) -> EvalResult:
-    """Frame reconstruction MSE over query utterances, one frame bundle each.
-
-    mean_mse averages over all covered frames of all queries; the
-    per-utterance breakdown supports task-level reporting. Permutation
-    invariant over query order up to float summation order. query_constants,
-    when given, holds kernels.residual_constants of each bundle, so a caller
-    evaluating the same queries at several checkpoints computes them once;
-    the result is the same bytes either way.
-    """
-    if not query_bundles:
-        raise ValueError("evaluate requires at least one query utterance")
-    if query_constants is None:
-        query_constants = [{}] * len(query_bundles)
+def evaluate(table: EmbeddingTable, decoder: DecoderParams, queries: PhonemeStats) -> float:
+    """Frame reconstruction MSE over all covered frames of the queries, given
+    by their statistics over the table's rows."""
     per_row = table.matrix @ decoder.w_d + decoder.b_d
-    per_utt = []
-    total_sq = 0.0
-    total_frames = 0
-    dim = query_bundles[0].frames.shape[1]
-    for bundle, constants in zip(query_bundles, query_constants, strict=True):
-        sq, _ = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row, **constants)
-        per_utt.append(sq / (bundle.n_frames * dim))
-        total_sq += sq
-        total_frames += bundle.n_frames
-    return EvalResult(per_utt, total_sq / (total_frames * dim))
+    sq, _ = queries.residual(per_row)
+    return sq / (queries.n_frames * per_row.shape[1])
 
 
 def _init_rng_for_task(task_seed: int) -> np.random.Generator:
@@ -219,26 +185,23 @@ def adapt_task(
 ) -> list[dict]:
     """Run one task end to end; returns [{step, mean_mse}] per eval checkpoint.
 
-    Frame bundles come from the corpus memo, so each is built once per corpus.
-    The queries' loss constants are computed once per task, not per
-    checkpoint, and never stored in the memo. A fine-tune that diverges
-    raises NumericError at the first checkpoint whose MSE is not finite, and
-    the overflow warnings on the way there are dropped; a run that ends
-    finite issues them as they came.
+    The shot and query statistics are built once per task from the corpus's
+    memoized per-utterance frame bundles. A fine-tune that diverges raises
+    NumericError at the first checkpoint whose MSE is not finite, and the
+    overflow warnings on the way there are dropped; a run that ends finite
+    issues them as they came.
     """
     task = sample_task(corpus, spec)
     phoneme_set = corpus.phoneme_set(spec.language)
+    shots, queries = (
+        phoneme_stats([corpus.bundle([u]) for u in utts if u.alignment], phoneme_set.size)
+        for utts in (task.shots, task.queries)
+    )
     table0 = init_embedding(mode, params, task.shots, phoneme_set, _init_rng_for_task(spec.seed))
     with warnings.catch_warnings(record=True) as caught:
-        points = finetune(table0, decoder, corpus.bundle(task.shots), config)
-        query_bundles = [corpus.bundle([q]) for q in task.queries]
-        query_constants = [kernels.residual_constants(b.frames, b.rows) for b in query_bundles]
         checkpoints = [
-            {
-                "step": p.step,
-                "mean_mse": evaluate(p.table, p.decoder, query_bundles, query_constants).mean_mse,
-            }
-            for p in points
+            {"step": p.step, "mean_mse": evaluate(p.table, p.decoder, queries)}
+            for p in finetune(table0, decoder, shots, config)
         ]
     for cp in checkpoints:
         if not math.isfinite(cp["mean_mse"]):

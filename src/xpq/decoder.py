@@ -6,6 +6,9 @@ phoneme. The loss is the mean squared error over all covered frames and
 dimensions; frames outside any segment are excluded from predictions and loss.
 Gradients are exact and flow back into the embedding table (and from there
 into the codebook attention).
+The loss reads the frames (FrameBundle, in training) or, since a phoneme's
+prediction is constant, only each row's frame count and mean and the frames'
+scatter about their means (PhonemeStats, in adaptation).
 """
 
 from __future__ import annotations
@@ -57,6 +60,32 @@ class FrameBundle:
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
+    def residual(self, preds: np.ndarray) -> tuple[float, np.ndarray]:
+        """(sq, gsum) of kernels.frame_residual_stats for per-row preds (m, dim)."""
+        return kernels.frame_residual_stats(self.frames, self.rows, preds)
+
+
+@dataclass(frozen=True)
+class PhonemeStats:
+    """Covered frames as the loss reads them: counts[r] frames in table row r
+    with mean means[r] (zero for a row without frames), and scatter, the sum
+    of the frames' squared distances to their row's mean."""
+
+    counts: np.ndarray  # (m,) int64
+    means: np.ndarray  # (m, dim) float64
+    scatter: float
+
+    @property
+    def n_frames(self) -> int:
+        return int(self.counts.sum())
+
+    def residual(self, preds: np.ndarray) -> tuple[float, np.ndarray]:
+        """(sq, gsum) in float64: sq = scatter + sum_r n_r |preds[r] - means[r]|^2
+        and gsum[r] = n_r (preds[r] - means[r])."""
+        d = preds - self.means  # float32 preds widen exactly
+        gsum = self.counts[:, None] * d
+        return self.scatter + float(np.einsum("ij,ij->", gsum, d)), gsum
+
 
 def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBundle:
     """Concatenate covered frames with their table-row indices.
@@ -91,12 +120,26 @@ def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBund
     return FrameBundle(np.concatenate(chunks, axis=0), np.concatenate(rows))
 
 
+def phoneme_stats(bundles: list[FrameBundle], m: int) -> PhonemeStats:
+    """PhonemeStats of the bundles' frames over m table rows, read in place.
+
+    The kernel at zero predictions gives the sums, and at the means the
+    scatter: a row of equal float32 frames has their value as its exact mean.
+    """
+    if not bundles:
+        raise ValueError("no covered frames: utterance list is empty or has no segments")
+    counts = sum(np.bincount(b.rows, minlength=m) for b in bundles)
+    zeros = np.zeros((m, bundles[0].frames.shape[1]))
+    sums = -sum(b.residual(zeros)[1] for b in bundles)
+    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+    return PhonemeStats(counts, means, sum(b.residual(means)[0] for b in bundles))
+
+
 def loss_and_grads(
     decoder: DecoderParams,
     table: EmbeddingTable,
-    data: FrameBundle,
+    data: FrameBundle | PhonemeStats,
     *,
-    constants: dict | None = None,
     out: DecoderGrads | None = None,
     out_table: np.ndarray | None = None,
 ) -> tuple[float, DecoderGrads, np.ndarray]:
@@ -104,16 +147,15 @@ def loss_and_grads(
 
     Returns (loss, decoder grads, table-row gradient (m, embed_dim)); gradient
     arrays are in the table's dtype. The table-row gradient chains into the
-    codebook backward pass. constants, when given, is
-    kernels.residual_constants of data's frames and rows. out and out_table,
-    when given, receive the decoder and table-row gradients (arrays of their
-    shapes and dtype, such as Adam's gradient views) and are returned.
+    codebook backward pass. out and out_table, when given, receive the decoder
+    and table-row gradients (arrays of their shapes and dtype, such as Adam's
+    gradient views) and are returned.
     """
     if data.n_frames == 0:
         raise ValueError("loss over zero covered frames is undefined")
     per_row = table.matrix @ decoder.w_d + decoder.b_d  # (m, dim)
-    sq, gsum = kernels.frame_residual_stats(data.frames, data.rows, per_row, **(constants or {}))
-    denom = data.n_frames * data.frames.shape[1]
+    sq, gsum = data.residual(per_row)
+    denom = data.n_frames * per_row.shape[1]
     loss = sq / denom
     d_pred = ((2.0 / denom) * gsum).astype(table.matrix.dtype)  # (m, dim)
     if out is None:

@@ -2,10 +2,8 @@
 
 Both accumulate in float64 and are deterministic for fixed inputs. The
 residual kernel adds each frame's residual into its gsum cell in frame order.
-Its one input that depends only on the frames' rows, the flat cell index, can
-be computed once with residual_constants and passed on every call; callers
-that score fixed frames repeatedly (fine-tuning, evaluation) do so, and
-training, whose loss frames change every step, does not.
+Training calls it on every step's loss frames; adaptation calls it only to
+build its per-phoneme statistics (decoder.phoneme_stats).
 """
 
 from __future__ import annotations
@@ -58,37 +56,25 @@ def _segment_pool_loop(features, starts, ends, rows, n_rows):
     return sums, counts
 
 
-def residual_constants(frames, rows) -> dict:
-    """The keyword argument of frame_residual_stats that depends only on the
-    frames and their rows: the flat (frame, column) cell index.
-
-    A caller that scores the same frames many times computes it once.
-    """
-    return {"cells": _cells(rows, frames.shape[1])}
-
-
 def _cells(rows, dim):
     # one flat cell index per (frame, column); bincount adds in frame order
     return (rows[:, None] * dim + np.arange(dim)).ravel()
 
 
-def frame_residual_stats(frames, rows, preds, *, cells=None):
+def frame_residual_stats(frames, rows, preds):
     """Squared reconstruction error and its per-row residual sums.
 
     For each frame i with table row r = rows[i], accumulates
     d = preds[r] - frames[i] into sq += d.d and gsum[r] += d.
     Returns (sq, gsum) in float64. Exact zero when preds[rows] == frames.
-    cells, when given, must be residual_constants(frames, rows)["cells"];
-    the result is the same bytes either way. frames are read in place.
+    frames are read in place.
     """
     m, dim = preds.shape
-    if cells is None:
-        cells = _cells(rows, dim)
     # casting before the gather casts each table row once, to the same values
     d = np.take(preds.astype(np.float64, copy=False), rows, axis=0)
     # the ufunc widens float32 frames to float64 exactly, element by element
     d -= frames
-    gsum = np.bincount(cells, weights=d.ravel(), minlength=m * dim).reshape(m, dim)
+    gsum = np.bincount(_cells(rows, dim), weights=d.ravel(), minlength=m * dim).reshape(m, dim)
     # bincount returns int64 zeros when there are no frames
     gsum = gsum.astype(np.float64, copy=False)
     return float(np.einsum("ij,ij->", d, d)), gsum

@@ -7,8 +7,8 @@ frame-by-frame loops for segment pooling and the loss residual, the frame
 bundle builder that gathers a copy of every utterance's covered frames, the
 per-pair mapping score, Adam updating one tensor at a time with per-tensor
 moments and temporaries, fine-tuning (on that Adam) and evaluation that
-gather their frame bundles from the utterances and build their cell index on
-every call, the training split testing coverage on symbol sets, and the
+score every frame of the bundles they gather from the utterances, the
+training split testing coverage on symbol sets, and the
 alignment parser building frozen-dataclass segments that check their own
 range.
 test_oracle.py states each pair's contract: bitwise, exact or a named
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from xpq import kernels
-from xpq.adaptation import EvalResult, FinetunePoint
+from xpq.adaptation import FinetunePoint
 from xpq.codebook import CodebookGrads, CodebookParams
 from xpq.datamodel import LanguagePhonemeSet, Utterance, segment_arrays
 from xpq.decoder import FrameBundle, loss_and_grads
@@ -253,22 +253,21 @@ def finetune(table, decoder, shots, config) -> list[FinetunePoint]:
     return points
 
 
-def evaluate(table, decoder, queries) -> EvalResult:
-    """adaptation.evaluate gathering each query's frame bundle on every call."""
+def evaluate(table, decoder, queries) -> float:
+    """adaptation.evaluate scoring every query frame, from each query's frame
+    bundle gathered on every call."""
     if not queries:
         raise ValueError("evaluate requires at least one query utterance")
     per_row = table.matrix @ decoder.w_d + decoder.b_d
-    per_utt = []
     total_sq = 0.0
     total_frames = 0
     dim = queries[0].features.shape[1]
     for utt in queries:
         bundle = build_frame_bundle([utt], _table_phonemes(table))
         sq, _ = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row)
-        per_utt.append(sq / (bundle.n_frames * dim))
         total_sq += sq
         total_frames += bundle.n_frames
-    return EvalResult(per_utt, total_sq / (total_frames * dim))
+    return total_sq / (total_frames * dim)
 
 
 def split_with_coverage(

@@ -14,7 +14,7 @@ from xpq.adaptation import (
 )
 from xpq.codebook import CodebookConfig, EmbeddingTable, init_params
 from xpq.datamodel import LanguagePhonemeSet
-from xpq.decoder import DecoderParams, build_frame_bundle, init_decoder
+from xpq.decoder import DecoderParams, build_frame_bundle, init_decoder, phoneme_stats
 from xpq.errors import ConfigError, TaskError, VocabularyError
 
 from conftest import make_corpus, make_utterance
@@ -134,32 +134,32 @@ class TestFinetune:
             ),
             make_utterance("s1", "x", rng.standard_normal((4, 2)), [("a", 0, 2), ("c", 2, 4)]),
         ]
-        return table, decoder, build_frame_bundle(shots, PS)
+        return table, decoder, _stats(shots)
 
     def test_zero_steps_returns_initialization(self):
-        table, decoder, bundle = self._setup()
-        points = finetune(table, decoder, bundle, AdaptConfig(finetune_steps=0, eval_checkpoints=(0,)))
+        table, decoder, shots = self._setup()
+        points = finetune(table, decoder, shots, AdaptConfig(finetune_steps=0, eval_checkpoints=(0,)))
         assert len(points) == 1 and points[0].step == 0
         assert np.array_equal(points[0].table.matrix, table.matrix)
         assert np.array_equal(points[0].decoder.w_d, decoder.w_d)
 
     def test_inputs_not_mutated_and_loss_decreases(self):
-        table, decoder, bundle = self._setup()
+        table, decoder, shots = self._setup()
         before = table.matrix.copy()
         cfg = AdaptConfig(finetune_steps=200, eval_checkpoints=(0, 200))
-        points = finetune(table, decoder, bundle, cfg)
+        points = finetune(table, decoder, shots, cfg)
         assert np.array_equal(table.matrix, before)
         assert points[-1].train_loss < points[0].train_loss
 
     def test_snapshots_at_requested_steps(self):
-        table, decoder, bundle = self._setup()
+        table, decoder, shots = self._setup()
         cfg = AdaptConfig(finetune_steps=20, eval_checkpoints=(0, 5, 20))
-        points = finetune(table, decoder, bundle, cfg)
+        points = finetune(table, decoder, shots, cfg)
         assert [p.step for p in points] == [0, 5, 20]
 
 
-def _bundles(queries):
-    return [build_frame_bundle([q], PS) for q in queries]
+def _stats(utterances):
+    return phoneme_stats([build_frame_bundle([u], PS) for u in utterances], PS.size)
 
 
 class TestEvaluate:
@@ -170,9 +170,7 @@ class TestEvaluate:
             make_utterance("q0", "x", np.tile([1.0, 2.0], (4, 1)), [("a", 0, 4)]),
             make_utterance("q1", "x", np.tile([1.0, 2.0], (2, 1)), [("b", 0, 2)]),
         ]
-        result = evaluate(table, decoder, _bundles(queries))
-        assert result.mean_mse == 0.0
-        assert result.per_utterance == [0.0, 0.0]
+        assert evaluate(table, decoder, _stats(queries)) == 0.0
 
     def test_query_order_invariance(self):
         rng = np.random.default_rng(4)
@@ -184,10 +182,9 @@ class TestEvaluate:
             make_utterance(f"q{i}", "x", rng.standard_normal((3, 2)), [("a", 0, 3)])
             for i in range(5)
         ]
-        r1 = evaluate(table, decoder, _bundles(queries))
-        r2 = evaluate(table, decoder, _bundles(queries[::-1]))
-        assert r1.mean_mse == pytest.approx(r2.mean_mse, rel=1e-12)
-        assert r1.per_utterance == pytest.approx(r2.per_utterance[::-1], rel=1e-12)
+        r1 = evaluate(table, decoder, _stats(queries))
+        r2 = evaluate(table, decoder, _stats(queries[::-1]))
+        assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_mean_over_tasks_is_plain_average(self):
         values = [0.5, 0.3, 0.7]

@@ -24,7 +24,7 @@ import xpq.synth
 import xpq.trainer
 from conftest import SMALL_SYNTH
 from xpq.codebook import CodebookConfig, init_params
-from xpq.decoder import init_decoder
+from xpq.decoder import init_decoder, phoneme_stats
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -94,6 +94,23 @@ def test_loaded_corpus_names_the_files_the_load_observer_reads(perfbench, small_
     observe = layers.TARGETS["datamodel.load_corpus"][0]
     read = observe((), {}, xpq.datamodel.load_corpus(manifest))
     assert read == {"datamodel.bytes_read": sum(f.stat().st_size for f in files)}
+
+
+def test_loss_observer_counts_covered_frames_of_bundles_and_statistics(perfbench, small_corpus):
+    """decoder.frames counts covered frames whether the loss reads a frame
+    bundle, as training does, or its per-phoneme statistics, as adaptation
+    does."""
+    layers, _ = perfbench
+    observe = layers.TARGETS["decoder.loss_and_grads"][0]
+    task = xpq.adaptation.sample_task(small_corpus, xpq.adaptation.TaskSpec("T0", k=4, q=4))
+    bundle = small_corpus.bundle(task.shots)
+    stats = phoneme_stats(
+        [small_corpus.bundle([u]) for u in task.shots], small_corpus.phoneme_set("T0").size
+    )
+    frames = {"decoder.frames": bundle.n_frames}
+    assert observe((None, None, bundle), {}, None) == frames
+    assert observe((None, None, stats), {}, None) == frames
+    assert observe((), {"data": stats}, None) == frames
 
 
 def _traced(perfbench, run):
