@@ -23,7 +23,7 @@ import numpy as np
 
 from .codebook import CodebookParams, EmbeddingTable, forward, xavier_bound
 from .datamodel import Corpus, LanguagePhonemeSet, Utterance
-from .decoder import DecoderGrads, DecoderParams, PhonemeStats, loss_and_grads, phoneme_stats
+from .decoder import DecoderGrads, DecoderParams, PhonemeStats, loss_and_grads
 from .errors import ConfigError, NumericError, TaskError, VocabularyError
 from .optim import adam_step, init_adam
 from .queries import aggregate_queries
@@ -60,9 +60,12 @@ class AdaptConfig:
         if self.finetune_steps < 0 or self.lr <= 0:
             raise ConfigError("finetune_steps must be >= 0 and lr > 0")
         cps = self.eval_checkpoints
-        if list(cps) != sorted(cps) or (cps and cps[-1] > self.finetune_steps):
+        if not cps or cps[0] < 0 or cps[-1] > self.finetune_steps or any(
+            a >= b for a, b in zip(cps, cps[1:])
+        ):
             raise ConfigError(
-                f"eval_checkpoints must be sorted and <= finetune_steps, got {cps}"
+                "eval_checkpoints must be non-empty, strictly increasing, >= 0 and "
+                f"<= finetune_steps, got {list(cps)}"
             )
 
 
@@ -185,18 +188,15 @@ def adapt_task(
 ) -> list[dict]:
     """Run one task end to end; returns [{step, mean_mse}] per eval checkpoint.
 
-    The shot and query statistics are built once per task from the corpus's
-    memoized per-utterance frame bundles. A fine-tune that diverges raises
+    The shot and query statistics are merged once per task from the corpus's
+    per-utterance statistics (Corpus.stats). A fine-tune that diverges raises
     NumericError at the first checkpoint whose MSE is not finite, and the
     overflow warnings on the way there are dropped; a run that ends finite
     issues them as they came.
     """
     task = sample_task(corpus, spec)
     phoneme_set = corpus.phoneme_set(spec.language)
-    shots, queries = (
-        phoneme_stats([corpus.bundle([u]) for u in utts if u.alignment], phoneme_set.size)
-        for utts in (task.shots, task.queries)
-    )
+    shots, queries = corpus.stats(task.shots), corpus.stats(task.queries)
     table0 = init_embedding(mode, params, task.shots, phoneme_set, _init_rng_for_task(spec.seed))
     with warnings.catch_warnings(record=True) as caught:
         checkpoints = [
@@ -233,6 +233,8 @@ def run_experiment(
     see identical shots and queries. Cell mean/std summarize the final
     checkpoint's per-task MSE (population std).
     """
+    if n_tasks < 1:
+        raise ConfigError(f"n_tasks must be >= 1, got {n_tasks}")
     if language not in corpus.language_ids:
         raise VocabularyError(f"language {language!r} is not defined in the manifest")
     for mode in modes:

@@ -24,7 +24,7 @@ import struct
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
 from .schema import build, read_json
 
 if TYPE_CHECKING:
-    from .decoder import FrameBundle
+    from .decoder import PhonemeStats
 
 FEATURE_MAGIC = b"XPQF"
 FEATURE_VERSION = 1
@@ -390,16 +390,19 @@ def validate_corpus(manifest: CorpusManifest) -> CorpusValidationReport:
 
 @dataclass(frozen=True)
 class RepStack:
-    """One language's train-split utterances as stacked query inputs.
+    """One language's utterances as stacked query inputs and loss statistics.
 
-    Utterance u is the u-th train utterance of the language in manifest
-    order. reps[u] is its queries.phoneme_rep_matrix reps and present[u] its
-    counts > 0; bit r of masks[u] is present[u, r], row r of the language's
-    phoneme set. row maps an utterance id to its u.
+    Utterance u is the u-th utterance of the language in manifest order, of
+    any split. reps[u] and counts[u] are its queries.phoneme_rep_matrix
+    result: each phoneme's mean frame and frame count. scatter[u] is the sum
+    of its covered frames' squared distances to their phoneme's mean. Bit r of
+    masks[u] is set when counts[u, r] > 0, for row r of the language's phoneme
+    set. row maps an utterance id to its u.
     """
 
     reps: np.ndarray  # (U, m, dim) float64
-    present: np.ndarray  # (U, m) bool
+    counts: np.ndarray  # (U, m) int64
+    scatter: np.ndarray  # (U,) float64
     masks: tuple[int, ...]
     row: dict[str, int]
 
@@ -409,11 +412,9 @@ class Corpus:
     """In-memory corpus: manifest plus fully loaded utterances.
 
     Utterances keep manifest order; values are immutable after load and safe
-    to share across threads. Data derived from them (train pools, each
-    language's RepStack, frame bundles) is built at first use and kept here,
-    never at load; being a pure function of immutable values, the memo
-    changes no result. An utterance whose alignment has no gaps keeps its
-    frames once: its bundle's frames are a read-only view of its features.
+    to share across threads. Data derived from them (train pools and each
+    language's RepStack) is built at first use and kept here, never at load;
+    being a pure function of immutable values, the memo changes no result.
     """
 
     manifest: CorpusManifest
@@ -428,7 +429,6 @@ class Corpus:
             self._by_lang_split.setdefault((utt.language, split), []).append(i)
         self._train_pools: dict[int, tuple[tuple[Utterance, ...], ...]] = {}
         self._rep_stacks: dict[str, RepStack] = {}
-        self._bundles: dict[str, FrameBundle] = {}
 
     @property
     def feature_spec(self) -> FeatureSpec:
@@ -461,50 +461,43 @@ class Corpus:
         return out
 
     def rep_stack(self, language: str) -> RepStack:
-        """The language's train-split RepStack, built through
-        queries.phoneme_rep_matrix at first use."""
+        """The language's RepStack, built at first use: each utterance's reps
+        and counts through queries.phoneme_rep_matrix, and its scatter through
+        kernels.frame_residual_stats of its decoder.build_frame_bundle at those
+        reps. The bundle is not kept."""
         out = self._rep_stacks.get(language)
         if out is None:
+            from .decoder import build_frame_bundle
+            from .kernels import frame_residual_stats
             from .queries import phoneme_rep_matrix
 
-            utterances = self.by_language(language, "train")
+            utterances = self.by_language(language)
             phoneme_set = self.phoneme_set(language)
             reps = np.zeros((len(utterances), phoneme_set.size, self.feature_spec.dim))
-            present = np.zeros((len(utterances), phoneme_set.size), dtype=bool)
+            counts = np.zeros((len(utterances), phoneme_set.size), dtype=np.int64)
+            scatter = np.zeros(len(utterances))
             for u, utt in enumerate(utterances):
-                reps[u], counts = phoneme_rep_matrix(utt, phoneme_set)
-                present[u] = counts > 0
+                reps[u], counts[u] = phoneme_rep_matrix(utt, phoneme_set)
+                bundle = build_frame_bundle(utt, phoneme_set)
+                scatter[u] = frame_residual_stats(bundle.frames, bundle.rows, reps[u])[0]
             masks = tuple(
-                int.from_bytes(np.packbits(p, bitorder="little").tobytes(), "little")
-                for p in present
+                int.from_bytes(np.packbits(c > 0, bitorder="little").tobytes(), "little")
+                for c in counts
             )
             row = {utt.id: u for u, utt in enumerate(utterances)}
-            out = self._rep_stacks[language] = RepStack(reps, present, masks, row)
+            out = self._rep_stacks[language] = RepStack(reps, counts, scatter, masks, row)
         return out
 
-    def bundle(self, utterances: Iterable[Utterance]) -> FrameBundle:
-        """decoder.build_frame_bundle of the utterances, each over its language's
-        phoneme set: the per-utterance bundles concatenated in order. One
-        utterance's bundle is the memoized one itself."""
-        from .decoder import FrameBundle, build_frame_bundle
+    def stats(self, utterances: list[Utterance]) -> PhonemeStats:
+        """decoder.PhonemeStats of the utterances' covered frames over their
+        language's phoneme set: their RepStack rows merged in the given order."""
+        from .decoder import PhonemeStats
 
-        parts = []
-        for utt in utterances:
-            if not utt.alignment:
-                continue  # adds no covered frame
-            part = self._bundles.get(utt.id)
-            if part is None:
-                part = build_frame_bundle([utt], self.phoneme_set(utt.language))
-                self._bundles[utt.id] = part
-            parts.append(part)
-        if not parts:
-            raise ValueError("no covered frames: utterance list is empty or has no segments")
-        if len(parts) == 1:
-            return parts[0]
-        return FrameBundle(
-            np.concatenate([p.frames for p in parts], axis=0),
-            np.concatenate([p.rows for p in parts]),
-        )
+        if not utterances:
+            raise ValueError("no covered frames: the utterance list is empty")
+        stack = self.rep_stack(utterances[0].language)
+        rows = [stack.row[utt.id] for utt in utterances]
+        return PhonemeStats.merge(stack.counts[rows], stack.reps[rows], stack.scatter[rows])
 
 
 def load_corpus(manifest_or_path) -> Corpus:

@@ -6,9 +6,11 @@ phoneme. The loss is the mean squared error over all covered frames and
 dimensions; frames outside any segment are excluded from predictions and loss.
 Gradients are exact and flow back into the embedding table (and from there
 into the codebook attention).
-The loss reads the frames (FrameBundle, in training) or, since a phoneme's
-prediction is constant, only each row's frame count and mean and the frames'
-scatter about their means (PhonemeStats, in adaptation).
+Since a phoneme's prediction is constant, the loss reads only each row's frame
+count and mean and the frames' scatter about their means (PhonemeStats):
+training, validation and adaptation alike merge per-utterance statistics
+(Corpus.stats). A frame bundle is built once per utterance, to measure its
+scatter.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .codebook import EmbeddingTable, xavier_bound
 from .datamodel import LanguagePhonemeSet, segment_arrays
 
@@ -46,23 +47,14 @@ def init_decoder(embed_dim: int, dim: int, seed, dtype=np.float32) -> DecoderPar
 
 @dataclass
 class FrameBundle:
-    """Covered frames of one or more utterances, flattened for the loss kernel.
+    """Covered frames of one utterance, in segment order, then frame order.
 
     frames[i] is a frame inside some segment; rows[i] is the embedding-table
-    row of that segment's phoneme. Order is utterance order, then segment
-    order, then frame order, so reductions are deterministic.
+    row of that segment's phoneme.
     """
 
     frames: np.ndarray  # (N, dim)
     rows: np.ndarray  # (N,) int64
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    def residual(self, preds: np.ndarray) -> tuple[float, np.ndarray]:
-        """(sq, gsum) of kernels.frame_residual_stats for per-row preds (m, dim)."""
-        return kernels.frame_residual_stats(self.frames, self.rows, preds)
 
 
 @dataclass(frozen=True)
@@ -86,64 +78,53 @@ class PhonemeStats:
         gsum = self.counts[:, None] * d
         return self.scatter + float(np.einsum("ij,ij->", gsum, d)), gsum
 
+    @classmethod
+    def merge(cls, counts: np.ndarray, means: np.ndarray, scatter: np.ndarray) -> "PhonemeStats":
+        """The statistics of G groups of frames over the same m rows, given as
+        stacked counts (G, m), means (G, m, dim) and scatters (G,), by the
+        centred update of Chan, Golub & LeVeque (1979): n = sum_g n_g,
+        mean = sum_g n_g mean_g / n (0 where n = 0) and scatter =
+        sum_g W_g + sum_g n_g |mean_g - mean|^2. Groups whose rows hold equal
+        float32 frames give those rows their value as exact mean and add 0.0.
+        """
+        n = counts.sum(axis=0)
+        total = np.add.reduce(counts[:, :, None] * means, axis=0)
+        mean = np.divide(total, n[:, None], out=np.zeros_like(total), where=n[:, None] > 0)
+        d = means - mean
+        between = np.einsum("gr,grd,grd->", counts, d, d)
+        return cls(n, mean, float(scatter.sum()) + float(between))
 
-def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBundle:
-    """Concatenate covered frames with their table-row indices.
+
+def build_frame_bundle(utterance, phoneme_set: LanguagePhonemeSet) -> FrameBundle:
+    """The utterance's covered frames with their table-row indices.
 
     Rows follow phoneme_set's canonical order, which is an embedding table's
-    row order. A loaded corpus keeps each utterance's bundle: Corpus.bundle.
-    An utterance whose segments tile one frame range (each starts where the
-    previous one ends) gives a read-only view of that range of its features;
-    one with gaps gives its covered frames, gathered with one index array.
-    A single utterance's frames are returned as they are, not concatenated.
+    row order. An utterance whose segments tile one frame range (each starts
+    where the previous one ends) gives a read-only view of that range of its
+    features; one with gaps, or without segments, gives its covered frames,
+    gathered with one index array.
     """
-    chunks = []
-    rows = []
-    for utt in utterances:
-        if not utt.alignment:
-            continue
-        starts, ends, seg_rows = segment_arrays(utt, phoneme_set)
-        lengths = ends - starts
-        if np.array_equal(starts[1:], ends[:-1]):
-            frames = utt.features[starts[0] : ends[-1]]
-            frames.flags.writeable = False
-        else:
-            # frame j of segment k sits at starts[k] + j: one arange, shifted per segment
-            shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-            frames = utt.features[np.arange(shift.shape[0]) + shift]
-        chunks.append(frames)
-        rows.append(np.repeat(seg_rows, lengths))
-    if not chunks:
-        raise ValueError("no covered frames: utterance list is empty or has no segments")
-    if len(chunks) == 1:
-        return FrameBundle(chunks[0], rows[0])
-    return FrameBundle(np.concatenate(chunks, axis=0), np.concatenate(rows))
-
-
-def phoneme_stats(bundles: list[FrameBundle], m: int) -> PhonemeStats:
-    """PhonemeStats of the bundles' frames over m table rows, read in place.
-
-    The kernel at zero predictions gives the sums, and at the means the
-    scatter: a row of equal float32 frames has their value as its exact mean.
-    """
-    if not bundles:
-        raise ValueError("no covered frames: utterance list is empty or has no segments")
-    counts = sum(np.bincount(b.rows, minlength=m) for b in bundles)
-    zeros = np.zeros((m, bundles[0].frames.shape[1]))
-    sums = -sum(b.residual(zeros)[1] for b in bundles)
-    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
-    return PhonemeStats(counts, means, sum(b.residual(means)[0] for b in bundles))
+    starts, ends, seg_rows = segment_arrays(utterance, phoneme_set)
+    lengths = ends - starts
+    if starts.size and np.array_equal(starts[1:], ends[:-1]):
+        frames = utterance.features[starts[0] : ends[-1]]
+        frames.flags.writeable = False
+    else:
+        # frame j of segment k sits at starts[k] + j: one arange, shifted per segment
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        frames = utterance.features[np.arange(shift.shape[0]) + shift]
+    return FrameBundle(frames, np.repeat(seg_rows, lengths))
 
 
 def loss_and_grads(
     decoder: DecoderParams,
     table: EmbeddingTable,
-    data: FrameBundle | PhonemeStats,
+    data: PhonemeStats,
     *,
     out: DecoderGrads | None = None,
     out_table: np.ndarray | None = None,
 ) -> tuple[float, DecoderGrads, np.ndarray]:
-    """MSE over the covered frames in data plus exact gradients.
+    """MSE over the covered frames that data describes, plus exact gradients.
 
     Returns (loss, decoder grads, table-row gradient (m, embed_dim)); gradient
     arrays are in the table's dtype. The table-row gradient chains into the

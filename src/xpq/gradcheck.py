@@ -3,8 +3,9 @@
 Three suites: the attention module alone, the frame reconstructor alone, and
 the composite objective (attention forward into reconstruction loss) used by
 a training step. All checks run in float64 with h=1e-5 against random
-instances; the analytic path must match within a 1e-4 relative error on every
-parameter entry.
+instances, whose covered frames are random per-phoneme statistics; the
+analytic path must match within a 1e-4 relative error on every parameter
+entry.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .codebook import (
     attention_forward,
     init_params,
 )
-from .decoder import DecoderParams, FrameBundle, loss_and_grads
+from .decoder import DecoderParams, PhonemeStats, loss_and_grads
 
 THRESHOLD = 1e-4
 FD_STEP = 1e-5
@@ -36,7 +37,7 @@ class CheckShape:
     heads: int = 2
     d_k: int = 3
     d_v: int = 2
-    frames: int = 17
+    frames: int = 17  # covered frames, at least one per phoneme
 
     def codebook_config(self) -> CodebookConfig:
         return CodebookConfig(self.n, self.heads, self.d_k, self.d_v, self.dim)
@@ -79,12 +80,13 @@ def _random_instance(shape: CheckShape, seed: int):
         rng.standard_normal(cfg.dim),
     )
     queries = rng.standard_normal((shape.m, cfg.dim))
-    bundle = FrameBundle(
-        rng.standard_normal((shape.frames, cfg.dim)),
-        rng.integers(0, shape.m, size=shape.frames),
+    stats = PhonemeStats(
+        1 + rng.multinomial(max(shape.frames - shape.m, 0), np.full(shape.m, 1.0 / shape.m)),
+        rng.standard_normal((shape.m, cfg.dim)),
+        float(rng.uniform(0.0, shape.frames)),
     )
     upstream = rng.standard_normal((shape.m, cfg.embed_dim))
-    return params, decoder, queries, bundle, upstream
+    return params, decoder, queries, stats, upstream
 
 
 def check_codebook_gradients(seed: int, shape: CheckShape = CheckShape()) -> float:
@@ -110,7 +112,7 @@ def check_codebook_gradients(seed: int, shape: CheckShape = CheckShape()) -> flo
 
 def check_decoder_gradients(seed: int, shape: CheckShape = CheckShape()) -> float:
     """Reconstruction-loss gradients w.r.t. w_d, b_d and the table rows."""
-    params, decoder, _, bundle, _ = _random_instance(shape, seed)
+    params, decoder, _, stats, _ = _random_instance(shape, seed)
     rng = np.random.default_rng(seed + 1)
     cfg = params.config
     table = EmbeddingTable(
@@ -120,9 +122,9 @@ def check_decoder_gradients(seed: int, shape: CheckShape = CheckShape()) -> floa
     )
 
     def objective():
-        return loss_and_grads(decoder, table, bundle)[0]
+        return loss_and_grads(decoder, table, stats)[0]
 
-    _, dec_grads, d_table = loss_and_grads(decoder, table, bundle)
+    _, dec_grads, d_table = loss_and_grads(decoder, table, stats)
     worst = 0.0
     for analytic, arr in (
         (dec_grads.w_d, decoder.w_d),
@@ -138,15 +140,15 @@ def check_train_objective_gradients(seed: int, shape: CheckShape = CheckShape())
 
     Checks all five trainable tensors exactly as a training step updates them.
     """
-    params, decoder, queries, bundle, _ = _random_instance(shape, seed)
+    params, decoder, queries, stats, _ = _random_instance(shape, seed)
     phonemes = tuple(f"p{i}" for i in range(shape.m))
 
     def objective():
         emb, _ = attention_forward(params, queries)
-        return loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), bundle)[0]
+        return loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), stats)[0]
 
     emb, weights = attention_forward(params, queries)
-    _, dec_grads, d_table = loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), bundle)
+    _, dec_grads, d_table = loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), stats)
     cb_grads, _ = attention_backward(params, queries, weights, d_table)
     worst = 0.0
     for analytic, arr in (

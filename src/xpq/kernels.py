@@ -2,8 +2,9 @@
 
 Both accumulate in float64 and are deterministic for fixed inputs. The
 residual kernel adds each frame's residual into its gsum cell in frame order.
-Training calls it on every step's loss frames; adaptation calls it only to
-build its per-phoneme statistics (decoder.phoneme_stats).
+Both run once per utterance, when its language's Corpus.rep_stack is built:
+segment pooling gives the phoneme means and the residual kernel, at those
+means, the utterance's scatter. No loss reads frames.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ def aggregate_from_matrices(
 
     rep_counts is the utterances' phoneme_rep_matrix results stacked: a pair
     of (U, m, dim) reps and (U, m) counts or presence, such as rows of a
-    Corpus.rep_stack. An absent phoneme's rep row is exactly
+    Corpus.rep_stack's reps and counts. An absent phoneme's rep row is exactly
     +0.0, and a sum that starts at +0.0 is never -0.0, so adding that row
     changes no bit: the whole stack is summed without a presence mask, in one
     reduction over the utterance axis that adds the utterances one at a time,

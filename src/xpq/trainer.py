@@ -5,7 +5,10 @@ embedding-generation group (32) and a loss group (8) such that every phoneme
 occurring on the loss side also occurs on the generation side, generates the
 language's embedding table through the codebook attention, computes the frame
 reconstruction loss on the loss group, and applies one Adam update to the
-codebook and decoder parameters under a warmup-then-decay schedule.
+codebook and decoder parameters under a warmup-then-decay schedule. Both
+groups are read from the corpus's per-utterance RepStack: the generation
+group's rep matrices become the queries, and the loss group's statistics
+merge into the loss's PhonemeStats (Corpus.stats).
 
 Checkpoints are a directory of codebook.bin, decoder.bin, optim.bin and
 meta.json; a resumed run is bitwise identical to an uninterrupted one.
@@ -61,6 +64,8 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: checkpoint only at the end
 
     def __post_init__(self):
+        if self.gen_group_size < 1 or self.loss_group_size < 1:
+            raise ConfigError("gen_group_size and loss_group_size must be >= 1")
         if self.gen_group_size + self.loss_group_size != self.batch_size:
             raise ConfigError(
                 f"gen_group_size + loss_group_size must equal batch_size "
@@ -203,8 +208,8 @@ def train_step(
     Returns (loss, lr). Raises CoverageError if the batch admits no valid
     split; the caller resamples the batch in that case. The batch comes from
     the train split. Gradients are written straight into Adam's gradient
-    views, and the queries of the generation group are its rows of the
-    corpus's rep stack.
+    views. The queries of the generation group are its rows of the corpus's
+    rep stack, and the loss reads the loss group's merged statistics.
     """
     language = batch[0].language
     phoneme_set = corpus.phoneme_set(language)
@@ -219,13 +224,13 @@ def train_step(
     )
     dtype = gen_group[0].features.dtype
     rows = [stack.row[u.id] for u in gen_group]
-    qm = aggregate_from_matrices((stack.reps[rows], stack.present[rows]), phoneme_set, dtype)
+    qm = aggregate_from_matrices((stack.reps[rows], stack.counts[rows]), phoneme_set, dtype)
     table, record = forward(state.params, qm)
     grads = state.opt.grads
     loss, _, d_table = loss_and_grads(
         state.decoder,
         table,
-        corpus.bundle(loss_group),
+        corpus.stats(loss_group),
         out=DecoderGrads(grads["w_d"], grads["b_d"]),
     )
     attention_backward(
@@ -459,9 +464,10 @@ def _validation_report(corpus: Corpus, state: TrainState) -> list[str]:
         phoneme_set = corpus.phoneme_set(language)
         dtype = train[0].features.dtype
         stack = corpus.rep_stack(language)
-        qm = aggregate_from_matrices((stack.reps, stack.present), phoneme_set, dtype)
+        rows = [stack.row[u.id] for u in train]
+        qm = aggregate_from_matrices((stack.reps[rows], stack.counts[rows]), phoneme_set, dtype)
         table, _ = forward(state.params, qm)
-        loss, _, _ = loss_and_grads(state.decoder, table, corpus.bundle(val))
+        loss, _, _ = loss_and_grads(state.decoder, table, corpus.stats(val))
         lines.append(f"{language}\t{len(val)}\t{loss!r}")
     return lines
 

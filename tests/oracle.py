@@ -4,11 +4,12 @@ Each function is the straightforward version the production code replaced:
 per-head attention that recomputes the softmax in its backward pass, the
 residual scatter through np.add.at, query aggregation by masked adds,
 frame-by-frame loops for segment pooling and the loss residual, the frame
-bundle builder that gathers a copy of every utterance's covered frames, the
-per-pair mapping score, Adam updating one tensor at a time with per-tensor
-moments and temporaries, fine-tuning (on that Adam) and evaluation that
-score every frame of the bundles they gather from the utterances, the
-training split testing coverage on symbol sets, and the
+bundle builder that gathers a copy of every utterance's covered frames and
+concatenates them, the loss that scores every covered frame of such a bundle
+through the residual kernel, the per-pair mapping score, Adam updating one
+tensor at a time with per-tensor moments and temporaries, fine-tuning (on
+that Adam) and evaluation that score every frame of the bundles they gather
+from the utterances, the training split testing coverage on symbol sets, and the
 alignment parser building frozen-dataclass segments that check their own
 range.
 test_oracle.py states each pair's contract: bitwise, exact or a named
@@ -27,7 +28,7 @@ from xpq import kernels
 from xpq.adaptation import FinetunePoint
 from xpq.codebook import CodebookGrads, CodebookParams
 from xpq.datamodel import LanguagePhonemeSet, Utterance, segment_arrays
-from xpq.decoder import FrameBundle, loss_and_grads
+from xpq.decoder import DecoderGrads, FrameBundle
 from xpq.errors import (
     CoverageError,
     NumericError,
@@ -206,8 +207,9 @@ def adam_step(
 
 
 def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBundle:
-    """decoder.build_frame_bundle gathering every utterance's covered frames
-    with one index array, gaps or none, and concatenating every result."""
+    """decoder.build_frame_bundle of several utterances: each one's covered
+    frames gathered with one index array, gaps or none, and all of them
+    concatenated in order, as the loss group's bundle once was."""
     chunks = []
     rows = []
     for utt in utterances:
@@ -221,6 +223,20 @@ def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBund
     if not chunks:
         raise ValueError("no covered frames: utterance list is empty or has no segments")
     return FrameBundle(np.concatenate(chunks, axis=0), np.concatenate(rows))
+
+
+def loss_and_grads(decoder, table, bundle: FrameBundle):
+    """decoder.loss_and_grads scoring every covered frame of the bundle with
+    kernels.frame_residual_stats, as training did before it read statistics."""
+    n_frames = bundle.frames.shape[0]
+    if n_frames == 0:
+        raise ValueError("loss over zero covered frames is undefined")
+    per_row = table.matrix @ decoder.w_d + decoder.b_d  # (m, dim)
+    sq, gsum = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row)
+    denom = n_frames * per_row.shape[1]
+    d_pred = ((2.0 / denom) * gsum).astype(table.matrix.dtype)
+    grads = DecoderGrads(table.matrix.T @ d_pred, np.add.reduce(d_pred, axis=0))
+    return float(sq / denom), grads, d_pred @ decoder.w_d.T
 
 
 def _table_phonemes(table) -> LanguagePhonemeSet:
@@ -266,7 +282,7 @@ def evaluate(table, decoder, queries) -> float:
         bundle = build_frame_bundle([utt], _table_phonemes(table))
         sq, _ = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row)
         total_sq += sq
-        total_frames += bundle.n_frames
+        total_frames += bundle.frames.shape[0]
     return total_sq / (total_frames * dim)
 
 

@@ -14,7 +14,7 @@ from xpq.adaptation import (
 )
 from xpq.codebook import CodebookConfig, EmbeddingTable, init_params
 from xpq.datamodel import LanguagePhonemeSet
-from xpq.decoder import DecoderParams, build_frame_bundle, init_decoder, phoneme_stats
+from xpq.decoder import DecoderParams, init_decoder
 from xpq.errors import ConfigError, TaskError, VocabularyError
 
 from conftest import make_corpus, make_utterance
@@ -159,7 +159,7 @@ class TestFinetune:
 
 
 def _stats(utterances):
-    return phoneme_stats([build_frame_bundle([u], PS) for u in utterances], PS.size)
+    return make_corpus([PS], utterances).stats(utterances)
 
 
 class TestEvaluate:

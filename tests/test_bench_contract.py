@@ -24,7 +24,7 @@ import xpq.synth
 import xpq.trainer
 from conftest import SMALL_SYNTH
 from xpq.codebook import CodebookConfig, init_params
-from xpq.decoder import init_decoder, phoneme_stats
+from xpq.decoder import init_decoder
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -96,19 +96,15 @@ def test_loaded_corpus_names_the_files_the_load_observer_reads(perfbench, small_
     assert read == {"datamodel.bytes_read": sum(f.stat().st_size for f in files)}
 
 
-def test_loss_observer_counts_covered_frames_of_bundles_and_statistics(perfbench, small_corpus):
-    """decoder.frames counts covered frames whether the loss reads a frame
-    bundle, as training does, or its per-phoneme statistics, as adaptation
-    does."""
+def test_loss_observer_counts_the_covered_frames_of_corpus_stats(perfbench, small_corpus):
+    """decoder.frames counts the covered frames of the statistics every loss
+    reads: for corpus.stats(group), the group's summed segment lengths,
+    passed by position and by keyword."""
     layers, _ = perfbench
     observe = layers.TARGETS["decoder.loss_and_grads"][0]
     task = xpq.adaptation.sample_task(small_corpus, xpq.adaptation.TaskSpec("T0", k=4, q=4))
-    bundle = small_corpus.bundle(task.shots)
-    stats = phoneme_stats(
-        [small_corpus.bundle([u]) for u in task.shots], small_corpus.phoneme_set("T0").size
-    )
-    frames = {"decoder.frames": bundle.n_frames}
-    assert observe((None, None, bundle), {}, None) == frames
+    stats = small_corpus.stats(task.shots)
+    frames = {"decoder.frames": sum(seg.n_frames for u in task.shots for seg in u.alignment)}
     assert observe((None, None, stats), {}, None) == frames
     assert observe((), {"data": stats}, None) == frames
 
@@ -149,6 +145,33 @@ def test_train_reaches_every_train_target(perfbench, small_corpus_dir, tmp_path)
     summary = _traced(perfbench, run)
     wanted = [name for name in layers.TARGETS if "train" in layers.EXPECTED[name]]
     _assert_called(perfbench, summary, wanted)
+
+
+STACK_TARGETS = (
+    "decoder.build_frame_bundle",
+    "kernels.frame_residual_stats",
+    "kernels.segment_pool",
+)
+
+
+def test_frame_kernels_run_once_per_utterance_however_long_training_runs(
+    perfbench, small_corpus_dir, tmp_path
+):
+    """Training reads frames only while a language's rep stack is built, once
+    per utterance: 25 and 50 steps make the same frame-kernel calls, so a
+    stack rebuilt on every step fails."""
+    calls = {}
+    for steps in (25, 50):
+        config = xpq.trainer.TrainConfig(total_steps=steps, warmup_steps=5, seed=4)
+
+        def run():
+            corpus = xpq.datamodel.load_corpus(small_corpus_dir / "manifest.json")
+            xpq.trainer.run_training(corpus, config, SMALL_CB, tmp_path / f"ckpt{steps}")
+
+        summary = _traced(perfbench, run)
+        calls[steps] = {name: summary.calls(name) for name in STACK_TARGETS}
+    assert all(calls[25].values()), calls
+    assert calls[25] == calls[50]
 
 
 def test_pipeline_reaches_every_pipeline_only_target(perfbench, tmp_path):

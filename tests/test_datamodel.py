@@ -29,7 +29,7 @@ from xpq.datamodel import (
     save_manifest,
     validate_corpus,
 )
-from xpq.decoder import build_frame_bundle
+from xpq.decoder import PhonemeStats, build_frame_bundle
 from xpq.errors import (
     FormatError,
     TruncationError,
@@ -37,6 +37,7 @@ from xpq.errors import (
     VocabularyError,
     XpqError,
 )
+from xpq.kernels import frame_residual_stats
 from xpq.queries import phoneme_rep_matrix
 from xpq.synth import SynthConfig, SynthLanguage, generate_corpus
 
@@ -313,35 +314,37 @@ class TestCorpusMemo:
         corpus = load_corpus(small_corpus_dir / "manifest.json")
         assert len(corpus.utterances) == 180
         with pytest.raises(AssertionError, match="during load"):
-            corpus.bundle(corpus.utterances[:1])
+            corpus.stats(corpus.utterances[:1])
 
-    def test_bundle_is_build_frame_bundle(self, small_corpus):
-        u1, u2 = small_corpus.by_language("L0", "train")[:2]
-        want = build_frame_bundle([u1, u2], small_corpus.phoneme_set("L0"))
+    def test_stats_merges_the_rep_stack_rows(self, small_corpus):
+        u1, u2 = small_corpus.by_language("L0", "val")[:2]
+        stack = small_corpus.rep_stack("L0")
+        rows = [stack.row[u1.id], stack.row[u2.id]]
+        want = PhonemeStats.merge(stack.counts[rows], stack.reps[rows], stack.scatter[rows])
         for _ in range(2):  # built, then from the memo
-            got = small_corpus.bundle([u1, u2])
-            for a, b in ((got.frames, want.frames), (got.rows, want.rows)):
+            got = small_corpus.stats([u1, u2])
+            assert small_corpus.rep_stack("L0") is stack
+            for a, b in ((got.counts, want.counts), (got.means, want.means)):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+            assert got.scatter == want.scatter
+        assert got.n_frames == sum(seg.n_frames for u in (u1, u2) for seg in u.alignment)
 
-    def test_bundle_skips_an_utterance_without_segments(self):
+    def test_stats_of_an_utterance_without_segments_add_no_frame(self):
         # an empty alignment is a valid corpus entry; it adds no covered frame
         bare = make_utterance("bare", "x", np.ones((2, 1)), [])
         full = make_utterance("full", "x", [[1.0], [2.0]], [("b", 0, 2)])
-        phoneme_set = LanguagePhonemeSet("x", ("a", "b"))
-        corpus = make_corpus([phoneme_set], [bare, full])
-        got = corpus.bundle([bare, full])
-        want = build_frame_bundle([bare, full], phoneme_set)
-        assert got.frames.tobytes() == want.frames.tobytes()
-        assert got.rows.tolist() == want.rows.tolist() == [1, 1]
-        with pytest.raises(ValueError, match="no covered frames"):
-            corpus.bundle([bare])
+        corpus = make_corpus([LanguagePhonemeSet("x", ("a", "b"))], [bare, full])
+        got = corpus.stats([bare, full])
+        assert got.counts.tolist() == [0, 2]
+        assert got.means.tolist() == [[0.0], [1.5]]
+        assert got.scatter == 0.5
+        assert corpus.stats([bare]).n_frames == 0
 
     def test_gapless_bundles_are_read_only_views_of_the_features(self, small_corpus):
-        # synthetic segments tile each utterance, so no frame is stored twice
+        # synthetic segments tile each utterance, so no frame is copied
         for utt in small_corpus.utterances:
-            bundle = small_corpus.bundle([utt])
-            assert small_corpus.bundle([utt]) is bundle
+            bundle = build_frame_bundle(utt, small_corpus.phoneme_set(utt.language))
             assert np.shares_memory(bundle.frames, utt.features)
             assert not bundle.frames.flags.writeable
 
@@ -350,30 +353,37 @@ class TestCorpusMemo:
         features = np.arange(6.0)[:, None]
         gapped = make_utterance("gapped", "x", features, [("a", 0, 2), ("b", 3, 5)])
         inner = make_utterance("inner", "x", features, [("a", 1, 2), ("b", 2, 4)])
-        corpus = make_corpus([phoneme_set], [gapped, inner])
-        frames = corpus.bundle([gapped]).frames
+        frames = build_frame_bundle(gapped, phoneme_set).frames
         assert not np.shares_memory(frames, gapped.features)
         assert frames[:, 0].tolist() == [0.0, 1.0, 3.0, 4.0]
-        frames = corpus.bundle([inner]).frames
+        frames = build_frame_bundle(inner, phoneme_set).frames
         assert np.shares_memory(frames, inner.features) and not frames.flags.writeable
         assert frames[:, 0].tolist() == [1.0, 2.0, 3.0]
         assert inner.features.flags.writeable
 
     def test_rep_stack_is_phoneme_rep_matrix(self, small_corpus):
-        language = small_corpus.language_ids[0]
-        phoneme_set = small_corpus.phoneme_set(language)
-        train = small_corpus.by_language(language, "train")
-        stack = small_corpus.rep_stack(language)
-        assert small_corpus.rep_stack(language) is stack
-        assert stack.reps.shape == (len(train), phoneme_set.size, 8)
-        assert stack.present.shape == (len(train), phoneme_set.size)
-        for u, utt in enumerate(train):
-            reps, counts = phoneme_rep_matrix(utt, phoneme_set)
-            assert stack.row[utt.id] == u
-            assert stack.reps[u].dtype == reps.dtype and stack.reps[u].tobytes() == reps.tobytes()
-            assert stack.present[u].tolist() == (counts > 0).tolist()
-            bits = {r for r in range(phoneme_set.size) if stack.masks[u] >> r & 1}
-            assert bits == {phoneme_set.index(ph) for ph in utt.phoneme_symbols()}
+        """Every utterance of every split, bitwise: its reps and counts are
+        phoneme_rep_matrix's, and its scatter the residual kernel's at those
+        reps over its frame bundle."""
+        for language in small_corpus.language_ids:
+            phoneme_set = small_corpus.phoneme_set(language)
+            utterances = small_corpus.by_language(language)
+            stack = small_corpus.rep_stack(language)
+            assert small_corpus.rep_stack(language) is stack
+            assert stack.reps.shape == (len(utterances), phoneme_set.size, 8)
+            assert stack.counts.shape == (len(utterances), phoneme_set.size)
+            assert stack.counts.dtype == np.int64 and stack.scatter.shape == (len(utterances),)
+            for u, utt in enumerate(utterances):
+                reps, counts = phoneme_rep_matrix(utt, phoneme_set)
+                assert stack.row[utt.id] == u
+                assert stack.reps[u].dtype == reps.dtype
+                assert stack.reps[u].tobytes() == reps.tobytes()
+                assert stack.counts[u].tobytes() == counts.tobytes()
+                bundle = build_frame_bundle(utt, phoneme_set)
+                sq, _ = frame_residual_stats(bundle.frames, bundle.rows, reps)
+                assert stack.scatter[u] == sq
+                bits = {r for r in range(phoneme_set.size) if stack.masks[u] >> r & 1}
+                assert bits == {phoneme_set.index(ph) for ph in utt.phoneme_symbols()}
 
 
 TINY_SYNTH = SynthConfig(

@@ -5,14 +5,14 @@ from xpq.codebook import EmbeddingTable
 from xpq.datamodel import LanguagePhonemeSet
 from xpq.decoder import (
     DecoderParams,
-    FrameBundle,
+    PhonemeStats,
     build_frame_bundle,
     loss_and_grads,
 )
 from xpq.errors import VocabularyError
 from xpq.gradcheck import CheckShape, check_decoder_gradients
 
-from conftest import make_utterance
+from conftest import make_corpus, make_utterance
 
 
 def _table(matrix, language="x", phonemes=("a", "b")):
@@ -25,12 +25,13 @@ def _phoneme_set(table):
 
 def predict_frames(dec, table, utt):
     """Predicted frames for every covered frame of utt, as the loss sees them."""
-    bundle = build_frame_bundle([utt], _phoneme_set(table))
+    bundle = build_frame_bundle(utt, _phoneme_set(table))
     return (table.matrix @ dec.w_d + dec.b_d)[bundle.rows]
 
 
 def _loss(dec, table, utts):
-    return loss_and_grads(dec, table, build_frame_bundle(utts, _phoneme_set(table)))
+    corpus = make_corpus([_phoneme_set(table)], utts)
+    return loss_and_grads(dec, table, corpus.stats(utts))
 
 
 class TestPredict:
@@ -119,10 +120,13 @@ class TestLoss:
     def test_empty_inputs_rejected(self):
         table = _table(np.zeros((1, 2)), phonemes=("a",))
         dec = DecoderParams(np.zeros((2, 1)), np.zeros(1))
+        bare = make_utterance("u", "x", np.zeros((2, 1)), [])
         with pytest.raises(ValueError):
-            build_frame_bundle([], _phoneme_set(table))
-        empty = FrameBundle(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
-        with pytest.raises(ValueError):
+            make_corpus([_phoneme_set(table)], [bare]).stats([])
+        with pytest.raises(ValueError, match="zero covered frames"):
+            _loss(dec, table, [bare])
+        empty = PhonemeStats(np.zeros(1, dtype=np.int64), np.zeros((1, 1)), 0.0)
+        with pytest.raises(ValueError, match="zero covered frames"):
             loss_and_grads(dec, table, empty)
 
     def test_grad_dtype_follows_table(self):
@@ -136,9 +140,31 @@ class TestLoss:
 
 class TestBundle:
     def test_frame_and_row_layout(self):
-        utt1 = make_utterance("u1", "x", np.arange(8).reshape(4, 2), [("b", 0, 1), ("a", 2, 4)])
-        utt2 = make_utterance("u2", "x", np.ones((2, 2)), [("a", 0, 2)])
-        bundle = build_frame_bundle([utt1, utt2], LanguagePhonemeSet("x", ("a", "b")))
-        assert bundle.rows.tolist() == [1, 0, 0, 0, 0]
-        assert np.array_equal(bundle.frames[0], [0, 1])
-        assert bundle.n_frames == 5
+        phoneme_set = LanguagePhonemeSet("x", ("a", "b"))
+        utt = make_utterance("u1", "x", np.arange(8).reshape(4, 2), [("b", 0, 1), ("a", 2, 4)])
+        bundle = build_frame_bundle(utt, phoneme_set)
+        assert bundle.rows.tolist() == [1, 0, 0]
+        assert bundle.frames.tolist() == [[0, 1], [4, 5], [6, 7]]
+        bare = make_utterance("u2", "x", np.ones((2, 2)), [])
+        bundle = build_frame_bundle(bare, phoneme_set)
+        assert bundle.frames.shape == (0, 2) and bundle.rows.shape == (0,)
+
+
+class TestMerge:
+    def test_known_value(self):
+        # row 0: frames 1, 3 in one group and 5 in the other; row 1: no frames
+        counts = np.array([[2, 0], [1, 0]])
+        means = np.array([[[2.0], [0.0]], [[5.0], [0.0]]])
+        merged = PhonemeStats.merge(counts, means, np.array([2.0, 0.0]))
+        assert merged.counts.tolist() == [3, 0]
+        assert merged.means.tolist() == [[3.0], [0.0]]
+        # |1-3|^2 + |3-3|^2 + |5-3|^2
+        assert merged.scatter == 8.0 and merged.n_frames == 3
+
+    def test_equal_float32_frames_merge_to_exact_zero_scatter(self):
+        value = np.float32(0.1)
+        counts = np.array([[3], [7], [1]])
+        means = np.full((3, 1, 2), np.float64(value))
+        merged = PhonemeStats.merge(counts, means, np.zeros(3))
+        assert merged.scatter == 0.0
+        assert np.all(merged.means == np.float64(value))

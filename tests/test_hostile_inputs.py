@@ -235,6 +235,20 @@ CONFIG_CASES = {
     "top-level-seed": ("train", ("seed", None, 3), "unknown key 'seed'"),
     # a section of None replaces the whole config
     "top-level-string": ("train", (None, None, "x"), 'the top level must be an object, got "x"'),
+    # checkpoints that are missing, negative or repeated would be reported short
+    "adapt-checkpoints-empty": ("adapt", ("adapt", "eval_checkpoints", []),
+                                "eval_checkpoints must be non-empty, strictly increasing"),
+    "adapt-checkpoint-negative": ("adapt", ("adapt", "eval_checkpoints", [-1, 2]),
+                                  "<= finetune_steps, got [-1, 2]"),
+    "adapt-checkpoint-repeated": ("adapt", ("adapt", "eval_checkpoints", [0, 2, 2]),
+                                  "<= finetune_steps, got [0, 2, 2]"),
+    # an empty group leaves the loss or the queries without utterances
+    "train-loss-group-zero": ("train", ("train", None, {**CONFIG["train"], "gen_group_size": 10,
+                                                        "loss_group_size": 0}),
+                              "gen_group_size and loss_group_size must be >= 1"),
+    "train-gen-group-zero": ("train", ("train", None, {**CONFIG["train"], "gen_group_size": 0,
+                                                       "loss_group_size": 10}),
+                             "gen_group_size and loss_group_size must be >= 1"),
 }
 
 
@@ -261,6 +275,18 @@ def test_hostile_config(workdir, tmp_path, case):
     else:
         argv = ["gen-corpus", "--config", path, "--out", tmp_path / "corpus"]
     assert_one_error(argv, "config", needle)
+
+
+def test_zero_tasks_is_a_config_error(workdir, tmp_path):
+    """`adapt --tasks 0` would average the MSEs of no task."""
+    assert_one_error(
+        ["adapt", "--checkpoint", workdir / "ckpt", "--corpus",
+         workdir / "corpus" / "manifest.json", "--language", "T0", "--k", "2", "--tasks", "0",
+         "--q", "2",
+         "--config", workdir / "config.json", "--out", tmp_path / "out"],
+        "config",
+        "n_tasks must be >= 1, got 0",
+    )
 
 
 def test_config_error_names_the_line(workdir, tmp_path):

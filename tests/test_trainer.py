@@ -14,7 +14,7 @@ from xpq.codebook import (
     attention_forward,
 )
 from xpq.datamodel import LanguagePhonemeSet
-from xpq.decoder import DecoderParams, FrameBundle, loss_and_grads
+from xpq.decoder import DecoderParams, loss_and_grads
 from xpq.errors import ConfigError, CoverageError, FormatError
 from xpq.gradcheck import central_difference, max_rel_err
 from xpq.queries import aggregate_queries
@@ -217,7 +217,7 @@ class TestTrainStep:
 
     def test_composite_gradient_on_real_batch(self):
         # finite differences over the exact objective a step optimizes,
-        # using real corpus data promoted to float64
+        # using real corpus data promoted to float64 (the statistics are)
         corpus = _toy_corpus()
         state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
         rng = np.random.default_rng(0)
@@ -225,8 +225,7 @@ class TestTrainStep:
         gen, loss_group = split_with_coverage(batch, rng, 6, 2, masks=coverage_masks(batch))
         ps = corpus.phoneme_set("L0")
         queries = aggregate_queries(gen, ps).matrix.astype(np.float64)
-        bundle = corpus.bundle(loss_group)
-        bundle64 = FrameBundle(bundle.frames.astype(np.float64), bundle.rows)
+        stats = corpus.stats(loss_group)
         p, d = state.params, state.decoder
         params = CodebookParams(
             TOY_CB, *(a.astype(np.float64) for a in (p.w_q, p.keys, p.codes))
@@ -236,11 +235,11 @@ class TestTrainStep:
         def objective():
             emb, _ = attention_forward(params, queries)
             table = EmbeddingTable(emb, "L0", ps.phonemes)
-            return loss_and_grads(decoder, table, bundle64)[0]
+            return loss_and_grads(decoder, table, stats)[0]
 
         emb, weights = attention_forward(params, queries)
         _, dec_grads, d_table = loss_and_grads(
-            decoder, EmbeddingTable(emb, "L0", ps.phonemes), bundle64
+            decoder, EmbeddingTable(emb, "L0", ps.phonemes), stats
         )
         cb_grads, _ = attention_backward(params, queries, weights, d_table)
         for analytic, arr in (
