@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import CodebookParams, EmbeddingTable, forward, xavier_bound
-from .datamodel import Corpus, LanguagePhonemeSet, Utterance
+from .datamodel import Corpus, Utterance
 from .decoder import DecoderGrads, DecoderParams, PhonemeStats, loss_and_grads
 from .errors import ConfigError, NumericError, TaskError, VocabularyError
 from .optim import adam_step, init_adam
-from .queries import aggregate_queries
 
 MODES = ("codebook_init", "random_init")
 
@@ -70,10 +69,11 @@ class AdaptConfig:
 
 
 def sample_task(corpus: Corpus, spec: TaskSpec, limit: int = 100) -> FewShotTask:
-    """Rejection-sample (shots, queries) until query phonemes are covered by shots.
+    """Rejection-sample (shots, queries) until the queries cover a phoneme and
+    the shots cover every query phoneme; the shots then cover one too.
 
-    Deterministic under spec.seed. Raises TaskError naming the uncovered
-    phonemes when no covering draw is found within `limit` attempts.
+    Deterministic under spec.seed. Raises TaskError when no such draw is found
+    within `limit` attempts, saying what the last draw lacked.
     """
     pool = corpus.by_language(spec.language)
     if len(pool) < spec.k + spec.q:
@@ -83,41 +83,46 @@ def sample_task(corpus: Corpus, spec: TaskSpec, limit: int = 100) -> FewShotTask
         )
     rng = np.random.default_rng(spec.seed)
     symbols = [u.phoneme_symbols() for u in pool]
-    uncovered: set[str] = set()
+    last = ""
     for _ in range(limit):
         idx = rng.choice(len(pool), size=spec.k + spec.q, replace=False)
         shot_idx, query_idx = idx[: spec.k], idx[spec.k :]
         shot_syms = frozenset().union(*(symbols[i] for i in shot_idx))
         query_syms = frozenset().union(*(symbols[i] for i in query_idx))
-        if query_syms <= shot_syms:
+        if not query_syms:
+            last = "the last draw's queries cover no frame"
+        elif query_syms <= shot_syms:
             return FewShotTask(
                 [pool[i] for i in shot_idx], [pool[i] for i in query_idx], spec.language
             )
-        uncovered = set(query_syms - shot_syms)
+        else:
+            last = f"last uncovered phonemes: {sorted(query_syms - shot_syms)}"
     raise TaskError(
         f"no covering (shots, queries) draw for {spec.language!r} k={spec.k} within "
-        f"{limit} attempts; last uncovered phonemes: {sorted(uncovered)}"
+        f"{limit} attempts; {last}"
     )
 
 
 def init_embedding(
     mode: str,
     params: CodebookParams,
-    shots: list[Utterance],
-    phoneme_set: LanguagePhonemeSet,
+    corpus: Corpus,
+    task: FewShotTask,
     rng: np.random.Generator,
 ) -> EmbeddingTable:
     """Initial embedding table for adaptation.
 
-    codebook_init runs the shots' phoneme queries through the trained codebook
-    attention; random_init draws Xavier-uniform rows. Both are deterministic
-    given their inputs (rng is consumed only by random_init).
+    codebook_init runs the shots' phoneme queries, their rows of the corpus's
+    rep stack (Corpus.queries), through the trained codebook attention;
+    random_init draws Xavier-uniform rows, one per phoneme of the task's
+    language. Both are deterministic given their inputs (rng is consumed only
+    by random_init).
     """
     if mode == "codebook_init":
-        qm = aggregate_queries(shots, phoneme_set)
-        table, _ = forward(params, qm)
+        table, _ = forward(params, corpus.queries(task.shots))
         return table
     if mode == "random_init":
+        phoneme_set = corpus.phoneme_set(task.language)
         embed_dim = params.config.embed_dim
         m = phoneme_set.size
         bound = xavier_bound(m, embed_dim)
@@ -195,9 +200,8 @@ def adapt_task(
     issues them as they came.
     """
     task = sample_task(corpus, spec)
-    phoneme_set = corpus.phoneme_set(spec.language)
     shots, queries = corpus.stats(task.shots), corpus.stats(task.queries)
-    table0 = init_embedding(mode, params, task.shots, phoneme_set, _init_rng_for_task(spec.seed))
+    table0 = init_embedding(mode, params, corpus, task, _init_rng_for_task(spec.seed))
     with warnings.catch_warnings(record=True) as caught:
         checkpoints = [
             {"step": p.step, "mean_mse": evaluate(p.table, p.decoder, queries)}

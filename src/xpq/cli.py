@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .adaptation import MODES, AdaptConfig, run_experiment, write_report_json, write_report_tsv
+from .checkpoint import load_checkpoint_params
 from .codebook import CodebookConfig
 from .config import RunConfig, load_run_config, write_resolved_config
 from .datamodel import load_corpus, load_manifest, validate_corpus
@@ -27,7 +28,7 @@ from .gradcheck import DEFAULT_SHAPES, CheckShape, run_suites
 from .mapping import DEFAULT_COVER_TARGET, build_score_table, write_mapping_tsv, write_scores_json
 from .queries import aggregate_queries, save_query_matrix
 from .synth import SynthConfig, generate_corpus
-from .trainer import TrainConfig, load_checkpoint_params, run_training
+from .trainer import TrainConfig, run_training
 
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
@@ -170,6 +171,9 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_map_phonemes(args) -> int:
+    for flag, value in (("--top-k", args.top_k), ("--target-count", args.target_count)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     corpus = load_corpus(args.corpus)
     params, _ = load_checkpoint_params(args.checkpoint)
     scores = build_score_table(

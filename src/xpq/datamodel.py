@@ -39,6 +39,7 @@ from .schema import build, read_json
 
 if TYPE_CHECKING:
     from .decoder import PhonemeStats
+    from .queries import QueryMatrix
 
 FEATURE_MAGIC = b"XPQF"
 FEATURE_VERSION = 1
@@ -411,10 +412,10 @@ class RepStack:
 class Corpus:
     """In-memory corpus: manifest plus fully loaded utterances.
 
-    Utterances keep manifest order; values are immutable after load and safe
-    to share across threads. Data derived from them (train pools and each
-    language's RepStack) is built at first use and kept here, never at load;
-    being a pure function of immutable values, the memo changes no result.
+    Utterances keep manifest order; values are immutable after load. Data
+    derived from them (train pools and each language's RepStack) is built at
+    first use and kept here, never at load; being a pure function of
+    immutable values, the memo changes no result.
     """
 
     manifest: CorpusManifest
@@ -488,16 +489,32 @@ class Corpus:
             out = self._rep_stacks[language] = RepStack(reps, counts, scatter, masks, row)
         return out
 
+    def _stack_rows(self, utterances: list[Utterance]) -> tuple[RepStack, list[int]]:
+        """The RepStack of the utterances' language and their rows in it."""
+        if not utterances:
+            raise ValueError("no covered frames: the utterance list is empty")
+        stack = self.rep_stack(utterances[0].language)
+        return stack, [stack.row[utt.id] for utt in utterances]
+
     def stats(self, utterances: list[Utterance]) -> PhonemeStats:
         """decoder.PhonemeStats of the utterances' covered frames over their
         language's phoneme set: their RepStack rows merged in the given order."""
         from .decoder import PhonemeStats
 
-        if not utterances:
-            raise ValueError("no covered frames: the utterance list is empty")
-        stack = self.rep_stack(utterances[0].language)
-        rows = [stack.row[utt.id] for utt in utterances]
+        stack, rows = self._stack_rows(utterances)
         return PhonemeStats.merge(stack.counts[rows], stack.reps[rows], stack.scatter[rows])
+
+    def queries(self, utterances: list[Utterance]) -> QueryMatrix:
+        """queries.aggregate_queries of the utterances, bit for bit, from their
+        RepStack rows; the working dtype is the first utterance's."""
+        from .queries import aggregate_from_matrices
+
+        stack, rows = self._stack_rows(utterances)
+        return aggregate_from_matrices(
+            (stack.reps[rows], stack.counts[rows]),
+            self.phoneme_set(utterances[0].language),
+            utterances[0].features.dtype,
+        )
 
 
 def load_corpus(manifest_or_path) -> Corpus:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import CodebookParams, forward
-from .datamodel import Corpus, namespaced
+from .datamodel import Corpus, Utterance, namespaced
 from .errors import CoverageError, UndefinedScoreError, VocabularyError
 from .queries import aggregate_queries
 
@@ -26,13 +26,13 @@ DEFAULT_COVER_TARGET = 256
 
 def covering_sentences(
     corpus: Corpus, language: str, target_count: int, rng: np.random.Generator
-) -> tuple[list, bool]:
+) -> list[Utterance]:
     """Utterances covering every phoneme of the language, padded to target_count.
 
     Greedy set cover (most new phonemes first, ties to the earliest utterance),
-    then random fill up to target_count. Returns (utterances, warning) where
-    warning is True when the cover alone already exceeds target_count. Raises
-    CoverageError naming any phoneme that occurs in no utterance.
+    then random fill up to target_count; a cover larger than target_count is
+    returned whole. Raises CoverageError naming any phoneme that occurs in no
+    utterance.
     """
     pool = corpus.by_language(language)
     phoneme_set = corpus.phoneme_set(language)
@@ -54,14 +54,13 @@ def covering_sentences(
         chosen.append(best)
         in_chosen.add(best)
         uncovered -= symbols[best]
-    warning = len(chosen) > target_count
-    if not warning and len(chosen) < target_count:
+    if len(chosen) < target_count:
         rest = [i for i in range(len(pool)) if i not in in_chosen]
         n_extra = min(target_count - len(chosen), len(rest))
         if n_extra:
             extra = rng.choice(len(rest), size=n_extra, replace=False)
             chosen.extend(rest[j] for j in extra)
-    return [pool[i] for i in chosen], warning
+    return [pool[i] for i in chosen]
 
 
 @dataclass
@@ -94,9 +93,8 @@ def build_score_table(
     params: CodebookParams,
     target_count: int = DEFAULT_COVER_TARGET,
     rng: np.random.Generator | None = None,
-    languages: tuple[str, ...] | None = None,
 ) -> MappingScores:
-    """Score every pair of present phonemes across the chosen languages.
+    """Score every pair of present phonemes across the corpus's languages.
 
     One forward pass per language over its covering-set queries; the
     covering target is scaled down automatically when a language has fewer
@@ -107,9 +105,9 @@ def build_score_table(
     names: list[str] = []
     langs: list[str] = []
     records: list[np.ndarray] = []
-    for language in languages or corpus.language_ids:
+    for language in corpus.language_ids:
         pool_size = len(corpus.by_language(language))
-        cover, _ = covering_sentences(corpus, language, min(target_count, pool_size), rng)
+        cover = covering_sentences(corpus, language, min(target_count, pool_size), rng)
         qm = aggregate_queries(cover, corpus.phoneme_set(language))
         _, record = forward(params, qm)
         for i in np.flatnonzero(qm.present):
@@ -130,28 +128,21 @@ def build_score_table(
     return MappingScores(tuple(names), tuple(langs), sim)
 
 
-def top_k_mappings(
-    scores: MappingScores, phoneme: str, k: int = 5, cross_language_only: bool = True
-) -> list[tuple[str, float]]:
-    """Best-scoring counterpart phonemes, descending; ties break by canonical order."""
+def top_k_mappings(scores: MappingScores, phoneme: str, k: int = 5) -> list[tuple[str, float]]:
+    """Best-scoring counterpart phonemes of other languages, descending; ties
+    break by canonical order."""
     i = scores.index(phoneme)
     candidates = [
-        j
-        for j in range(len(scores.phonemes))
-        if j != i and (not cross_language_only or scores.languages[j] != scores.languages[i])
+        j for j in range(len(scores.phonemes)) if scores.languages[j] != scores.languages[i]
     ]
     ranked = sorted(candidates, key=lambda j: (-scores.matrix[i, j], j))
     return [(scores.phonemes[j], float(scores.matrix[i, j])) for j in ranked[:k]]
 
 
-def write_mapping_tsv(
-    scores: MappingScores, path, k: int = 5, cross_language_only: bool = True
-) -> None:
+def write_mapping_tsv(scores: MappingScores, path, k: int = 5) -> None:
     lines = ["# source\trank\ttarget\tscore"]
     for phoneme in scores.phonemes:
-        for rank, (target, score) in enumerate(
-            top_k_mappings(scores, phoneme, k, cross_language_only), start=1
-        ):
+        for rank, (target, score) in enumerate(top_k_mappings(scores, phoneme, k), start=1):
             lines.append(f"{phoneme}\t{rank}\t{target}\t{score:.6f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

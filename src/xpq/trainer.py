@@ -7,41 +7,26 @@ language's embedding table through the codebook attention, computes the frame
 reconstruction loss on the loss group, and applies one Adam update to the
 codebook and decoder parameters under a warmup-then-decay schedule. Both
 groups are read from the corpus's per-utterance RepStack: the generation
-group's rep matrices become the queries, and the loss group's statistics
-merge into the loss's PhonemeStats (Corpus.stats).
-
-Checkpoints are a directory of codebook.bin, decoder.bin, optim.bin and
-meta.json; a resumed run is bitwise identical to an uninterrupted one.
+group's queries (Corpus.queries) and the loss group's statistics
+(Corpus.stats).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from collections.abc import Sequence
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .codebook import (
-    CodebookConfig,
-    CodebookGrads,
-    CodebookParams,
-    forward,
-    attention_backward,
-    init_params,
-)
+from .checkpoint import TrainState, load_checkpoint, model_tensors, save_checkpoint
+# not called here: perfbench's checks call xpq.trainer.load_checkpoint_params
+from .checkpoint import load_checkpoint_params  # noqa: F401
+from .codebook import CodebookConfig, CodebookGrads, attention_backward, forward, init_params
 from .datamodel import Corpus, Utterance
-from .decoder import DecoderGrads, DecoderParams, init_decoder, loss_and_grads
-from .errors import ConfigError, CoverageError, FormatError
-from .optim import AdamState, adam_step, init_adam, scheduled_lr
-from .queries import aggregate_from_matrices
-from .schema import build, read_json
-from .tensorio import read_blob, write_blob
-
-META_VERSION = 1
+from .decoder import DecoderGrads, init_decoder, loss_and_grads
+from .errors import ConfigError, CoverageError
+from .optim import adam_step, init_adam, scheduled_lr
 
 # How many fresh batches to draw when a batch admits no coverage-valid split.
 _BATCH_RESAMPLE_LIMIT = 20
@@ -164,29 +149,6 @@ def split_with_coverage(
     )
 
 
-@dataclass
-class TrainState:
-    params: CodebookParams
-    decoder: DecoderParams
-    opt: AdamState
-    rng: np.random.Generator
-
-    @property
-    def step(self) -> int:
-        return self.opt.step
-
-
-def _tensors(params: CodebookParams, decoder: DecoderParams) -> dict[str, np.ndarray]:
-    """The model's tensors by name, in Adam's layout."""
-    return {
-        "w_q": params.w_q,
-        "keys": params.keys,
-        "codes": params.codes,
-        "w_d": decoder.w_d,
-        "b_d": decoder.b_d,
-    }
-
-
 def init_train_state(
     corpus: Corpus, config: TrainConfig, cb_config: CodebookConfig
 ) -> TrainState:
@@ -196,7 +158,7 @@ def init_train_state(
         )
     params = init_params(cb_config, config.seed)
     decoder = init_decoder(cb_config.embed_dim, cb_config.dim, config.seed + 1)
-    opt = init_adam(_tensors(params, decoder))
+    opt = init_adam(model_tensors(params, decoder))
     return TrainState(params, decoder, opt, np.random.default_rng(config.seed + 2))
 
 
@@ -205,15 +167,14 @@ def train_step(
 ) -> tuple[float, float]:
     """One update: split batch, generate table, loss on the other group, Adam.
 
-    Returns (loss, lr). Raises CoverageError if the batch admits no valid
-    split; the caller resamples the batch in that case. The batch comes from
-    the train split. Gradients are written straight into Adam's gradient
-    views. The queries of the generation group are its rows of the corpus's
-    rep stack, and the loss reads the loss group's merged statistics.
+    Returns (loss, lr). Raises CoverageError, before any update, if the
+    batch admits no valid split or its loss group covers no frame; the caller
+    resamples the batch in that case. The batch comes from the train split.
+    Gradients are written straight into Adam's gradient views. The queries
+    of the generation group are its rows of the corpus's rep stack, and the
+    loss reads the loss group's merged statistics.
     """
-    language = batch[0].language
-    phoneme_set = corpus.phoneme_set(language)
-    stack = corpus.rep_stack(language)
+    stack = corpus.rep_stack(batch[0].language)
     gen_group, loss_group = split_with_coverage(
         batch,
         state.rng,
@@ -222,16 +183,14 @@ def train_step(
         config.coverage_resample_limit,
         masks=[stack.masks[stack.row[u.id]] for u in batch],
     )
-    dtype = gen_group[0].features.dtype
-    rows = [stack.row[u.id] for u in gen_group]
-    qm = aggregate_from_matrices((stack.reps[rows], stack.counts[rows]), phoneme_set, dtype)
+    loss_stats = corpus.stats(loss_group)
+    if not loss_stats.n_frames:
+        raise CoverageError("the loss group covers no frame")
+    qm = corpus.queries(gen_group)
     table, record = forward(state.params, qm)
     grads = state.opt.grads
     loss, _, d_table = loss_and_grads(
-        state.decoder,
-        table,
-        corpus.stats(loss_group),
-        out=DecoderGrads(grads["w_d"], grads["b_d"]),
+        state.decoder, table, loss_stats, out=DecoderGrads(grads["w_d"], grads["b_d"])
     )
     attention_backward(
         state.params,
@@ -245,7 +204,7 @@ def train_step(
     lr = scheduled_lr(state.step + 1, config.lr, config.warmup_steps, config.decay_rate)
     adam_step(
         state.opt,
-        _tensors(state.params, state.decoder),
+        model_tensors(state.params, state.decoder),
         grads,
         lr,
         config.beta1,
@@ -253,183 +212,6 @@ def train_step(
         config.eps,
     )
     return loss, lr
-
-
-# ---------------------------------------------------------------------------
-# checkpointing
-
-
-@dataclass(frozen=True)
-class CheckpointMeta:
-    """meta.json; rng_state and the two configs are free-form objects."""
-
-    version: int
-    step: int
-    config_hash: str
-    rng_state: dict
-    train_config: dict
-    codebook_config: dict
-
-
-def config_hash(config: TrainConfig, cb_config: CodebookConfig) -> str:
-    blob = json.dumps(
-        {"train": asdict(config), "codebook": asdict(cb_config)}, sort_keys=True
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _rng_state_to_json(rng: np.random.Generator) -> dict:
-    st = rng.bit_generator.state
-    return {
-        "bit_generator": st["bit_generator"],
-        "state": hex(st["state"]["state"]),
-        "inc": hex(st["state"]["inc"]),
-        "has_uint32": st["has_uint32"],
-        "uinteger": st["uinteger"],
-    }
-
-
-def _rng_from_json(obj, meta_path: Path) -> np.random.Generator:
-    """The generator _rng_state_to_json wrote; FormatError naming meta_path
-    for anything numpy does not take as a PCG64 state."""
-    rng = np.random.default_rng(0)
-    try:
-        rng.bit_generator.state = {
-            "bit_generator": obj["bit_generator"],
-            "state": {"state": int(obj["state"], 16), "inc": int(obj["inc"], 16)},
-            "has_uint32": obj["has_uint32"],
-            "uinteger": obj["uinteger"],
-        }
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise FormatError(
-            f"{meta_path}: rng_state is not a PCG64 state ({type(e).__name__}: {e})"
-        ) from e
-    return rng
-
-
-# The three blobs, in the tensorio container:
-#   codebook.bin  XPCB, header n, heads, d_k, d_v, dim (u32), then per head
-#                 w_q (dim x d_k), keys (n x d_k), codes (n x d_v)
-#   decoder.bin   XPDC, no header, then w_d (embed_dim x dim), b_d (dim)
-#   optim.bin     XPOP, header step (u64), then m and v of each tensor in
-#                 Adam's order (w_q, keys, codes, w_d, b_d), flattened to
-#                 (-1, last axis)
-CODEBOOK_MAGIC, DECODER_MAGIC, OPTIM_MAGIC = b"XPCB", b"XPDC", b"XPOP"
-BLOB_VERSION = 1
-
-
-def _codebook_shapes(*fields):
-    """(name, shape) of each codebook.bin tensor, lazily: heads comes from the file."""
-    cfg = CodebookConfig(*fields)  # a zero field raises ConfigError here
-    per_head = {"w_q": (cfg.dim, cfg.d_k), "keys": (cfg.n, cfg.d_k), "codes": (cfg.n, cfg.d_v)}
-    return ((f"{name}[{h}]", shape) for h in range(cfg.heads) for name, shape in per_head.items())
-
-
-def _flat(a: np.ndarray) -> np.ndarray:
-    return a.reshape(-1, a.shape[-1])
-
-
-def save_checkpoint(
-    state: TrainState, out_dir, config: TrainConfig, cb_config: CodebookConfig
-) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    p = state.params
-    write_blob(
-        out / "codebook.bin",
-        CODEBOOK_MAGIC,
-        BLOB_VERSION,
-        struct.pack("<5I", *astuple(p.config)),
-        (t[h] for h in range(p.config.heads) for t in (p.w_q, p.keys, p.codes)),
-    )
-    d = state.decoder
-    write_blob(out / "decoder.bin", DECODER_MAGIC, BLOB_VERSION, b"", (d.w_d, d.b_d))
-    opt = state.opt
-    write_blob(
-        out / "optim.bin",
-        OPTIM_MAGIC,
-        BLOB_VERSION,
-        struct.pack("<Q", opt.step),
-        (_flat(moments[name]) for name in opt.m for moments in (opt.m, opt.v)),
-    )
-    meta = CheckpointMeta(
-        META_VERSION, state.step, config_hash(config, cb_config),
-        _rng_state_to_json(state.rng), asdict(config), asdict(cb_config),
-    )
-    tmp = out / "meta.json.tmp"
-    tmp.write_text(json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(out / "meta.json")
-
-
-def _read_meta(ckpt_dir: Path) -> tuple[CheckpointMeta, Path]:
-    """(meta.json, its path); FormatError unless it is of the supported version
-    and fits CheckpointMeta. The one reader for resume, adapt and mapping."""
-    meta_path = ckpt_dir / "meta.json"
-    if not meta_path.exists():
-        raise FormatError(f"no checkpoint found at {ckpt_dir} (missing meta.json)")
-    obj, text = read_json(meta_path, FormatError, str(meta_path))
-    if isinstance(obj, dict) and obj.get("version") != META_VERSION:
-        raise FormatError(f"unsupported checkpoint version {obj.get('version')} in {meta_path}")
-    return build(CheckpointMeta, obj, text, FormatError, str(meta_path)), meta_path
-
-
-def load_checkpoint(
-    ckpt_dir, config: TrainConfig, cb_config: CodebookConfig
-) -> TrainState:
-    out = Path(ckpt_dir)
-    meta, meta_path = _read_meta(out)
-    if meta.config_hash != config_hash(config, cb_config):
-        raise ConfigError(
-            "checkpoint was written with a different configuration; refusing to resume"
-        )
-    params, decoder = _read_model(out)
-    named = _tensors(params, decoder)
-    (step,), moments = read_blob(
-        out / "optim.bin",
-        OPTIM_MAGIC,
-        BLOB_VERSION,
-        "<Q",
-        lambda step: (
-            (f"{kind}[{name}]", _flat(p).shape) for name, p in named.items() for kind in "mv"
-        ),
-    )
-    m = {name: t.reshape(p.shape) for (name, p), t in zip(named.items(), moments[0::2])}
-    v = {name: t.reshape(p.shape) for (name, p), t in zip(named.items(), moments[1::2])}
-    if step != meta.step:
-        raise FormatError(
-            f"checkpoint step mismatch: meta says {meta.step}, optimizer says {step}"
-        )
-    opt = AdamState(m=m, v=v, step=step)
-    return TrainState(params, decoder, opt, _rng_from_json(meta.rng_state, meta_path))
-
-
-def load_checkpoint_params(ckpt_dir) -> tuple[CodebookParams, DecoderParams]:
-    """Model tensors only, for adaptation and mapping discovery; meta.json
-    must pass _read_meta as for resuming."""
-    _read_meta(Path(ckpt_dir))
-    return _read_model(Path(ckpt_dir))
-
-
-def _read_model(out: Path) -> tuple[CodebookParams, DecoderParams]:
-    """codebook.bin and decoder.bin; the decoder's shapes are checked against
-    the codebook's config."""
-    fields, tensors = read_blob(
-        out / "codebook.bin", CODEBOOK_MAGIC, BLOB_VERSION, "<5I", _codebook_shapes
-    )
-    cfg = CodebookConfig(*fields)
-    _, (w_d, b_d) = read_blob(
-        out / "decoder.bin",
-        DECODER_MAGIC,
-        BLOB_VERSION,
-        "",
-        lambda: (("w_d", (cfg.embed_dim, cfg.dim)), ("b_d", (cfg.dim,))),
-    )
-    w_q, keys, codes = (np.stack(tensors[i::3]) for i in range(3))
-    return CodebookParams(cfg, w_q, keys, codes), DecoderParams(w_d, b_d)
-
-
-# ---------------------------------------------------------------------------
-# training loop
 
 
 def _truncate_loss_log(path: Path, step: int) -> None:
@@ -454,20 +236,20 @@ def _truncate_loss_log(path: Path, step: int) -> None:
 
 
 def _validation_report(corpus: Corpus, state: TrainState) -> list[str]:
-    """Per-language loss on the held-out val split; reported, never acted on."""
+    """Per-language loss on the held-out val split; reported, never acted on.
+    A language without train utterances or without covered val frames has
+    no line."""
     lines = ["# language\tn_val\tloss"]
     for language in corpus.language_ids:
         val = corpus.by_language(language, "val")
         train = corpus.by_language(language, "train")
         if not val or not train:
             continue
-        phoneme_set = corpus.phoneme_set(language)
-        dtype = train[0].features.dtype
-        stack = corpus.rep_stack(language)
-        rows = [stack.row[u.id] for u in train]
-        qm = aggregate_from_matrices((stack.reps[rows], stack.counts[rows]), phoneme_set, dtype)
-        table, _ = forward(state.params, qm)
-        loss, _, _ = loss_and_grads(state.decoder, table, corpus.stats(val))
+        val_stats = corpus.stats(val)
+        if not val_stats.n_frames:
+            continue
+        table, _ = forward(state.params, corpus.queries(train))
+        loss, _, _ = loss_and_grads(state.decoder, table, val_stats)
         lines.append(f"{language}\t{len(val)}\t{loss!r}")
     return lines
 

@@ -3,6 +3,7 @@ import pytest
 
 from xpq.adaptation import (
     AdaptConfig,
+    FewShotTask,
     TaskSpec,
     evaluate,
     finetune,
@@ -53,6 +54,18 @@ class TestSampleTask:
         assert [u.id for u in task.shots] == ["all"]
         assert len(task.queries) == 3
 
+    def test_queries_without_covered_frames_are_never_drawn(self):
+        # an empty alignment is a valid corpus entry; a query set of bare
+        # utterances would leave evaluation nothing to average
+        utts = [
+            make_utterance("full", "x", np.ones((3, 2)), [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)]),
+            make_utterance("bare", "x", np.ones((3, 2)), []),
+        ]
+        corpus = make_corpus([PS], utts)
+        for seed in range(5):
+            with pytest.raises(TaskError, match="within 100 attempts"):
+                sample_task(corpus, TaskSpec("x", k=1, q=1, seed=seed))
+
     def test_impossible_coverage_names_phonemes(self):
         utts = [
             make_utterance("u0", "x", np.ones((1, 2)), [("a", 0, 1)]),
@@ -91,14 +104,17 @@ class TestInitEmbedding:
         corpus = _corpus_all_in_one()
         params = init_params(CB, 0)
         rng = np.random.default_rng(0)
-        t1 = init_embedding("codebook_init", params, corpus.utterances[:2], PS, rng)
-        t2 = init_embedding("codebook_init", params, corpus.utterances[:2], PS, rng)
+        task = FewShotTask(list(corpus.utterances[:2]), [], "x")
+        t1 = init_embedding("codebook_init", params, corpus, task, rng)
+        t2 = init_embedding("codebook_init", params, corpus, task, rng)
         assert np.array_equal(t1.matrix, t2.matrix)
 
     def test_absent_phoneme_gets_mean_code_row(self):
         params = init_params(CB, 1, dtype=np.float64)
         shots = [make_utterance("u", "x", np.ones((2, 2), dtype=np.float64), [("a", 0, 2)])]
-        table = init_embedding("codebook_init", params, shots, PS, np.random.default_rng(0))
+        corpus = make_corpus([PS], shots)
+        task = FewShotTask(shots, [], "x")
+        table = init_embedding("codebook_init", params, corpus, task, np.random.default_rng(0))
         for h in range(CB.heads):
             np.testing.assert_allclose(
                 table.matrix[2, h * CB.d_v : (h + 1) * CB.d_v],
@@ -109,8 +125,10 @@ class TestInitEmbedding:
     def test_random_init_statistics_and_determinism(self):
         params = init_params(CB, 0)
         big_ps = LanguagePhonemeSet("x", tuple(f"p{i}" for i in range(50)))
-        t1 = init_embedding("random_init", params, [], big_ps, np.random.default_rng(5))
-        t2 = init_embedding("random_init", params, [], big_ps, np.random.default_rng(5))
+        corpus = make_corpus([big_ps], [], dim=2)
+        task = FewShotTask([], [], "x")
+        t1 = init_embedding("random_init", params, corpus, task, np.random.default_rng(5))
+        t2 = init_embedding("random_init", params, corpus, task, np.random.default_rng(5))
         assert np.array_equal(t1.matrix, t2.matrix)
         assert t1.matrix.shape == (50, CB.embed_dim)
         assert abs(t1.matrix.mean()) < 0.01
@@ -118,7 +136,10 @@ class TestInitEmbedding:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            init_embedding("nope", init_params(CB, 0), [], PS, np.random.default_rng(0))
+            init_embedding(
+                "nope", init_params(CB, 0), _corpus_all_in_one(), FewShotTask([], [], "x"),
+                np.random.default_rng(0),
+            )
 
 
 class TestFinetune:

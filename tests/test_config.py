@@ -9,7 +9,8 @@ from xpq.config import RunConfig, load_run_config, write_resolved_config
 from xpq.errors import ConfigError
 from xpq.schema import build
 from xpq.synth import SynthConfig
-from xpq.trainer import TrainConfig, config_hash
+from xpq.checkpoint import config_hash
+from xpq.trainer import TrainConfig
 
 
 def _write(tmp_path, obj):

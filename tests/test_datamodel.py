@@ -341,6 +341,34 @@ class TestCorpusMemo:
         assert got.scatter == 0.5
         assert corpus.stats([bare]).n_frames == 0
 
+    def test_queries_are_aggregate_queries_bit_for_bit(self, small_corpus):
+        # random subsets of every language, in the order drawn
+        for language in small_corpus.language_ids:
+            pool = small_corpus.by_language(language)
+            ps = small_corpus.phoneme_set(language)
+            for k in (1, 4, 16, len(pool)):
+                for seed in range(20):
+                    idx = np.random.default_rng(seed).choice(len(pool), size=k, replace=False)
+                    utts = [pool[i] for i in idx]
+                    got = small_corpus.queries(utts)
+                    want = xpq.queries.aggregate_queries(utts, ps)
+                    assert got.matrix.dtype == want.matrix.dtype == np.float32
+                    assert got.matrix.tobytes() == want.matrix.tobytes()
+                    assert np.array_equal(got.present, want.present)
+                    assert (got.language, got.phonemes) == (want.language, want.phonemes)
+
+    def test_queries_keep_float64_features_and_skip_bare_utterances(self):
+        ps = LanguagePhonemeSet("x", ("a", "b", "c"))
+        utts = [
+            make_utterance("bare", "x", np.ones((2, 2)), [], dtype=np.float64),
+            make_utterance("u", "x", [[0.1, 0.2], [0.3, 0.7]], [("b", 0, 2)], dtype=np.float64),
+        ]
+        corpus = make_corpus([ps], utts)
+        got, want = corpus.queries(utts), xpq.queries.aggregate_queries(utts, ps)
+        assert got.matrix.dtype == np.float64
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.present.tolist() == [False, True, False]
+
     def test_gapless_bundles_are_read_only_views_of_the_features(self, small_corpus):
         # synthetic segments tile each utterance, so no frame is copied
         for utt in small_corpus.utterances:

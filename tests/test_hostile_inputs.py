@@ -211,6 +211,53 @@ def test_non_utf8_alignment_stops_loaders(workdir, tmp_path, non_utf8_corpus, co
     assert line.startswith(f"error:validation: {entry_id}: "), line
 
 
+# An empty alignment is legal, so a group can cover no frame: a val split, a
+# loss group or a task's queries. (emptied entries, command) of each case;
+# each command runs to the end.
+EMPTY_ALIGNMENT_CASES = {
+    "val-split": ({"L0_0018", "L0_0019"}, "train"),
+    "loss-groups": ({f"L0_{i:04d}" for i in range(10)}, "train"),
+    "adapt-queries": ({f"T0_{i:04d}" for i in range(10, 20)}, "adapt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_ALIGNMENT_CASES))
+def test_groups_without_covered_frames_are_not_errors(workdir, tmp_path, case):
+    emptied, command = EMPTY_ALIGNMENT_CASES[case]
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workdir / "corpus", corpus)
+    manifest = corpus / "manifest.json"
+    for entry in json.loads(manifest.read_text())["entries"]:
+        if entry["id"] in emptied:
+            (corpus / entry["alignment_path"]).write_text("")
+    assert run_cli(["validate", "--manifest", manifest])[1] == "corpus OK\n"
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--config", workdir / "config.json", "--corpus", manifest, "--out", out]
+    else:
+        cfg = dict(CONFIG, adapt={"finetune_steps": 5, "eval_checkpoints": [0, 5]})
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        argv = ["adapt", "--checkpoint", workdir / "ckpt", "--corpus", manifest, "--language",
+                "T0", "--k", "1", "--q", "1", "--tasks", "4", "--config",
+                tmp_path / "config.json", "--out", out]
+    code, _, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    if case == "val-split":  # L0 has no covered val frame, T0 no val split
+        assert (out / "val_loss.tsv").read_text() == "# language\tn_val\tloss\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--top-k", -1), ("--top-k", 0),
+                                         ("--target-count", -3), ("--target-count", 0)])
+def test_map_phonemes_counts_below_one_are_config_errors(workdir, tmp_path, flag, value):
+    """`--top-k -1` would list all but one candidate, `--top-k 0` no row, and
+    `--target-count -3` would score the bare cover."""
+    out = tmp_path / "out"
+    assert_one_error(["map-phonemes", "--checkpoint", workdir / "ckpt", "--corpus",
+                      workdir / "corpus" / "manifest.json", flag, value, "--out", out],
+                     "config", f"{flag} must be >= 1, got {value}")
+    assert not out.exists()
+
+
 # (command, section edit, needle); each edit is applied to a copy of CONFIG
 CONFIG_CASES = {
     "codebook-n-float": ("train", ("codebook", "n", 1.5), "codebook.n must be an integer"),

@@ -32,26 +32,25 @@ def _cover_corpus():
 class TestCoveringSentences:
     def test_single_covering_utterance(self):
         corpus = _cover_corpus()
-        utts, warning = covering_sentences(corpus, "x", 1, np.random.default_rng(0))
+        utts = covering_sentences(corpus, "x", 1, np.random.default_rng(0))
         assert [u.id for u in utts] == ["all"]
-        assert not warning
 
-    def test_cover_larger_than_target_warns(self):
+    def test_cover_larger_than_target_is_returned_whole(self):
         utts = [
             make_utterance("a1", "x", np.ones((1, 2)), [("a", 0, 1)]),
             make_utterance("b1", "x", np.ones((1, 2)), [("b", 0, 1)]),
             make_utterance("c1", "x", np.ones((1, 2)), [("c", 0, 1)]),
         ]
         corpus = make_corpus([PS], utts)
-        chosen, warning = covering_sentences(corpus, "x", 1, np.random.default_rng(0))
-        assert warning and len(chosen) == 3
+        chosen = covering_sentences(corpus, "x", 1, np.random.default_rng(0))
+        assert len(chosen) == 3
         covered = set().union(*(u.phoneme_symbols() for u in chosen))
         assert covered == {"a", "b", "c"}
 
     def test_random_fill_reaches_target(self):
         corpus = _cover_corpus()
-        utts, warning = covering_sentences(corpus, "x", 3, np.random.default_rng(0))
-        assert len(utts) == 3 and not warning
+        utts = covering_sentences(corpus, "x", 3, np.random.default_rng(0))
+        assert len(utts) == 3
         assert utts[0].id == "all"
 
     def test_uncoverable_phoneme_named(self):
@@ -61,12 +60,12 @@ class TestCoveringSentences:
             covering_sentences(corpus, "x", 2, np.random.default_rng(0))
 
     def test_deterministic_under_seed(self, small_corpus):
-        u1, _ = covering_sentences(small_corpus, "L0", 20, np.random.default_rng(9))
-        u2, _ = covering_sentences(small_corpus, "L0", 20, np.random.default_rng(9))
+        u1 = covering_sentences(small_corpus, "L0", 20, np.random.default_rng(9))
+        u2 = covering_sentences(small_corpus, "L0", 20, np.random.default_rng(9))
         assert [u.id for u in u1] == [u.id for u in u2]
 
     def test_coverage_post_hoc(self, small_corpus):
-        utts, _ = covering_sentences(small_corpus, "T0", 10, np.random.default_rng(0))
+        utts = covering_sentences(small_corpus, "T0", 10, np.random.default_rng(0))
         covered = set().union(*(u.phoneme_symbols() for u in utts))
         assert covered == set(small_corpus.phoneme_set("T0").phonemes)
 
@@ -118,7 +117,7 @@ class TestScoreTable:
         shared_rng = np.random.default_rng(0)  # one stream, as build_score_table uses
         for lang in small_corpus.language_ids:
             ps = small_corpus.phoneme_set(lang)
-            cover, _ = covering_sentences(small_corpus, lang, 30, shared_rng)
+            cover = covering_sentences(small_corpus, lang, 30, shared_rng)
             qm = aggregate_queries(cover, ps)
             _, rec = forward(params, qm)
             for i in np.flatnonzero(qm.present):
@@ -159,10 +158,6 @@ class TestTopK:
     def test_cross_language_exclusion(self):
         top = top_k_mappings(self._table(), "A-p", k=5)
         assert [p for p, _ in top] == ["B-q1", "B-q2"]
-
-    def test_same_language_included_when_allowed(self):
-        top = top_k_mappings(self._table(), "A-p", k=5, cross_language_only=False)
-        assert [p for p, _ in top] == ["A-r", "B-q1", "B-q2"]
 
     def test_k_larger_than_candidates(self):
         top = top_k_mappings(self._table(), "B-q1", k=99)

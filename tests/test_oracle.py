@@ -526,11 +526,10 @@ def test_finetune_and_evaluate_on_memoized_bundles_match_oracle(small_corpus, k)
     config = AdaptConfig(finetune_steps=40, eval_checkpoints=(0, 10, 40))
     spec = TaskSpec("T0", k=k, q=16, seed=7)
     task = sample_task(small_corpus, spec)
-    phoneme_set = small_corpus.phoneme_set("T0")
     shots, queries = small_corpus.stats(task.shots), small_corpus.stats(task.queries)
     for mode in MODES:
         rng = np.random.default_rng(spec.seed)
-        table0 = init_embedding(mode, params, task.shots, phoneme_set, rng)
+        table0 = init_embedding(mode, params, small_corpus, task, rng)
         points = finetune(table0, decoder, shots, config)
         points_ref = oracle.finetune(table0, decoder, task.shots, config)
         assert [p.step for p in points] == [p.step for p in points_ref] == [0, 10, 40]

@@ -18,13 +18,12 @@ from xpq.decoder import DecoderParams, loss_and_grads
 from xpq.errors import ConfigError, CoverageError, FormatError
 from xpq.gradcheck import central_difference, max_rel_err
 from xpq.queries import aggregate_queries
+from xpq.checkpoint import load_checkpoint, model_tensors, save_checkpoint
 from xpq.trainer import (
     TrainConfig,
     init_train_state,
-    load_checkpoint,
     run_training,
     sample_language_batch,
-    save_checkpoint,
     split_with_coverage,
     train_step,
 )
@@ -214,6 +213,20 @@ class TestTrainStep:
         for gen, loss in recorded:
             gen_syms = set().union(*(u.phoneme_symbols() for u in gen))
             assert set().union(*(u.phoneme_symbols() for u in loss)) <= gen_syms
+
+    def test_loss_group_without_covered_frames_is_refused_before_any_update(self):
+        # an empty alignment is a valid corpus entry, but a loss group of such
+        # utterances has no loss; run_training resamples on CoverageError
+        toy = _toy_corpus()
+        bare = [make_utterance(f"bare{i}", "L0", np.ones((2, 6)), []) for i in range(8)]
+        corpus = make_corpus(toy.manifest.languages, [*toy.utterances, *bare])
+        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        before = {k: t.copy() for k, t in model_tensors(state.params, state.decoder).items()}
+        with pytest.raises(CoverageError, match="the loss group covers no frame"):
+            train_step(state, bare, corpus, TOY_TRAIN)
+        assert state.step == 0
+        for name, t in model_tensors(state.params, state.decoder).items():
+            assert np.array_equal(t, before[name]), name
 
     def test_composite_gradient_on_real_batch(self):
         # finite differences over the exact objective a step optimizes,
