@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import CodebookParams, EmbeddingTable, forward, xavier_bound
-from .datamodel import Corpus, Utterance
+from .datamodel import Corpus, Utterance, mask_union
 from .decoder import DecoderGrads, DecoderParams, PhonemeStats, loss_and_grads
 from .errors import ConfigError, NumericError, TaskError, VocabularyError
 from .optim import adam_step, init_adam
@@ -82,21 +82,22 @@ def sample_task(corpus: Corpus, spec: TaskSpec, limit: int = 100) -> FewShotTask
             f"need k+q = {spec.k + spec.q}"
         )
     rng = np.random.default_rng(spec.seed)
-    symbols = [u.phoneme_symbols() for u in pool]
+    masks = corpus.masks(pool)
+    phoneme_set = corpus.phoneme_set(spec.language)
     last = ""
     for _ in range(limit):
-        idx = rng.choice(len(pool), size=spec.k + spec.q, replace=False)
+        idx = rng.choice(len(pool), size=spec.k + spec.q, replace=False).tolist()
         shot_idx, query_idx = idx[: spec.k], idx[spec.k :]
-        shot_syms = frozenset().union(*(symbols[i] for i in shot_idx))
-        query_syms = frozenset().union(*(symbols[i] for i in query_idx))
-        if not query_syms:
+        shot_mask = mask_union(masks[i] for i in shot_idx)
+        query_mask = mask_union(masks[i] for i in query_idx)
+        if not query_mask:
             last = "the last draw's queries cover no frame"
-        elif query_syms <= shot_syms:
+        elif not query_mask & ~shot_mask:
             return FewShotTask(
                 [pool[i] for i in shot_idx], [pool[i] for i in query_idx], spec.language
             )
         else:
-            last = f"last uncovered phonemes: {sorted(query_syms - shot_syms)}"
+            last = f"last uncovered phonemes: {phoneme_set.mask_symbols(query_mask & ~shot_mask)}"
     raise TaskError(
         f"no covering (shots, queries) draw for {spec.language!r} k={spec.k} within "
         f"{limit} attempts; {last}"

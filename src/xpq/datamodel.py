@@ -23,8 +23,9 @@ import json
 import struct
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,11 @@ SPLITS = ("train", "val", "test")
 def namespaced(language: str, phoneme: str) -> str:
     """Cross-language phoneme key, e.g. ("en", "AA0") -> "en-AA0"."""
     return f"{language}-{phoneme}"
+
+
+def mask_union(masks: Iterable[int]) -> int:
+    """The rows any of the phoneme bitmasks (see Corpus.masks) covers."""
+    return reduce(int.__or__, masks, 0)
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,10 @@ class LanguagePhonemeSet:
         self.index(phoneme)
         return namespaced(self.language, phoneme)
 
+    def mask_symbols(self, mask: int) -> list[str]:
+        """The sorted symbols of the rows set in a phoneme bitmask (Corpus.masks)."""
+        return sorted(p for r, p in enumerate(self.phonemes) if mask >> r & 1)
+
 
 @dataclass
 class Utterance:
@@ -124,14 +134,6 @@ class Utterance:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def phoneme_symbols(self) -> frozenset[str]:
-        """The alignment's phoneme symbols; computed at first call and kept."""
-        try:
-            return self._symbols
-        except AttributeError:
-            self._symbols = frozenset(seg.phoneme for seg in self.alignment)
-            return self._symbols
 
 
 def segment_arrays(
@@ -396,15 +398,13 @@ class RepStack:
     Utterance u is the u-th utterance of the language in manifest order, of
     any split. reps[u] and counts[u] are its queries.phoneme_rep_matrix
     result: each phoneme's mean frame and frame count. scatter[u] is the sum
-    of its covered frames' squared distances to their phoneme's mean. Bit r of
-    masks[u] is set when counts[u, r] > 0, for row r of the language's phoneme
-    set. row maps an utterance id to its u.
+    of its covered frames' squared distances to their phoneme's mean. row maps
+    an utterance id to its u.
     """
 
     reps: np.ndarray  # (U, m, dim) float64
     counts: np.ndarray  # (U, m) int64
     scatter: np.ndarray  # (U,) float64
-    masks: tuple[int, ...]
     row: dict[str, int]
 
 
@@ -413,9 +413,9 @@ class Corpus:
     """In-memory corpus: manifest plus fully loaded utterances.
 
     Utterances keep manifest order; values are immutable after load. Data
-    derived from them (train pools and each language's RepStack) is built at
-    first use and kept here, never at load; being a pure function of
-    immutable values, the memo changes no result.
+    derived from them (train pools, and each language's phoneme bitmasks and
+    RepStack) is built at first use and kept here, never at load; being a
+    pure function of immutable values, the memo changes no result.
     """
 
     manifest: CorpusManifest
@@ -430,6 +430,7 @@ class Corpus:
             self._by_lang_split.setdefault((utt.language, split), []).append(i)
         self._train_pools: dict[int, tuple[tuple[Utterance, ...], ...]] = {}
         self._rep_stacks: dict[str, RepStack] = {}
+        self._masks: dict[str, dict[str, int]] = {}
 
     @property
     def feature_spec(self) -> FeatureSpec:
@@ -481,13 +482,25 @@ class Corpus:
                 reps[u], counts[u] = phoneme_rep_matrix(utt, phoneme_set)
                 bundle = build_frame_bundle(utt, phoneme_set)
                 scatter[u] = frame_residual_stats(bundle.frames, bundle.rows, reps[u])[0]
-            masks = tuple(
-                int.from_bytes(np.packbits(c > 0, bitorder="little").tobytes(), "little")
-                for c in counts
-            )
             row = {utt.id: u for u, utt in enumerate(utterances)}
-            out = self._rep_stacks[language] = RepStack(reps, counts, scatter, masks, row)
+            out = self._rep_stacks[language] = RepStack(reps, counts, scatter, row)
         return out
+
+    def masks(self, utterances: list[Utterance]) -> list[int]:
+        """Each utterance's phoneme bitmask, read from its segments alone: bit r
+        is set when one has row r of the phoneme set of utterances[0]'s
+        language, so an empty alignment gives 0. Coverage is tested on these."""
+        if not utterances:
+            return []
+        language = utterances[0].language
+        table = self._masks.get(language)
+        if table is None:
+            bit = {p: 1 << r for r, p in enumerate(self.phoneme_set(language).phonemes)}
+            table = self._masks[language] = {
+                utt.id: mask_union(bit[seg.phoneme] for seg in utt.alignment)
+                for utt in self.by_language(language)
+            }
+        return [table[utt.id] for utt in utterances]
 
     def _stack_rows(self, utterances: list[Utterance]) -> tuple[RepStack, list[int]]:
         """The RepStack of the utterances' language and their rows in it."""

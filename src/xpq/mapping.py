@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import CodebookParams, forward
-from .datamodel import Corpus, Utterance, namespaced
+from .datamodel import Corpus, Utterance, mask_union, namespaced
 from .errors import CoverageError, UndefinedScoreError, VocabularyError
 from .queries import aggregate_queries
 
@@ -36,26 +36,20 @@ def covering_sentences(
     """
     pool = corpus.by_language(language)
     phoneme_set = corpus.phoneme_set(language)
-    symbols = [u.phoneme_symbols() for u in pool]
-    everywhere = frozenset().union(*symbols) if symbols else frozenset()
-    missing = sorted(set(phoneme_set.phonemes) - everywhere)
+    masks = corpus.masks(pool)
+    uncovered = (1 << phoneme_set.size) - 1
+    missing = phoneme_set.mask_symbols(uncovered & ~mask_union(masks))
     if missing:
         raise CoverageError(
             f"language {language!r}: phonemes {missing} occur in no utterance"
         )
-    uncovered = set(phoneme_set.phonemes)
     chosen: list[int] = []
-    in_chosen: set[int] = set()
-    while uncovered:
-        best = max(
-            (i for i in range(len(pool)) if i not in in_chosen),
-            key=lambda i: (len(symbols[i] & uncovered), -i),
-        )
+    while uncovered:  # an utterance already chosen covers no uncovered row
+        best = max(range(len(pool)), key=lambda i: ((masks[i] & uncovered).bit_count(), -i))
         chosen.append(best)
-        in_chosen.add(best)
-        uncovered -= symbols[best]
+        uncovered &= ~masks[best]
     if len(chosen) < target_count:
-        rest = [i for i in range(len(pool)) if i not in in_chosen]
+        rest = [i for i in range(len(pool)) if i not in chosen]
         n_extra = min(target_count - len(chosen), len(rest))
         if n_extra:
             extra = rng.choice(len(rest), size=n_extra, replace=False)

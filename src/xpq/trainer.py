@@ -13,7 +13,6 @@ group's queries (Corpus.queries) and the loss group's statistics
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .checkpoint import TrainState, load_checkpoint, model_tensors, save_checkpo
 # not called here: perfbench's checks call xpq.trainer.load_checkpoint_params
 from .checkpoint import load_checkpoint_params  # noqa: F401
 from .codebook import CodebookConfig, CodebookGrads, attention_backward, forward, init_params
-from .datamodel import Corpus, Utterance
+from .datamodel import Corpus, LanguagePhonemeSet, Utterance, mask_union
 from .decoder import DecoderGrads, init_decoder, loss_and_grads
 from .errors import ConfigError, CoverageError
 from .optim import adam_step, init_adam, scheduled_lr
@@ -88,18 +87,18 @@ def split_with_coverage(
     loss_size: int,
     limit: int = 100,
     *,
-    masks: Sequence[int],
+    masks: list[int],
+    phoneme_set: LanguagePhonemeSet,
 ) -> tuple[list[Utterance], list[Utterance]]:
-    """Split a batch so every loss-group phoneme occurs in the generation group.
+    """Split a batch so every loss-group phoneme occurs in the generation group
+    and the loss group covers at least one phoneme.
 
     Rejection-samples up to `limit` splits, then falls back to a greedy split
     that forces a bearer of each phoneme (rarest first, ties by symbol) into
     the generation group and fills the remainder randomly. Raises
-    CoverageError when no valid split exists.
+    CoverageError when neither gives a valid split.
 
-    Coverage is tested on phoneme bitmasks: masks[i] has one bit per phoneme
-    of batch[i], such as RepStack.masks. Any bit assignment that gives each
-    phoneme its own bit gives the same split.
+    masks[i] is batch[i]'s bitmask over phoneme_set's rows (Corpus.masks).
     """
     if len(batch) != gen_size + loss_size:
         raise ValueError(f"batch size {len(batch)} != {gen_size} + {loss_size}")
@@ -110,7 +109,7 @@ def split_with_coverage(
             gen |= masks[i]
         for i in loss_idx:
             loss |= masks[i]
-        return not loss & ~gen
+        return loss and not loss & ~gen
 
     for _ in range(limit):
         perm = rng.permutation(len(batch)).tolist()
@@ -118,35 +117,26 @@ def split_with_coverage(
         if split_ok(gen_idx, loss_idx):
             return [batch[i] for i in gen_idx], [batch[i] for i in loss_idx]
 
-    syms = [u.phoneme_symbols() for u in batch]
-    counts: dict[str, int] = {}
-    for s in syms:
-        for ph in s:
-            counts[ph] = counts.get(ph, 0) + 1
+    counts = {r: c for r in range(phoneme_set.size) if (c := sum(m >> r & 1 for m in masks))}
     forced: list[int] = []
-    in_forced: set[int] = set()
-    covered: set[str] = set()
-    for ph in sorted(counts, key=lambda p: (counts[p], p)):
-        if ph in covered or len(forced) == gen_size:
+    covered = 0
+    for r in sorted(counts, key=lambda r: (counts[r], phoneme_set.phonemes[r])):
+        if covered >> r & 1 or len(forced) == gen_size:
             continue
-        bearer = next(i for i in range(len(batch)) if ph in syms[i] and i not in in_forced)
+        bearer = next(i for i, m in enumerate(masks) if m >> r & 1)  # not forced: r is uncovered
         forced.append(bearer)
-        in_forced.add(bearer)
-        covered |= syms[bearer]
-    rest = [i for i in range(len(batch)) if i not in in_forced]
+        covered |= masks[bearer]
+    rest = [i for i in range(len(batch)) if i not in forced]
     fill_order = rng.permutation(len(rest))
     fill = [rest[j] for j in fill_order.tolist()]
     gen_idx = forced + fill[: gen_size - len(forced)]
     loss_idx = fill[gen_size - len(forced) :]
     if split_ok(gen_idx, loss_idx):
         return [batch[i] for i in gen_idx], [batch[i] for i in loss_idx]
-    gen_set: set[str] = set()
-    for i in gen_idx:
-        gen_set |= syms[i]
-    uncovered = sorted(set().union(*(syms[i] for i in loss_idx)) - gen_set)
-    raise CoverageError(
-        f"no coverage-valid split exists for this batch; uncovered phonemes: {uncovered}"
-    )
+    loss = mask_union(masks[i] for i in loss_idx)
+    uncovered = phoneme_set.mask_symbols(loss & ~mask_union(masks[i] for i in gen_idx))
+    reason = f"uncovered phonemes: {uncovered}" if loss else "the loss group covers no frame"
+    raise CoverageError(f"no coverage-valid split exists for this batch; {reason}")
 
 
 def init_train_state(
@@ -174,14 +164,14 @@ def train_step(
     of the generation group are its rows of the corpus's rep stack, and the
     loss reads the loss group's merged statistics.
     """
-    stack = corpus.rep_stack(batch[0].language)
     gen_group, loss_group = split_with_coverage(
         batch,
         state.rng,
         config.gen_group_size,
         config.loss_group_size,
         config.coverage_resample_limit,
-        masks=[stack.masks[stack.row[u.id]] for u in batch],
+        masks=corpus.masks(batch),
+        phoneme_set=corpus.phoneme_set(batch[0].language),
     )
     loss_stats = corpus.stats(loss_group)
     if not loss_stats.n_frames:

@@ -5,6 +5,7 @@ from xpq.datamodel import (
     Corpus,
     CorpusManifest,
     FeatureSpec,
+    LanguagePhonemeSet,
     ManifestEntry,
     PhonemeSegment,
     Utterance,
@@ -23,11 +24,20 @@ def make_utterance(uid, language, features, segments, dtype=np.float32):
     )
 
 
-def coverage_masks(batch):
-    """One phoneme bitmask per utterance of batch, as split_with_coverage
-    takes them: bit b is the b-th of the batch's symbols in sorted order."""
-    symbols = sorted(set().union(*(u.phoneme_symbols() for u in batch)))
-    return [sum(1 << symbols.index(ph) for ph in u.phoneme_symbols()) for u in batch]
+def symbols(utterance):
+    """The phoneme symbols of the utterance's alignment."""
+    return {seg.phoneme for seg in utterance.alignment}
+
+
+def coverage_masks(batch, phonemes=None):
+    """split_with_coverage's masks= and phoneme_set= keywords for batch: bit r
+    of an utterance's mask is row r of a phoneme set whose rows are
+    `phonemes`, by default the batch's symbols in sorted order."""
+    if phonemes is None:
+        phonemes = sorted(set().union(*map(symbols, batch)))
+    phoneme_set = LanguagePhonemeSet("x", tuple(phonemes))
+    masks = [sum(1 << phoneme_set.index(ph) for ph in symbols(u)) for u in batch]
+    return {"masks": masks, "phoneme_set": phoneme_set}
 
 
 def make_corpus(phoneme_sets, utterances, splits=None, dim=None):

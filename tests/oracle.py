@@ -9,9 +9,9 @@ concatenates them, the loss that scores every covered frame of such a bundle
 through the residual kernel, the per-pair mapping score, Adam updating one
 tensor at a time with per-tensor moments and temporaries, fine-tuning (on
 that Adam) and evaluation that score every frame of the bundles they gather
-from the utterances, the training split testing coverage on symbol sets, and the
-alignment parser building frozen-dataclass segments that check their own
-range.
+from the utterances, the training split, the few-shot task sampler and the
+mapping cover testing coverage on symbol sets, and the alignment parser
+building frozen-dataclass segments that check their own range.
 test_oracle.py states each pair's contract: bitwise, exact or a named
 tolerance. Tests only; nothing in src/ imports this module.
 """
@@ -25,13 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from xpq import kernels
-from xpq.adaptation import FinetunePoint
+from xpq.adaptation import FewShotTask, FinetunePoint, TaskSpec
 from xpq.codebook import CodebookGrads, CodebookParams
-from xpq.datamodel import LanguagePhonemeSet, Utterance, segment_arrays
+from xpq.datamodel import Corpus, LanguagePhonemeSet, Utterance, segment_arrays
 from xpq.decoder import DecoderGrads, FrameBundle
 from xpq.errors import (
     CoverageError,
     NumericError,
+    TaskError,
     UndefinedScoreError,
     ValidationError,
     VocabularyError,
@@ -286,6 +287,10 @@ def evaluate(table, decoder, queries) -> float:
     return total_sq / (total_frames * dim)
 
 
+def _symbols(utterance: Utterance) -> frozenset[str]:
+    return frozenset(seg.phoneme for seg in utterance.alignment)
+
+
 def split_with_coverage(
     batch: list[Utterance],
     rng: np.random.Generator,
@@ -297,13 +302,13 @@ def split_with_coverage(
     symbol set, with numpy integers for indices."""
     if len(batch) != gen_size + loss_size:
         raise ValueError(f"batch size {len(batch)} != {gen_size} + {loss_size}")
-    syms = [u.phoneme_symbols() for u in batch]
+    syms = [_symbols(u) for u in batch]
 
     def split_ok(gen_idx, loss_idx):
         gen_set: set[str] = set()
         for i in gen_idx:
             gen_set |= syms[i]
-        return all(syms[i] <= gen_set for i in loss_idx)
+        return any(syms[i] for i in loss_idx) and all(syms[i] <= gen_set for i in loss_idx)
 
     for _ in range(limit):
         perm = rng.permutation(len(batch))
@@ -332,6 +337,10 @@ def split_with_coverage(
     loss_idx = fill[gen_size - len(forced) :]
     if split_ok(gen_idx, loss_idx):
         return [batch[i] for i in gen_idx], [batch[i] for i in loss_idx]
+    if not any(syms[i] for i in loss_idx):
+        raise CoverageError(
+            "no coverage-valid split exists for this batch; the loss group covers no frame"
+        )
     gen_set: set[str] = set()
     for i in gen_idx:
         gen_set |= syms[i]
@@ -339,6 +348,69 @@ def split_with_coverage(
     raise CoverageError(
         f"no coverage-valid split exists for this batch; uncovered phonemes: {uncovered}"
     )
+
+
+def sample_task(corpus: Corpus, spec: TaskSpec, limit: int = 100) -> FewShotTask:
+    """adaptation.sample_task testing coverage on each utterance's symbol set."""
+    pool = corpus.by_language(spec.language)
+    if len(pool) < spec.k + spec.q:
+        raise TaskError(
+            f"language {spec.language!r} has {len(pool)} utterances, "
+            f"need k+q = {spec.k + spec.q}"
+        )
+    rng = np.random.default_rng(spec.seed)
+    symbols = [_symbols(u) for u in pool]
+    last = ""
+    for _ in range(limit):
+        idx = rng.choice(len(pool), size=spec.k + spec.q, replace=False)
+        shot_idx, query_idx = idx[: spec.k], idx[spec.k :]
+        shot_syms = frozenset().union(*(symbols[i] for i in shot_idx))
+        query_syms = frozenset().union(*(symbols[i] for i in query_idx))
+        if not query_syms:
+            last = "the last draw's queries cover no frame"
+        elif query_syms <= shot_syms:
+            return FewShotTask(
+                [pool[i] for i in shot_idx], [pool[i] for i in query_idx], spec.language
+            )
+        else:
+            last = f"last uncovered phonemes: {sorted(query_syms - shot_syms)}"
+    raise TaskError(
+        f"no covering (shots, queries) draw for {spec.language!r} k={spec.k} within "
+        f"{limit} attempts; {last}"
+    )
+
+
+def covering_sentences(
+    corpus: Corpus, language: str, target_count: int, rng: np.random.Generator
+) -> list[Utterance]:
+    """mapping.covering_sentences ranking utterances by their symbol sets."""
+    pool = corpus.by_language(language)
+    phoneme_set = corpus.phoneme_set(language)
+    symbols = [_symbols(u) for u in pool]
+    everywhere = frozenset().union(*symbols) if symbols else frozenset()
+    missing = sorted(set(phoneme_set.phonemes) - everywhere)
+    if missing:
+        raise CoverageError(
+            f"language {language!r}: phonemes {missing} occur in no utterance"
+        )
+    uncovered = set(phoneme_set.phonemes)
+    chosen: list[int] = []
+    in_chosen: set[int] = set()
+    while uncovered:
+        best = max(
+            (i for i in range(len(pool)) if i not in in_chosen),
+            key=lambda i: (len(symbols[i] & uncovered), -i),
+        )
+        chosen.append(best)
+        in_chosen.add(best)
+        uncovered -= symbols[best]
+    if len(chosen) < target_count:
+        rest = [i for i in range(len(pool)) if i not in in_chosen]
+        n_extra = min(target_count - len(chosen), len(rest))
+        if n_extra:
+            extra = rng.choice(len(rest), size=n_extra, replace=False)
+            chosen.extend(rest[j] for j in extra)
+    return [pool[i] for i in chosen]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ from xpq.trainer import (
     train_step,
 )
 
+from conftest import symbols
+
 
 @pytest.fixture
 def criterion(capfd):
@@ -229,8 +231,8 @@ def test_coverage_properties(criterion, default_corpus, monkeypatch):
             train_step(state, batch, default_corpus, config)
         assert len(recorded) >= 100
         for gen, loss in recorded:
-            gen_syms = set().union(*(u.phoneme_symbols() for u in gen))
-            loss_syms = set().union(*(u.phoneme_symbols() for u in loss))
+            gen_syms = set().union(*(symbols(u) for u in gen))
+            loss_syms = set().union(*(symbols(u) for u in loss))
             assert loss_syms <= gen_syms
 
         # few-shot tasks: 100 sampled tasks across k values and languages
@@ -241,8 +243,8 @@ def test_coverage_properties(criterion, default_corpus, monkeypatch):
                     task = sample_task(
                         default_corpus, TaskSpec(language, k=k, q=64, seed=seed)
                     )
-                    shot_syms = set().union(*(u.phoneme_symbols() for u in task.shots))
-                    query_syms = set().union(*(u.phoneme_symbols() for u in task.queries))
+                    shot_syms = set().union(*(symbols(u) for u in task.shots))
+                    query_syms = set().union(*(symbols(u) for u in task.queries))
                     assert query_syms <= shot_syms
                     checked += 1
         assert checked == 100

@@ -18,7 +18,7 @@ from xpq.datamodel import LanguagePhonemeSet
 from xpq.decoder import DecoderParams, init_decoder
 from xpq.errors import ConfigError, TaskError, VocabularyError
 
-from conftest import make_corpus, make_utterance
+from conftest import make_corpus, make_utterance, symbols
 
 PS = LanguagePhonemeSet("x", ("a", "b", "c"))
 
@@ -84,8 +84,8 @@ class TestSampleTask:
     def test_coverage_holds_on_synthetic_corpus(self, small_corpus):
         for seed in range(100):
             task = sample_task(small_corpus, TaskSpec("T0", k=4, q=16, seed=seed))
-            shot_syms = set().union(*(u.phoneme_symbols() for u in task.shots))
-            query_syms = set().union(*(u.phoneme_symbols() for u in task.queries))
+            shot_syms = set().union(*(symbols(u) for u in task.shots))
+            query_syms = set().union(*(symbols(u) for u in task.queries))
             assert query_syms <= shot_syms
             assert not {u.id for u in task.shots} & {u.id for u in task.queries}
 

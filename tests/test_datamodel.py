@@ -41,7 +41,7 @@ from xpq.kernels import frame_residual_stats
 from xpq.queries import phoneme_rep_matrix
 from xpq.synth import SynthConfig, SynthLanguage, generate_corpus
 
-from conftest import SMALL_SYNTH, make_corpus, make_utterance
+from conftest import SMALL_SYNTH, make_corpus, make_utterance, symbols
 
 
 class TestFeatureFile:
@@ -410,8 +410,32 @@ class TestCorpusMemo:
                 bundle = build_frame_bundle(utt, phoneme_set)
                 sq, _ = frame_residual_stats(bundle.frames, bundle.rows, reps)
                 assert stack.scatter[u] == sq
-                bits = {r for r in range(phoneme_set.size) if stack.masks[u] >> r & 1}
-                assert bits == {phoneme_set.index(ph) for ph in utt.phoneme_symbols()}
+
+    def test_masks_are_the_rows_each_alignment_covers(self, small_corpus):
+        """Bit r of an utterance's mask is set exactly when its alignment has
+        row r, which is when the rep stack counts frames in that row."""
+        for language in small_corpus.language_ids:
+            phoneme_set = small_corpus.phoneme_set(language)
+            utterances = small_corpus.by_language(language)
+            stack = small_corpus.rep_stack(language)
+            for utt, mask in zip(utterances, small_corpus.masks(utterances)):
+                bits = {r for r in range(phoneme_set.size) if mask >> r & 1}
+                assert bits == {phoneme_set.index(ph) for ph in symbols(utt)}
+                assert bits == set(np.flatnonzero(stack.counts[stack.row[utt.id]]).tolist())
+
+    def test_masks_follow_row_order_and_give_empty_alignments_zero(self):
+        phoneme_set = LanguagePhonemeSet("x", ("c", "a", "b"))
+        utterances = [
+            make_utterance("bc", "x", np.ones((3, 1)), [("b", 0, 1), ("c", 1, 3)]),
+            make_utterance("bare", "x", np.ones((2, 1)), []),
+            make_utterance("aaa", "x", np.ones((3, 1)), [("a", 0, 1), ("a", 2, 3)]),
+        ]
+        corpus = make_corpus([phoneme_set], utterances)
+        assert corpus.masks(utterances) == [0b101, 0, 0b010]
+        assert corpus.masks(utterances[::-1]) == [0b010, 0, 0b101]
+        assert corpus.masks([]) == []
+        assert phoneme_set.mask_symbols(0b101) == ["b", "c"]
+        assert phoneme_set.mask_symbols(0) == []
 
 
 TINY_SYNTH = SynthConfig(

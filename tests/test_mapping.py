@@ -13,7 +13,7 @@ from xpq.mapping import (
     write_scores_json,
 )
 
-from conftest import make_corpus, make_utterance
+from conftest import make_corpus, make_utterance, symbols
 from oracle import mapping_score
 
 PS = LanguagePhonemeSet("x", ("a", "b", "c"))
@@ -44,7 +44,7 @@ class TestCoveringSentences:
         corpus = make_corpus([PS], utts)
         chosen = covering_sentences(corpus, "x", 1, np.random.default_rng(0))
         assert len(chosen) == 3
-        covered = set().union(*(u.phoneme_symbols() for u in chosen))
+        covered = set().union(*(symbols(u) for u in chosen))
         assert covered == {"a", "b", "c"}
 
     def test_random_fill_reaches_target(self):
@@ -66,7 +66,7 @@ class TestCoveringSentences:
 
     def test_coverage_post_hoc(self, small_corpus):
         utts = covering_sentences(small_corpus, "T0", 10, np.random.default_rng(0))
-        covered = set().union(*(u.phoneme_symbols() for u in utts))
+        covered = set().union(*(symbols(u) for u in utts))
         assert covered == set(small_corpus.phoneme_set("T0").phonemes)
 
 

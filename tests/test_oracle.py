@@ -12,7 +12,9 @@ holds the loss to 1e-12 relative and the gradients to a stated multiple of
 their dtype's epsilon; fine-tuning on statistics against the frame oracle is
 bitwise at step 0 and holds to measured tolerances after it. The alignment
 parser pair is exact: the same segments, or the same exception class with the
-same message.
+same message. The coverage pairs (the training split, sample_task and
+covering_sentences on phoneme bitmasks against symbol sets) are exact over
+drawn pools that include empty alignments and unsorted phoneme rows.
 """
 
 import numpy as np
@@ -42,7 +44,8 @@ from xpq.codebook import (
 )
 from xpq.datamodel import LanguagePhonemeSet, load_alignment
 from xpq.decoder import DecoderParams, build_frame_bundle, init_decoder, loss_and_grads
-from xpq.errors import CoverageError, XpqError
+from xpq.errors import CoverageError, TaskError, XpqError
+from xpq.mapping import covering_sentences
 from xpq.optim import adam_step, init_adam, scheduled_lr
 from xpq.queries import QueryMatrix, aggregate_from_matrices, phoneme_rep_matrix
 from xpq.trainer import split_with_coverage
@@ -421,20 +424,89 @@ def _split_outcome(split, batch, seed, *args, **kwargs):
 )
 @example([frozenset("a"), frozenset("b")], 0.5, 100, 0)  # no valid split: CoverageError
 @example([frozenset("ab"), frozenset("a"), frozenset("b"), frozenset()], 0.5, 0, 1)  # fallback
+@example([frozenset("ab"), frozenset("b"), frozenset(), frozenset()], 0.5, 100, 0)  # empty loss refused
+@example([frozenset("a"), frozenset(), frozenset()], 0.3, 0, 0)  # loss group all empty
 def test_split_on_bitmasks_matches_symbol_set_oracle(symbol_sets, gen_share, limit, seed):
     """Bitwise in outcome: the same groups in the same order, or the same
     CoverageError text, and the same RNG state afterwards, through the
-    rejection loop, the greedy fallback and the error; with bits in the
-    batch's sorted symbol order and in another row order."""
+    rejection loop, the greedy fallback and the error; with rows in sorted
+    and in reverse symbol order, so the fallback's ties go by symbol and not
+    by bit."""
     batch = _batch(symbol_sets)
     gen_size = min(max(1, round(gen_share * len(batch))), len(batch) - 1)
     sizes = (gen_size, len(batch) - gen_size, limit)
     want = _split_outcome(oracle.split_with_coverage, batch, seed, *sizes)
-    masks = coverage_masks(batch)
-    assert _split_outcome(split_with_coverage, batch, seed, *sizes, masks=masks) == want
-    rows = {ph: r for r, ph in enumerate("hgfedcba")}  # any row order gives one bit each
-    masks = [sum(1 << rows[ph] for ph in syms) for syms in symbol_sets]
-    assert _split_outcome(split_with_coverage, batch, seed, *sizes, masks=masks) == want
+    for rows in ("abcdefgh", "hgfedcba"):
+        coverage = coverage_masks(batch, rows)
+        assert _split_outcome(split_with_coverage, batch, seed, *sizes, **coverage) == want
+
+
+@st.composite
+def _pools(draw):
+    """(rows, symbol sets): a phoneme set of 1 to 6 symbols in drawn row
+    order, and the alignments of a one-language pool over it, empty ones
+    included."""
+    rows = "".join(draw(st.permutations("abcdef")))[: draw(st.integers(1, 6))]
+    symbol_sets = draw(
+        st.lists(st.frozensets(st.sampled_from(rows), max_size=3), min_size=1, max_size=14)
+    )
+    return rows, symbol_sets
+
+
+def _pool_corpus(rows, symbol_sets):
+    return make_corpus([LanguagePhonemeSet("x", tuple(rows))], _batch(symbol_sets))
+
+
+def _task_outcome(sample, corpus, spec, limit):
+    """(shot ids, query ids) or the TaskError text."""
+    try:
+        task = sample(corpus, spec, limit)
+    except TaskError as e:
+        return str(e)
+    return [u.id for u in task.shots], [u.id for u in task.queries]
+
+
+@ORACLE
+@given(
+    pool=_pools(),
+    k=st.integers(1, 4),
+    q=st.integers(1, 6),
+    limit=st.sampled_from([1, 3, 100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(("cab", [frozenset("abc"), frozenset("ab"), frozenset("c"), frozenset()]), 2, 2, 100, 0)
+@example(("ba", [frozenset(), frozenset(), frozenset("a")]), 1, 2, 100, 0)  # never covered
+def test_sample_task_on_bitmasks_matches_symbol_set_oracle(pool, k, q, limit, seed):
+    """Exact: the same shots and queries in the same order, or the same
+    TaskError text."""
+    corpus = _pool_corpus(*pool)
+    spec = TaskSpec("x", k=k, q=q, seed=seed)
+    want = _task_outcome(oracle.sample_task, corpus, spec, limit)
+    assert _task_outcome(sample_task, corpus, spec, limit) == want
+
+
+def _cover_outcome(cover, corpus, target_count, seed):
+    """The cover's utterance ids or the CoverageError text, and the RNG state
+    after."""
+    rng = np.random.default_rng(seed)
+    try:
+        outcome = [u.id for u in cover(corpus, "x", target_count, rng)]
+    except CoverageError as e:
+        outcome = str(e)
+    return outcome, rng.bit_generator.state
+
+
+@ORACLE
+@given(pool=_pools(), target_count=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+@example(("cba", [frozenset("ab"), frozenset("c"), frozenset(), frozenset("bc"),
+                  frozenset("a")]), 4, 0)  # greedy ties go to the earlier utterance
+@example(("cba", [frozenset("ab"), frozenset()]), 1, 0)  # "c" occurs nowhere
+def test_covering_sentences_on_bitmasks_matches_symbol_set_oracle(pool, target_count, seed):
+    """Exact: the same utterances in the same order, or the same
+    CoverageError text, and the same RNG state afterwards."""
+    corpus = _pool_corpus(*pool)
+    want = _cover_outcome(oracle.covering_sentences, corpus, target_count, seed)
+    assert _cover_outcome(covering_sentences, corpus, target_count, seed) == want
 
 
 def _loop_shape():

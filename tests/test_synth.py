@@ -8,7 +8,7 @@ from xpq.datamodel import load_corpus, load_feature_file, namespaced, validate_c
 from xpq.errors import ConfigError, FormatError
 from xpq.synth import SynthConfig, SynthLanguage, generate_corpus, load_ground_truth
 
-from conftest import SMALL_SYNTH
+from conftest import SMALL_SYNTH, symbols
 
 
 def test_same_seed_bitwise_identical(tmp_path):
@@ -87,11 +87,11 @@ def test_every_phoneme_in_training_split(small_corpus_dir):
     for lang in ("L0", "L1"):
         seen = set()
         for utt in corpus.by_language(lang, "train"):
-            seen |= utt.phoneme_symbols()
+            seen |= symbols(utt)
         assert seen == set(corpus.phoneme_set(lang).phonemes)
     seen = set()
     for utt in corpus.by_language("T0"):
-        seen |= utt.phoneme_symbols()
+        seen |= symbols(utt)
     assert seen == set(corpus.phoneme_set("T0").phonemes)
 
 

@@ -28,7 +28,7 @@ from xpq.trainer import (
     train_step,
 )
 
-from conftest import coverage_masks, make_corpus, make_utterance
+from conftest import coverage_masks, make_corpus, make_utterance, symbols
 
 
 def _toy_corpus(n_utts=12, seed=0, m=4, dim=6, language="L0"):
@@ -122,18 +122,18 @@ class TestCoverageSplit:
         valid_loss_sets = []
         for loss_ids in itertools.combinations(range(4), 1):
             gen_ids = [i for i in range(4) if i not in loss_ids]
-            gen_syms = set().union(*(batch[i].phoneme_symbols() for i in gen_ids))
-            loss_syms = set().union(*(batch[i].phoneme_symbols() for i in loss_ids))
+            gen_syms = set().union(*(symbols(batch[i]) for i in gen_ids))
+            loss_syms = set().union(*(symbols(batch[i]) for i in loss_ids))
             if loss_syms <= gen_syms:
                 valid_loss_sets.append(loss_ids)
         assert all(0 not in loss_ids for loss_ids in valid_loss_sets)
         for seed in range(40):
             gen, loss = split_with_coverage(
-                batch, np.random.default_rng(seed), 3, 1, masks=coverage_masks(batch)
+                batch, np.random.default_rng(seed), 3, 1, **coverage_masks(batch)
             )
             assert "u0" in {u.id for u in gen}
-            gen_syms = set().union(*(u.phoneme_symbols() for u in gen))
-            assert set().union(*(u.phoneme_symbols() for u in loss)) <= gen_syms
+            gen_syms = set().union(*(symbols(u) for u in gen))
+            assert set().union(*(symbols(u) for u in loss)) <= gen_syms
 
     def test_shared_inventory_first_split_accepted(self):
         batch = [
@@ -141,7 +141,7 @@ class TestCoverageSplit:
             for i in range(5)
         ]
         rng = np.random.default_rng(0)
-        gen, loss = split_with_coverage(batch, rng, 4, 1, masks=coverage_masks(batch))
+        gen, loss = split_with_coverage(batch, rng, 4, 1, **coverage_masks(batch))
         assert len(gen) == 4 and len(loss) == 1
 
     def test_pigeonhole_impossible_split(self):
@@ -151,7 +151,7 @@ class TestCoverageSplit:
             make_utterance("u2", "x", [[1.0]], [("c", 0, 1)]),
         ]
         with pytest.raises(CoverageError):
-            split_with_coverage(batch, np.random.default_rng(0), 2, 1, masks=coverage_masks(batch))
+            split_with_coverage(batch, np.random.default_rng(0), 2, 1, **coverage_masks(batch))
 
     def test_greedy_fallback_forces_rare_bearers_into_gen(self):
         # limit=0 skips rejection sampling so the greedy path must solve it:
@@ -162,7 +162,7 @@ class TestCoverageSplit:
             make_utterance("u2", "x", [[1.0], [1.0]], [("a", 0, 1), ("b", 1, 2)]),
         ]
         gen, loss = split_with_coverage(
-            batch, np.random.default_rng(3), 2, 1, limit=0, masks=coverage_masks(batch)
+            batch, np.random.default_rng(3), 2, 1, limit=0, **coverage_masks(batch)
         )
         assert {u.id for u in gen} == {"u0", "u1"}
         assert {u.id for u in loss} == {"u2"}
@@ -170,7 +170,7 @@ class TestCoverageSplit:
     def test_batch_size_mismatch(self):
         with pytest.raises(ValueError):
             batch = self._mini_batch()
-            split_with_coverage(batch, np.random.default_rng(0), 2, 1, masks=coverage_masks(batch))
+            split_with_coverage(batch, np.random.default_rng(0), 2, 1, **coverage_masks(batch))
 
 
 class TestTrainStep:
@@ -211,8 +211,8 @@ class TestTrainStep:
             train_step(state, batch, corpus, TOY_TRAIN)
         assert len(recorded) == 100
         for gen, loss in recorded:
-            gen_syms = set().union(*(u.phoneme_symbols() for u in gen))
-            assert set().union(*(u.phoneme_symbols() for u in loss)) <= gen_syms
+            gen_syms = set().union(*(symbols(u) for u in gen))
+            assert set().union(*(symbols(u) for u in loss)) <= gen_syms
 
     def test_loss_group_without_covered_frames_is_refused_before_any_update(self):
         # an empty alignment is a valid corpus entry, but a loss group of such
@@ -235,7 +235,7 @@ class TestTrainStep:
         state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
         rng = np.random.default_rng(0)
         batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, rng)
-        gen, loss_group = split_with_coverage(batch, rng, 6, 2, masks=coverage_masks(batch))
+        gen, loss_group = split_with_coverage(batch, rng, 6, 2, **coverage_masks(batch))
         ps = corpus.phoneme_set("L0")
         queries = aggregate_queries(gen, ps).matrix.astype(np.float64)
         stats = corpus.stats(loss_group)
