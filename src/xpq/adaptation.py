@@ -17,12 +17,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .codebook import CodebookParams, EmbeddingTable, forward, xavier_bound
-from .datamodel import Corpus, Utterance, mask_union
+from .datamodel import Corpus, Utterance, mask_union, write_file
 from .decoder import DecoderGrads, DecoderParams, PhonemeStats, loss_and_grads
 from .errors import ConfigError, NumericError, TaskError, VocabularyError
 from .optim import adam_step, init_adam
@@ -275,7 +274,7 @@ def run_experiment(
 
 
 def write_report_json(cells: list[dict], path) -> None:
-    Path(path).write_text(json.dumps(cells, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    write_file(path, json.dumps(cells, indent=2, allow_nan=False) + "\n")
 
 
 def write_report_tsv(cells: list[dict], path) -> None:
@@ -284,4 +283,4 @@ def write_report_tsv(cells: list[dict], path) -> None:
         lines.append(
             f"{cell['language']}\t{cell['k']}\t{cell['mode']}\t{cell['mean']!r}\t{cell['std']!r}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")

@@ -20,8 +20,7 @@ The blob reader checks the magic, the version and the header length,
 compares each tensor's declared size with the bytes left in the file before
 anything is read or allocated, checks each tensor's shape against the one
 the header implies, refuses a tensor holding a NaN or an infinity, and
-refuses trailing bytes. Every file is written beside its target and renamed
-into place.
+refuses trailing bytes. Every file is written through datamodel.write_file.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable
 import numpy as np
 
 from .codebook import CodebookConfig, CodebookParams
+from .datamodel import write_file
 from .decoder import DecoderParams
 from .errors import ConfigError, FormatError, TruncationError
 from .optim import AdamState
@@ -130,15 +130,12 @@ def _stored_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
 def _write_blob(
     path, magic: bytes, version: int, header: bytes, tensors: Iterable[np.ndarray]
 ) -> None:
-    """Write the blob to path + ".tmp", then rename it over path."""
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(magic + struct.pack("<I", version) + header)
-        for t in tensors:
-            a = np.ascontiguousarray(t, dtype="<f4")
-            f.write(struct.pack("<II", *_stored_shape(a.shape)))
-            f.write(a.tobytes(order="C"))
-    tmp.replace(path)
+    """Write the blob in one write_file call."""
+    parts = [magic, struct.pack("<I", version), header]
+    for t in tensors:
+        a = np.ascontiguousarray(t, dtype="<f4")
+        parts += (struct.pack("<II", *_stored_shape(a.shape)), memoryview(a))
+    write_file(path, b"".join(parts))
 
 
 def _read(f: BinaryIO, count: int, path) -> bytes:
@@ -240,9 +237,7 @@ def save_checkpoint(
         META_VERSION, state.step, config_hash(config, cb_config),
         _rng_state_to_json(state.rng), asdict(config), asdict(cb_config),
     )
-    tmp = out / "meta.json.tmp"
-    tmp.write_text(json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(out / "meta.json")
+    write_file(out / "meta.json", json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n")
 
 
 def _read_meta(ckpt_dir: Path) -> tuple[CheckpointMeta, Path]:

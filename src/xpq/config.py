@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 
 from .adaptation import AdaptConfig
 from .codebook import CodebookConfig
+from .datamodel import write_file
 from .errors import ConfigError
 from .schema import build, read_json
 from .synth import SynthConfig
@@ -41,6 +41,4 @@ def write_resolved_config(path, **sections) -> None:
         if value is None:
             continue
         obj[name] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_file(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -14,12 +14,14 @@ File formats:
     canonical row order.
 
 `validate_corpus` and `load_corpus` check each entry with `check_entry`, so
-they agree on every corpus.
+they agree on every corpus. Every output file of the package is written by
+`write_file`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -100,9 +102,6 @@ class LanguagePhonemeSet:
     def size(self) -> int:
         return len(self.phonemes)
 
-    def __contains__(self, phoneme: str) -> bool:
-        return phoneme in self._index
-
     def index(self, phoneme: str) -> int:
         try:
             return self._index[phoneme]
@@ -150,6 +149,25 @@ def segment_arrays(
 
 
 # ---------------------------------------------------------------------------
+# output files
+
+
+def write_file(path, data: str | bytes) -> None:
+    """Write data (a str as UTF-8) to path + ".tmp", then rename it over path,
+    so path is only ever absent, its old bytes or all of data. A failed write
+    or rename removes the temp file and raises an OSError naming path."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        tmp.unlink(missing_ok=True)
+        raise OSError(f"cannot write {path}: {e}") from e
+
+
+# ---------------------------------------------------------------------------
 # feature files
 
 
@@ -162,10 +180,7 @@ def save_feature_file(matrix: np.ndarray, path) -> None:
     rows, cols = arr.shape
     header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, rows, cols)
     payload = np.ascontiguousarray(arr, dtype="<f4").tobytes(order="C")
-    try:
-        Path(path).write_bytes(header + payload)
-    except OSError as e:
-        raise OSError(f"cannot write feature file {path}: {e}") from e
+    write_file(path, header + payload)
 
 
 def load_feature_file(path) -> np.ndarray:
@@ -193,19 +208,15 @@ def load_feature_file(path) -> np.ndarray:
 # alignment files
 
 
-def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
+def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> tuple[PhonemeSegment, ...]:
     """Parse a TSV alignment; segments must be sorted, non-overlapping, in-vocabulary.
 
-    phoneme_set may be a LanguagePhonemeSet or any container of symbols.
     Each line is checked in turn, in this order: three fields, integer
     indices, a known phoneme, start >= 0, start < end; the sort and overlap
     check runs over all segments after the last line. The first fault found
     is raised. Segments share one interned string per phoneme symbol.
     """
-    if isinstance(phoneme_set, LanguagePhonemeSet):
-        symbols = phoneme_set._index
-    else:
-        symbols = frozenset(phoneme_set)
+    symbols = phoneme_set._index
     with open(path, "rb", buffering=0) as f:
         data = f.read()
     try:
@@ -242,7 +253,7 @@ def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
 
 def save_alignment(segments, path) -> None:
     lines = [f"{s.phoneme}\t{s.start_frame}\t{s.end_frame}" for s in segments]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +307,7 @@ def load_manifest(path) -> CorpusManifest:
 def save_manifest(manifest: CorpusManifest, path) -> None:
     obj = asdict(manifest)
     del obj["root"]  # paths in the file are relative to its own directory
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    write_file(path, json.dumps(obj, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .codebook import CodebookParams, forward
-from .datamodel import Corpus, Utterance, mask_union, namespaced
+from .datamodel import Corpus, Utterance, mask_union, namespaced, write_file
 from .errors import CoverageError, UndefinedScoreError, VocabularyError
 from .queries import aggregate_queries
 
@@ -138,7 +137,7 @@ def write_mapping_tsv(scores: MappingScores, path, k: int = 5) -> None:
     for phoneme in scores.phonemes:
         for rank, (target, score) in enumerate(top_k_mappings(scores, phoneme, k), start=1):
             lines.append(f"{phoneme}\t{rank}\t{target}\t{score:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def write_scores_json(scores: MappingScores, path) -> None:
@@ -147,4 +146,4 @@ def write_scores_json(scores: MappingScores, path) -> None:
         "languages": list(scores.languages),
         "scores": [[float(x) for x in row] for row in scores.matrix],
     }
-    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    write_file(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")

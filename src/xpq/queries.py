@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .datamodel import LanguagePhonemeSet, Utterance, save_feature_file, segment_arrays
+from .datamodel import LanguagePhonemeSet, Utterance, save_feature_file, segment_arrays, write_file
 from .errors import ValidationError
 
 
@@ -122,6 +122,4 @@ def save_query_matrix(qm: QueryMatrix, base_path) -> None:
         "phonemes": list(qm.phonemes),
         "present": [bool(p) for p in qm.present],
     }
-    base.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )
+    write_file(base.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")

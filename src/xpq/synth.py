@@ -25,6 +25,7 @@ from .datamodel import (
     save_alignment,
     save_feature_file,
     save_manifest,
+    write_file,
 )
 from .errors import ConfigError, FormatError
 from .schema import read_json
@@ -210,9 +211,7 @@ def generate_corpus(config: SynthConfig, out_dir) -> tuple[CorpusManifest, dict[
                 block = prototypes[protos_of[ph_idx]]
                 if config.noise_sigma > 0:
                     block = block + config.noise_sigma * rng.standard_normal((dur, config.dim))
-                    frames[cursor : cursor + dur] = block
-                else:
-                    frames[cursor : cursor + dur] = block
+                frames[cursor : cursor + dur] = block
                 segments.append(
                     PhonemeSegment(phonemes[ph_idx], cursor, cursor + dur)
                 )
@@ -242,9 +241,7 @@ def generate_corpus(config: SynthConfig, out_dir) -> tuple[CorpusManifest, dict[
 
 
 def save_ground_truth(ground_truth: dict[str, int], path) -> None:
-    Path(path).write_text(
-        json.dumps(ground_truth, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_file(path, json.dumps(ground_truth, indent=2, sort_keys=True) + "\n")
 
 
 def load_ground_truth(path) -> dict[str, int]:

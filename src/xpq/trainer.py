@@ -22,7 +22,7 @@ from .checkpoint import TrainState, load_checkpoint, model_tensors, save_checkpo
 # not called here: perfbench's checks call xpq.trainer.load_checkpoint_params
 from .checkpoint import load_checkpoint_params  # noqa: F401
 from .codebook import CodebookConfig, CodebookGrads, attention_backward, forward, init_params
-from .datamodel import Corpus, LanguagePhonemeSet, Utterance, mask_union
+from .datamodel import Corpus, LanguagePhonemeSet, Utterance, mask_union, write_file
 from .decoder import DecoderGrads, init_decoder, loss_and_grads
 from .errors import ConfigError, CoverageError
 from .optim import adam_step, init_adam, scheduled_lr
@@ -220,9 +220,7 @@ def _truncate_loss_log(path: Path, step: int) -> None:
             continue
         if line_step <= step:
             kept.append(line)
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text("\n".join(kept) + ("\n" if kept else ""), encoding="utf-8")
-    tmp.replace(path)
+    write_file(path, "\n".join(kept) + ("\n" if kept else ""))
 
 
 def _validation_report(corpus: Corpus, state: TrainState) -> list[str]:
@@ -263,14 +261,11 @@ def run_training(
     if resume:
         state = load_checkpoint(out, config, cb_config)
         _truncate_loss_log(out / "loss_log.tsv", state.step)
-        log_mode = "a"
     else:
         state = init_train_state(corpus, config, cb_config)
-        log_mode = "w"
+        write_file(out / "loss_log.tsv", "# step\tlr\tloss\n")
     target = config.total_steps if stop_after is None else min(stop_after, config.total_steps)
-    with open(out / "loss_log.tsv", log_mode, encoding="utf-8") as log:
-        if log_mode == "w":
-            log.write("# step\tlr\tloss\n")
+    with open(out / "loss_log.tsv", "a", encoding="utf-8") as log:
         while state.step < target:
             loss = lr = None
             for _ in range(_BATCH_RESAMPLE_LIMIT):
@@ -293,7 +288,5 @@ def run_training(
             ):
                 save_checkpoint(state, out, config, cb_config)
     save_checkpoint(state, out, config, cb_config)
-    (out / "val_loss.tsv").write_text(
-        "\n".join(_validation_report(corpus, state)) + "\n", encoding="utf-8"
-    )
+    write_file(out / "val_loss.tsv", "\n".join(_validation_report(corpus, state)) + "\n")
     return state

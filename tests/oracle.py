@@ -432,13 +432,9 @@ class PhonemeSegment:
         return self.end_frame - self.start_frame
 
 
-def load_alignment(path, phoneme_set) -> tuple[PhonemeSegment, ...]:
-    """Parse a TSV alignment; segments must be sorted, non-overlapping, in-vocabulary.
-
-    phoneme_set may be a LanguagePhonemeSet or any container of symbols.
-    """
-    symbols = phoneme_set.phonemes if isinstance(phoneme_set, LanguagePhonemeSet) else phoneme_set
-    symbols = frozenset(symbols)
+def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> tuple[PhonemeSegment, ...]:
+    """Parse a TSV alignment; segments must be sorted, non-overlapping, in-vocabulary."""
+    symbols = frozenset(phoneme_set.phonemes)
     segments: list[PhonemeSegment] = []
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -117,46 +117,49 @@ class TestFeatureFile:
             save_feature_file(np.ones((1, 1)), tmp_path / "missing_dir" / "f.xpqf")
 
 
+AB = LanguagePhonemeSet("L", ("a", "b"))
+
+
 class TestAlignment:
     def test_parse_two_segments(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("a\t0\t3\nb\t3\t5\n")
-        segs = load_alignment(path, {"a", "b"})
+        segs = load_alignment(path, AB)
         assert segs == (PhonemeSegment("a", 0, 3), PhonemeSegment("b", 3, 5))
 
     def test_overlap_rejected(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("a\t0\t3\nb\t2\t5\n")
         with pytest.raises(ValidationError):
-            load_alignment(path, {"a", "b"})
+            load_alignment(path, AB)
 
     def test_unknown_phoneme_named(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("zz\t0\t1\n")
         with pytest.raises(VocabularyError, match="zz"):
-            load_alignment(path, {"a", "b"})
+            load_alignment(path, AB)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("# header\na\t0\t3\n\nb\t3\t5\n")
-        assert len(load_alignment(path, {"a", "b"})) == 2
+        assert len(load_alignment(path, AB)) == 2
 
     def test_empty_segment_rejected(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("a\t3\t3\n")
         with pytest.raises(ValidationError):
-            load_alignment(path, {"a"})
+            load_alignment(path, AB)
 
     def test_round_trip_identity(self, tmp_path):
         segs = (PhonemeSegment("a", 0, 3), PhonemeSegment("b", 5, 9), PhonemeSegment("a", 9, 10))
         save_alignment(segs, tmp_path / "a.tsv")
-        assert load_alignment(tmp_path / "a.tsv", {"a", "b"}) == segs
+        assert load_alignment(tmp_path / "a.tsv", AB) == segs
 
     def test_gaps_are_allowed(self, tmp_path):
         # forced aligners leave silence between segments; gaps are legal
         path = tmp_path / "a.tsv"
         path.write_text("a\t0\t2\nb\t7\t9\n")
-        assert len(load_alignment(path, {"a", "b"})) == 2
+        assert len(load_alignment(path, AB)) == 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

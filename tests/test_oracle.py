@@ -682,21 +682,19 @@ def _parsed(load, path, phoneme_set):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(data=alignment_files(), as_phoneme_set=st.booleans())
-@example(data=b"a\t0\t5\nb\t3\t4\nzz\t9\t10\n", as_phoneme_set=True)  # vocabulary before overlap
-@example(data=b"a\t0\t5\nb\t5\t5\n", as_phoneme_set=False)  # an empty segment after a valid one
-@example(data=b"b\t-1\t2\nzz\t0\t1", as_phoneme_set=True)  # a range fault is not deferred
-def test_alignment_parser_matches_dataclass_segment_oracle(tmp_path_factory, data, as_phoneme_set):
+@given(data=alignment_files())
+@example(data=b"a\t0\t5\nb\t3\t4\nzz\t9\t10\n")  # vocabulary before overlap
+@example(data=b"a\t0\t5\nb\t5\t5\n")  # an empty segment after a valid one
+@example(data=b"b\t-1\t2\nzz\t0\t1")  # a range fault is not deferred
+def test_alignment_parser_matches_dataclass_segment_oracle(tmp_path_factory, data):
     """Exact: the single-pass parser and its NamedTuple segments give the
     oracle's segments, or raise the oracle's first fault with its class and
     message; the parser reads a str path, the oracle a Path."""
     path = tmp_path_factory.getbasetemp() / "alignment.tsv"
     path.write_bytes(data)
-    symbols = set(ALIGNMENT_SYMBOLS)
-    if as_phoneme_set:
-        symbols = LanguagePhonemeSet("L", ALIGNMENT_SYMBOLS)
-    got = _parsed(load_alignment, str(path), symbols)
-    assert got == _parsed(oracle.load_alignment, path, symbols)
+    phoneme_set = LanguagePhonemeSet("L", ALIGNMENT_SYMBOLS)
+    got = _parsed(load_alignment, str(path), phoneme_set)
+    assert got == _parsed(oracle.load_alignment, path, phoneme_set)
 
 
 @st.composite

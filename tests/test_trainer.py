@@ -1,4 +1,7 @@
+import errno
 import itertools
+import os
+import re
 import struct
 from pathlib import Path
 
@@ -311,17 +314,18 @@ class TestCheckpoint:
         log = tmp_path / "loss_log.tsv"
         original = "# step\tlr\tloss\n1\t0.1\t2.0\n2\t0.1\t1.5\n"
         log.write_text(original)
-        write_text = Path.write_text
+        write_bytes = Path.write_bytes
 
-        def torn_write(path, data, *args, **kwargs):
-            write_text(path, data[:5], *args, **kwargs)
-            raise OSError("disk full")
+        def torn_write(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(Path, "write_text", torn_write)
-        with pytest.raises(OSError):
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match=re.escape(f"cannot write {log}: ")):
             trainer_mod._truncate_loss_log(log, 1)
         monkeypatch.undo()
         assert log.read_text() == original
+        assert [f.name for f in tmp_path.iterdir()] == ["loss_log.tsv"]
 
     def test_blobs_follow_the_documented_layout(self, tmp_path):
         corpus = _toy_corpus()
