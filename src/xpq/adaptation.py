@@ -39,6 +39,8 @@ class TaskSpec:
     def __post_init__(self):
         if self.k < 1 or self.q < 1:
             raise ConfigError(f"task needs k >= 1 and q >= 1, got k={self.k}, q={self.q}")
+        if self.seed < 0:
+            raise ConfigError(f"task seed must be >= 0, got {self.seed}")
 
 
 @dataclass

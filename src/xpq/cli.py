@@ -40,6 +40,14 @@ def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _refuse_below(least: int, *flags: tuple[str, int | None]) -> None:
+    """Refuse, before any work, a (flag, value) whose value is below least;
+    an unset flag (None) passes."""
+    for flag, value in flags:
+        if value is not None and value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
 def _load_config(path: str | None) -> RunConfig:
     return load_run_config(path) if path else RunConfig()
 
@@ -86,6 +94,7 @@ def cmd_extract_queries(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _refuse_below(0, ("--stop-after", args.stop_after))
     cfg = _load_config(args.config)
     train_cfg = cfg.train or TrainConfig()
     corpus = load_corpus(args.corpus)
@@ -117,6 +126,8 @@ def _parse_sizes(spec: str) -> tuple[CheckShape, ...]:
 
 
 def cmd_gradcheck(args) -> int:
+    _refuse_below(0, ("--seed", args.seed))
+    _refuse_below(1, ("--seeds", args.seeds))
     shapes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_SHAPES
     results, elapsed = run_suites(args.seed, args.seeds, shapes)
     for r in results:
@@ -171,9 +182,8 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_map_phonemes(args) -> int:
-    for flag, value in (("--top-k", args.top_k), ("--target-count", args.target_count)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    _refuse_below(1, ("--top-k", args.top_k), ("--target-count", args.target_count))
+    _refuse_below(0, ("--seed", args.seed))
     corpus = load_corpus(args.corpus)
     params, _ = load_checkpoint_params(args.checkpoint)
     scores = build_score_table(

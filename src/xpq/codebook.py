@@ -7,8 +7,9 @@ outputs. Queries are projected without bias, so an all-zero query row (an
 absent phoneme) yields exactly uniform attention and lands on the head-wise
 mean code, a neutral but well-defined embedding.
 
-Includes exact analytic gradients (with the full softmax Jacobian term) for
-the scalar objective <upstream, embedding>.
+Includes exact analytic gradients (with the full softmax Jacobian term) of
+the scalar objective <upstream, embedding> w.r.t. the parameters; the queries
+are inputs and get none.
 """
 
 from __future__ import annotations
@@ -101,20 +102,14 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 def attention_forward(
     params: CodebookParams, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, AttentionRecord]:
     """Core forward on a raw (m, dim) query matrix.
 
-    Returns (embedding (m, H*d_v), weights (H, m, n)). Per head:
+    Returns (embedding (m, H*d_v), record). Per head:
     weights = softmax(Q W_q Keys^T / sqrt(d_k)), output = weights @ Codes.
     All heads run as stacked (H, m, .) matmuls; each head's product is the
     same BLAS call a per-head loop would make, so the result is bitwise equal.
     """
-    embedding, weights, _ = _attention(params, queries)
-    return embedding, weights
-
-
-def _attention(params: CodebookParams, queries: np.ndarray):
-    """attention_forward's (embedding, weights) and the projected queries."""
     cfg = params.config
     q = np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != cfg.dim:
@@ -129,43 +124,37 @@ def _attention(params: CodebookParams, queries: np.ndarray):
     embedding = heads_out.transpose(1, 0, 2).reshape(m, cfg.embed_dim)
     if not np.isfinite(embedding).all() or not np.isfinite(weights).all():
         raise NumericError("non-finite values in attention forward")
-    return embedding, weights, projected
+    return embedding, AttentionRecord(weights, projected)
 
 
 def attention_backward(
     params: CodebookParams,
     queries: np.ndarray,
-    weights: np.ndarray,
+    record: AttentionRecord,
     upstream: np.ndarray,
     *,
-    projected: np.ndarray | None = None,
-    with_d_q: bool = True,
     out: CodebookGrads | None = None,
-) -> tuple[CodebookGrads, np.ndarray | None]:
-    """Exact gradients of <upstream, embedding> w.r.t. parameters and queries.
+) -> CodebookGrads:
+    """Exact gradients of <upstream, embedding> w.r.t. w_q, keys and codes.
 
-    weights are the (H, m, n) attention weights attention_forward returned for
-    the same params and queries; the softmax is not recomputed. upstream has
-    the embedding's shape (m, H*d_v). projected, when given, is the forward's
-    queries @ w_q (AttentionRecord.projected), and is not recomputed either;
-    the result is the same bytes. All heads run as stacked matmuls; d_q sums
-    the heads' contributions in head order, starting from zeros. d_q is None
-    unless with_d_q (the default): training needs only the parameter
-    gradients. out, when given, receives the parameter gradients (arrays of
-    their shapes and dtype, such as Adam's gradient views) and is returned.
+    record is what attention_forward returned for the same params and
+    queries; neither the softmax nor the projection is recomputed. upstream
+    has the embedding's shape (m, H*d_v). The queries are inputs, not
+    parameters, so no gradient flows to them. All heads run as stacked
+    matmuls. out, when given, receives the gradients (arrays of their shapes
+    and dtype, such as Adam's gradient views) and is returned.
     """
     cfg = params.config
     q = np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != cfg.dim:
         raise ValueError(f"queries must be (m, {cfg.dim}), got {q.shape}")
     m = q.shape[0]
+    weights = record.weights
     if weights.shape != (cfg.heads, m, cfg.n):
         raise ValueError(f"weights must be {(cfg.heads, m, cfg.n)}, got {weights.shape}")
     if upstream.shape != (m, cfg.embed_dim):
         raise ValueError(f"upstream must be {(m, cfg.embed_dim)}, got {upstream.shape}")
     scale = 1.0 / math.sqrt(cfg.d_k)
-    if projected is None:
-        projected = q @ params.w_q  # (H, m, d_k)
     if out is None:
         out = CodebookGrads(None, None, None)
     g_out = upstream.reshape(m, cfg.heads, cfg.d_v).transpose(1, 0, 2)  # (H, m, d_v)
@@ -175,24 +164,14 @@ def attention_backward(
     d_logits = weights * (d_w - (d_w * weights).sum(axis=-1, keepdims=True))
     d_scores = d_logits * scale
     d_proj = d_scores @ params.keys  # (H, m, d_k)
-    out.keys = np.matmul(d_scores.transpose(0, 2, 1), projected, out=out.keys)
+    out.keys = np.matmul(d_scores.transpose(0, 2, 1), record.projected, out=out.keys)
     out.w_q = np.matmul(q.T, d_proj, out=out.w_q)
-    if not with_d_q:
-        return out, None
-    d_q_heads = d_proj @ params.w_q.transpose(0, 2, 1)  # (H, m, dim)
-    d_q = np.zeros_like(q)
-    # not d_q_heads.sum(axis=0): that reduces pairwise when m * dim == 1 and H >= 8
-    for h in range(cfg.heads):
-        d_q += d_q_heads[h]
-    return out, d_q
+    return out
 
 
 def forward(
     params: CodebookParams, queries: QueryMatrix
 ) -> tuple[EmbeddingTable, AttentionRecord]:
     """Generate the phoneme embedding table for one language's queries."""
-    embedding, weights, projected = _attention(params, queries.matrix)
-    return (
-        EmbeddingTable(embedding, queries.language, queries.phonemes),
-        AttentionRecord(weights, projected),
-    )
+    embedding, record = attention_forward(params, queries.matrix)
+    return EmbeddingTable(embedding, queries.language, queries.phonemes), record

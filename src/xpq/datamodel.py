@@ -110,10 +110,6 @@ class LanguagePhonemeSet:
                 f"phoneme {phoneme!r} is not in the {self.language!r} phoneme set"
             ) from None
 
-    def namespaced(self, phoneme: str) -> str:
-        self.index(phoneme)
-        return namespaced(self.language, phoneme)
-
     def mask_symbols(self, mask: int) -> list[str]:
         """The sorted symbols of the rows set in a phoneme bitmask (Corpus.masks)."""
         return sorted(p for r, p in enumerate(self.phonemes) if mask >> r & 1)

@@ -1,17 +1,17 @@
 """Central finite-difference verification of every analytic gradient.
 
-Three suites: the attention module alone, the frame reconstructor alone, and
-the composite objective (attention forward into reconstruction loss) used by
-a training step. All checks run in float64 with h=1e-5 against random
-instances, whose covered frames are random per-phoneme statistics; the
-analytic path must match within a 1e-4 relative error on every parameter
-entry.
+Three suites: the attention module's parameters (w_q, keys, codes) alone, the
+frame reconstructor alone, and the composite objective (attention forward
+into reconstruction loss) used by a training step. All checks run in float64
+with h=1e-5 against random instances, whose covered frames are random
+per-phoneme statistics; the analytic path must match within a 1e-4 relative
+error on every parameter entry.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .codebook import (
     init_params,
 )
 from .decoder import DecoderParams, PhonemeStats, loss_and_grads
+from .errors import ConfigError
 
 THRESHOLD = 1e-4
 FD_STEP = 1e-5
@@ -38,6 +39,12 @@ class CheckShape:
     d_k: int = 3
     d_v: int = 2
     frames: int = 17  # covered frames, at least one per phoneme
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 1:
+                raise ConfigError(f"gradcheck shape: {field.name} must be >= 1, got {value}")
 
     def codebook_config(self) -> CodebookConfig:
         return CodebookConfig(self.n, self.heads, self.d_k, self.d_v, self.dim)
@@ -90,21 +97,20 @@ def _random_instance(shape: CheckShape, seed: int):
 
 
 def check_codebook_gradients(seed: int, shape: CheckShape = CheckShape()) -> float:
-    """<G, embedding> gradients w.r.t. w_q, keys, codes and the queries."""
+    """<G, embedding> gradients w.r.t. w_q, keys and codes."""
     params, _, queries, _, upstream = _random_instance(shape, seed)
 
     def objective():
         emb, _ = attention_forward(params, queries)
         return float((upstream * emb).sum())
 
-    _, weights = attention_forward(params, queries)
-    grads, d_q = attention_backward(params, queries, weights, upstream)
+    _, record = attention_forward(params, queries)
+    grads = attention_backward(params, queries, record, upstream)
     worst = 0.0
     for analytic, arr in (
         (grads.w_q, params.w_q),
         (grads.keys, params.keys),
         (grads.codes, params.codes),
-        (d_q, queries),
     ):
         worst = max(worst, max_rel_err(analytic, central_difference(objective, arr)))
     return worst
@@ -147,9 +153,9 @@ def check_train_objective_gradients(seed: int, shape: CheckShape = CheckShape())
         emb, _ = attention_forward(params, queries)
         return loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), stats)[0]
 
-    emb, weights = attention_forward(params, queries)
+    emb, record = attention_forward(params, queries)
     _, dec_grads, d_table = loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), stats)
-    cb_grads, _ = attention_backward(params, queries, weights, d_table)
+    cb_grads = attention_backward(params, queries, record, d_table)
     worst = 0.0
     for analytic, arr in (
         (cb_grads.w_q, params.w_q),

@@ -77,9 +77,6 @@ class MappingScores:
         except KeyError:
             raise VocabularyError(f"phoneme {phoneme!r} has no attention record") from None
 
-    def score(self, p: str, q: str) -> float:
-        return float(self.matrix[self.index(p), self.index(q)])
-
 
 def build_score_table(
     corpus: Corpus,

@@ -76,6 +76,8 @@ class SynthConfig:
             raise ConfigError("dim, num_prototypes, utterances_per_language must be >= 1")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name, (lo, hi) in (
             ("segments_per_utterance", self.segments_per_utterance),
             ("frames_per_segment", self.frames_per_segment),

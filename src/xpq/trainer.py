@@ -61,6 +61,14 @@ class TrainConfig:
             raise ConfigError("decay_rate must be in (0, 1]")
         if self.total_steps < 1 or self.warmup_steps < 0:
             raise ConfigError("total_steps must be >= 1 and warmup_steps >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        for name in ("coverage_resample_limit", "checkpoint_every", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def sample_language_batch(
@@ -185,10 +193,8 @@ def train_step(
     attention_backward(
         state.params,
         qm.matrix,
-        record.weights,
+        record,
         d_table,
-        projected=record.projected,
-        with_d_q=False,
         out=CodebookGrads(grads["w_q"], grads["keys"], grads["codes"]),
     )
     lr = scheduled_lr(state.step + 1, config.lr, config.warmup_steps, config.decay_rate)

@@ -80,7 +80,6 @@ def attention_backward(params: CodebookParams, queries: np.ndarray, upstream: np
     d_wq = np.zeros_like(params.w_q)
     d_keys = np.zeros_like(params.keys)
     d_codes = np.zeros_like(params.codes)
-    d_q = np.zeros_like(q)
     for h in range(cfg.heads):
         projected = q @ params.w_q[h]
         logits = (projected @ params.keys[h].T) * scale
@@ -94,8 +93,7 @@ def attention_backward(params: CodebookParams, queries: np.ndarray, upstream: np
         d_proj = d_scores @ params.keys[h]
         d_keys[h] = d_scores.T @ projected
         d_wq[h] = q.T @ d_proj
-        d_q += d_proj @ params.w_q[h].T
-    return CodebookGrads(d_wq, d_keys, d_codes), d_q
+    return CodebookGrads(d_wq, d_keys, d_codes)
 
 
 def frame_residual_stats(frames, rows, preds):

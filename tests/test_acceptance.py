@@ -96,18 +96,19 @@ def test_attention_invariants(criterion):
             for trial in range(10):
                 m = int(rng.integers(1, 25))
                 q = rng.standard_normal((m, cfg.dim)).astype(np.float32)
-                emb, weights = attention_forward(params, q)
+                emb, record = attention_forward(params, q)
+                weights = record.weights
                 # row-stochastic within 1e-6, entries in [0, 1]
                 np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
                 assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
                 # permutation equivariance, bitwise
                 perm = rng.permutation(m)
-                emb_p, w_p = attention_forward(params, q[perm])
+                emb_p, rec_p = attention_forward(params, q[perm])
                 assert np.array_equal(emb[perm], emb_p)
-                assert np.array_equal(weights[:, perm, :], w_p)
+                assert np.array_equal(weights[:, perm, :], rec_p.weights)
             # zero queries: exactly uniform attention, neutral embedding row
-            emb, weights = attention_forward(params, np.zeros((3, cfg.dim), dtype=np.float32))
-            assert np.all(weights == np.float32(1.0) / np.float32(cfg.n))
+            emb, record = attention_forward(params, np.zeros((3, cfg.dim), dtype=np.float32))
+            assert np.all(record.weights == np.float32(1.0) / np.float32(cfg.n))
             assert np.array_equal(emb[0], emb[1]) and np.array_equal(emb[1], emb[2])
 
 

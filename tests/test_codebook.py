@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xpq.codebook import (
+    AttentionRecord,
     CodebookConfig,
     CodebookParams,
     attention_backward,
@@ -56,7 +57,8 @@ class TestForward:
             keys=np.array([[[1.0], [-1.0]]]),
             codes=np.array([[[2.0], [0.0]]]),
         )
-        emb, weights = attention_forward(params, np.array([[1.0]]))
+        emb, record = attention_forward(params, np.array([[1.0]]))
+        weights = record.weights
         logits = np.array([1.0, -1.0])
         np.testing.assert_allclose(weights[0, 0], naive_softmax(logits), rtol=1e-12)
         np.testing.assert_allclose(weights[0, 0], [0.88079708, 0.11920292], atol=1e-8)
@@ -66,8 +68,8 @@ class TestForward:
         cfg = CodebookConfig(n=16, heads=3, d_k=5, d_v=4, dim=7)
         params = init_params(cfg, 1, dtype=np.float64)
         q = np.zeros((2, 7))
-        emb, weights = attention_forward(params, q)
-        assert np.all(weights == 1.0 / cfg.n)
+        emb, record = attention_forward(params, q)
+        assert np.all(record.weights == 1.0 / cfg.n)
         # both zero rows get the identical neutral embedding
         assert np.array_equal(emb[0], emb[1])
         uniform = np.full((2, cfg.n), 1.0 / cfg.n)
@@ -84,7 +86,8 @@ class TestForward:
         params = init_params(cfg, 2)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            _, weights = attention_forward(params, rng.standard_normal((6, 5)).astype(np.float32))
+            _, record = attention_forward(params, rng.standard_normal((6, 5)).astype(np.float32))
+            weights = record.weights
             np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
             assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
 
@@ -94,10 +97,10 @@ class TestForward:
         rng = np.random.default_rng(1)
         q = rng.standard_normal((9, 6)).astype(np.float32)
         perm = rng.permutation(9)
-        emb, w = attention_forward(params, q)
-        emb_p, w_p = attention_forward(params, q[perm])
+        emb, rec = attention_forward(params, q)
+        emb_p, rec_p = attention_forward(params, q[perm])
         assert np.array_equal(emb[perm], emb_p)
-        assert np.array_equal(w[:, perm, :], w_p)
+        assert np.array_equal(rec.weights[:, perm, :], rec_p.weights)
 
     def test_shape_mismatch_rejected(self):
         cfg = CodebookConfig(n=4, heads=1, d_k=2, d_v=2, dim=3)
@@ -129,9 +132,9 @@ class TestForward:
         cfg = CodebookConfig(n=6, heads=2, d_k=3, d_v=2, dim=4)
         params = init_params(cfg, 5)
         q = np.random.default_rng(2).standard_normal((3, 4)).astype(np.float32)
-        e1, w1 = attention_forward(params, q)
-        e2, w2 = attention_forward(params, q)
-        assert np.array_equal(e1, e2) and np.array_equal(w1, w2)
+        e1, r1 = attention_forward(params, q)
+        e2, r2 = attention_forward(params, q)
+        assert np.array_equal(e1, e2) and np.array_equal(r1.weights, r2.weights)
 
 
 class TestSoftmax:
@@ -168,8 +171,8 @@ class TestSoftmax:
 
 
 def backward_through_forward(params, q, upstream):
-    _, weights = attention_forward(params, q)
-    return attention_backward(params, q, weights, upstream)
+    _, record = attention_forward(params, q)
+    return attention_backward(params, q, record, upstream)
 
 
 class TestBackward:
@@ -177,8 +180,8 @@ class TestBackward:
         cfg = CodebookConfig(n=5, heads=2, d_k=3, d_v=2, dim=4)
         params = init_params(cfg, 7, dtype=np.float64)
         q = np.random.default_rng(3).standard_normal((3, 4))
-        grads, d_q = backward_through_forward(params, q, np.zeros((3, 4)))
-        for g in (grads.w_q, grads.keys, grads.codes, d_q):
+        grads = backward_through_forward(params, q, np.zeros((3, 4)))
+        for g in (grads.w_q, grads.keys, grads.codes):
             assert np.all(g == 0.0)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -192,9 +195,9 @@ class TestBackward:
         rng = np.random.default_rng(4)
         q = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 4))
-        base, _ = backward_through_forward(params, q, g)
-        dup, _ = backward_through_forward(params, np.vstack([q, q[:1]]), np.vstack([g, g[:1]]))
-        single, _ = backward_through_forward(params, q[:1], g[:1])
+        base = backward_through_forward(params, q, g)
+        dup = backward_through_forward(params, np.vstack([q, q[:1]]), np.vstack([g, g[:1]]))
+        single = backward_through_forward(params, q[:1], g[:1])
         for b, d, s in (
             (base.w_q, dup.w_q, single.w_q),
             (base.keys, dup.keys, single.keys),
@@ -212,6 +215,7 @@ class TestBackward:
         cfg = CodebookConfig(n=5, heads=2, d_k=3, d_v=2, dim=4)
         params = init_params(cfg, 0)
         q = np.zeros((3, 4), dtype=np.float32)
-        _, weights = attention_forward(params, q)
+        _, record = attention_forward(params, q)
+        short = AttentionRecord(record.weights[:, :2], record.projected)
         with pytest.raises(ValueError):
-            attention_backward(params, q, weights[:, :2], np.zeros((3, 4), dtype=np.float32))
+            attention_backward(params, q, short, np.zeros((3, 4), dtype=np.float32))

@@ -24,6 +24,7 @@ from xpq.datamodel import (
     load_corpus,
     load_feature_file,
     load_manifest,
+    namespaced,
     save_alignment,
     save_feature_file,
     save_manifest,
@@ -180,9 +181,10 @@ class TestPhonemeSet:
 
     def test_namespacing(self):
         ps = LanguagePhonemeSet("en", ("AA0",))
-        assert ps.namespaced("AA0") == "en-AA0"
+        assert ps.index("AA0") == 0
+        assert namespaced(ps.language, "AA0") == "en-AA0"
         with pytest.raises(VocabularyError):
-            ps.namespaced("ZZ")
+            ps.index("ZZ")
 
 
 class TestManifest:

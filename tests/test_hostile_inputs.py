@@ -261,6 +261,34 @@ def test_map_phonemes_counts_below_one_are_config_errors(workdir, tmp_path, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, needle", [
+    # a zero dimension divides by zero, a negative one fails inside numpy
+    (["gradcheck", "--sizes", "0,2,2,1,1,1"], "gradcheck shape: m must be >= 1, got 0"),
+    (["gradcheck", "--sizes=-1,2,2,1,1,1"], "gradcheck shape: m must be >= 1, got -1"),
+    # no seed would run no check and pass 0/0
+    (["gradcheck", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["gradcheck", "--seeds", "-2"], "--seeds must be >= 1, got -2"),
+    (["gradcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["map-phonemes", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["gen-corpus", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["adapt", "--seed", "-1"], "task seed must be >= 0, got -1"),
+    # would train no step and report success
+    (["train", "--stop-after", "-3"], "--stop-after must be >= 0, got -3"),
+])
+def test_negative_counts_and_seeds_are_config_errors(workdir, tmp_path, argv, needle):
+    command, *flags = argv
+    manifest = workdir / "corpus" / "manifest.json"
+    inputs = {
+        "map-phonemes": ["--checkpoint", workdir / "ckpt", "--corpus", manifest],
+        "adapt": ["--checkpoint", workdir / "ckpt", "--corpus", manifest, "--language", "T0",
+                  "--k", "2", "--tasks", "1", "--q", "2", "--config", workdir / "config.json"],
+        "train": ["--config", workdir / "config.json", "--corpus", manifest],
+    }.get(command, [])
+    out = [] if command == "gradcheck" else ["--out", tmp_path / "out"]
+    assert_one_error([command, *inputs, *flags, *out], "config", needle)
+    assert not (tmp_path / "out").exists()
+
+
 # (command, section edit, needle); each edit is applied to a copy of CONFIG
 CONFIG_CASES = {
     "codebook-n-float": ("train", ("codebook", "n", 1.5), "codebook.n must be an integer"),
@@ -299,6 +327,19 @@ CONFIG_CASES = {
     "train-gen-group-zero": ("train", ("train", None, {**CONFIG["train"], "gen_group_size": 0,
                                                        "loss_group_size": 10}),
                              "gen_group_size and loss_group_size must be >= 1"),
+    # Adam divides by 1 - beta**step
+    "train-beta1-one": ("train", ("train", "beta1", 1.0), "train: beta1 must be in [0, 1)"),
+    "train-beta2-one": ("train", ("train", "beta2", 1.0), "train: beta2 must be in [0, 1)"),
+    # a negative eps can flip or blow up Adam's step; a negative count means nothing
+    "train-eps-negative": ("train", ("train", "eps", -1.0), "train: eps must be > 0"),
+    "train-resample-limit-negative": ("train", ("train", "coverage_resample_limit", -1),
+                                      "train: coverage_resample_limit must be >= 0"),
+    "train-checkpoint-every-negative": ("train", ("train", "checkpoint_every", -7),
+                                        "train: checkpoint_every must be >= 0"),
+    # numpy's own seed error would name no field
+    "train-seed-negative": ("train", ("train", "seed", -1), "train: seed must be >= 0, got -1"),
+    "synth-seed-negative": ("gen-corpus", ("synth", "seed", -1),
+                            "synth: seed must be >= 0, got -1"),
 }
 
 

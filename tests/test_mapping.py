@@ -125,7 +125,7 @@ class TestScoreTable:
         rng = np.random.default_rng(1)
         for _ in range(10):
             p, q = rng.choice(table.phonemes, 2, replace=False)
-            assert table.score(p, q) == pytest.approx(
+            assert table.matrix[table.index(p), table.index(q)] == pytest.approx(
                 mapping_score(records[p], records[q]), abs=1e-9
             )
 
@@ -142,7 +142,7 @@ class TestScoreTable:
 
     def test_unknown_phoneme_rejected(self, table):
         with pytest.raises(VocabularyError):
-            table.score("zz-nope", table.phonemes[0])
+            table.index("zz-nope")
 
 
 class TestTopK:

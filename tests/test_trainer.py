@@ -253,11 +253,11 @@ class TestTrainStep:
             table = EmbeddingTable(emb, "L0", ps.phonemes)
             return loss_and_grads(decoder, table, stats)[0]
 
-        emb, weights = attention_forward(params, queries)
+        emb, record = attention_forward(params, queries)
         _, dec_grads, d_table = loss_and_grads(
             decoder, EmbeddingTable(emb, "L0", ps.phonemes), stats
         )
-        cb_grads, _ = attention_backward(params, queries, weights, d_table)
+        cb_grads = attention_backward(params, queries, record, d_table)
         for analytic, arr in (
             (cb_grads.w_q, params.w_q),
             (cb_grads.keys, params.keys),
