@@ -20,7 +20,6 @@ from .datamodel import (
     CorpusManifest,
     FeatureSpec,
     LanguagePhonemeSet,
-    PhonemeSegment,
     Utterance,
 )
 from .queries import QueryMatrix
@@ -37,7 +36,6 @@ __all__ = [
     "FeatureSpec",
     "FewShotTask",
     "LanguagePhonemeSet",
-    "PhonemeSegment",
     "QueryMatrix",
     "SynthConfig",
     "SynthLanguage",

@@ -48,6 +48,22 @@ def _refuse_below(least: int, *flags: tuple[str, int | None]) -> None:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
+def _parse_ints(flag: str, spec: str) -> list[int]:
+    """The comma-separated integers of a flag's value; refuses any other entry."""
+    try:
+        return [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} entries must be integers, got {spec!r}") from None
+
+
+def _refuse_other_dim(config: CodebookConfig, corpus) -> None:
+    """Refuse, before any work on the corpus, a codebook of another feature dim."""
+    if config.dim != corpus.feature_spec.dim:
+        raise ConfigError(
+            f"codebook dim {config.dim} != corpus feature dim {corpus.feature_spec.dim}"
+        )
+
+
 def _load_config(path: str | None) -> RunConfig:
     return load_run_config(path) if path else RunConfig()
 
@@ -99,10 +115,7 @@ def cmd_train(args) -> int:
     train_cfg = cfg.train or TrainConfig()
     corpus = load_corpus(args.corpus)
     cb_cfg = cfg.codebook or CodebookConfig(dim=corpus.feature_spec.dim)
-    if cb_cfg.dim != corpus.feature_spec.dim:
-        raise ConfigError(
-            f"codebook dim {cb_cfg.dim} != corpus feature dim {corpus.feature_spec.dim}"
-        )
+    _refuse_other_dim(cb_cfg, corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(out / "resolved_config.json", train=train_cfg, codebook=cb_cfg)
@@ -116,7 +129,7 @@ def cmd_train(args) -> int:
 def _parse_sizes(spec: str) -> tuple[CheckShape, ...]:
     shapes = []
     for part in spec.split(";"):
-        nums = [int(x) for x in part.split(",")]
+        nums = _parse_ints("--sizes", part)
         if len(nums) != 6:
             raise ConfigError(
                 f"--sizes entry {part!r} must be m,n,dim,H,d_k,d_v"
@@ -141,11 +154,14 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_adapt(args) -> int:
+    ks = _parse_ints("--k", args.k)
+    _refuse_below(1, *(("--k", k) for k in ks), ("--tasks", args.tasks), ("--q", args.q))
+    _refuse_below(0, ("--seed", args.seed))
     cfg = _load_config(args.config)
     adapt_cfg = cfg.adapt or AdaptConfig()
     corpus = load_corpus(args.corpus)
     params, decoder = load_checkpoint_params(args.checkpoint)
-    ks = [int(x) for x in args.k.split(",")]
+    _refuse_other_dim(params.config, corpus)
     modes = MODES if args.mode == "both" else (args.mode,)
     cells = run_experiment(
         corpus,
@@ -186,6 +202,7 @@ def cmd_map_phonemes(args) -> int:
     _refuse_below(0, ("--seed", args.seed))
     corpus = load_corpus(args.corpus)
     params, _ = load_checkpoint_params(args.checkpoint)
+    _refuse_other_dim(params.config, corpus)
     scores = build_score_table(
         corpus,
         params,

@@ -23,11 +23,10 @@ from __future__ import annotations
 import json
 import os
 import struct
-import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -71,19 +70,6 @@ class FeatureSpec:
             raise ValidationError(f"frame_rate_hz must be > 0, got {self.frame_rate_hz}")
 
 
-class PhonemeSegment(NamedTuple):
-    """Frames [start_frame, end_frame) of one phoneme. load_alignment checks
-    0 <= start_frame < end_frame for segments read from a file."""
-
-    phoneme: str
-    start_frame: int
-    end_frame: int
-
-    @property
-    def n_frames(self) -> int:
-        return self.end_frame - self.start_frame
-
-
 @dataclass(frozen=True)
 class LanguagePhonemeSet:
     """Ordered phoneme inventory; manifest order is the canonical row order."""
@@ -120,7 +106,9 @@ class Utterance:
     id: str
     language: str
     features: np.ndarray  # (T, dim)
-    alignment: tuple[PhonemeSegment, ...]
+    # (S, 3) int64, read-only: each segment's frames [start, end) and the row of
+    # its phoneme in the language's phoneme set, in alignment order
+    alignment: np.ndarray
 
     @property
     def n_frames(self) -> int:
@@ -129,19 +117,6 @@ class Utterance:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-def segment_arrays(
-    utterance: Utterance, phoneme_set: LanguagePhonemeSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(starts, ends, rows) of the utterance's segments as int64 arrays, in
-    alignment order; rows index phoneme_set's canonical order."""
-    index = phoneme_set.index
-    table = np.array(
-        [(s.start_frame, s.end_frame, index(s.phoneme)) for s in utterance.alignment],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    return table[:, 0], table[:, 1], table[:, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +179,17 @@ def load_feature_file(path) -> np.ndarray:
 # alignment files
 
 
-def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> tuple[PhonemeSegment, ...]:
-    """Parse a TSV alignment; segments must be sorted, non-overlapping, in-vocabulary.
+def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> np.ndarray:
+    """Parse a TSV alignment into a read-only int64 (S, 3) table of (start,
+    end, row of the phoneme in phoneme_set); segments must be sorted,
+    non-overlapping, in-vocabulary.
 
     Each line is checked in turn, in this order: three fields, integer
     indices, a known phoneme, start >= 0, start < end; the sort and overlap
-    check runs over all segments after the last line. The first fault found
-    is raised. Segments share one interned string per phoneme symbol.
+    check runs over the whole table after the last line. The first fault
+    found is raised; an index past int64 is refused before the sort check.
     """
-    symbols = phoneme_set._index
+    rows = phoneme_set._index
     with open(path, "rb", buffering=0) as f:
         data = f.read()
     try:
@@ -220,7 +197,6 @@ def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> tuple[PhonemeSegmen
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path}: not valid UTF-8 at byte {e.start}") from None
     segments = []
-    intern = sys.intern
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -232,23 +208,31 @@ def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> tuple[PhonemeSegmen
             start, end = int(start_s), int(end_s)
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: frame indices must be integers") from None
-        if sym not in symbols:
+        row = rows.get(sym)
+        if row is None:
             raise VocabularyError(f"{path}:{lineno}: unknown phoneme {sym!r}")
         if start < 0:
             raise ValidationError(f"segment start must be >= 0, got {start}")
         if start >= end:
             raise ValidationError(f"segment [{start}, {end}) for {sym!r} is empty or reversed")
-        segments.append(PhonemeSegment(intern(sym), start, end))
-    for prev, cur in zip(segments, segments[1:]):
-        if cur.start_frame < prev.end_frame:
-            raise ValidationError(
-                f"{path}: segments overlap or are unsorted at frame {cur.start_frame}"
-            )
-    return tuple(segments)
+        segments.append((start, end, row))
+    try:
+        table = np.array(segments, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise ValidationError(f"{path}: frame indices must be below 2**63") from None
+    early = np.flatnonzero(table[1:, 0] < table[:-1, 1])
+    if early.size:
+        raise ValidationError(
+            f"{path}: segments overlap or are unsorted at frame {table[early[0] + 1, 0]}"
+        )
+    table.flags.writeable = False
+    return table
 
 
-def save_alignment(segments, path) -> None:
-    lines = [f"{s.phoneme}\t{s.start_frame}\t{s.end_frame}" for s in segments]
+def save_alignment(table: np.ndarray, phoneme_set: LanguagePhonemeSet, path) -> None:
+    """Write an alignment table (see load_alignment) as TSV lines."""
+    symbols = phoneme_set.phonemes
+    lines = [f"{symbols[row]}\t{start}\t{end}" for start, end, row in table.tolist()]
     write_file(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -365,9 +349,9 @@ def check_entry(manifest: CorpusManifest, entry: ManifestEntry, seen_ids: set[st
                 f"feature dim {features.shape[1]} != corpus dim {manifest.feature_spec.dim}"
             )
         alignment = load_alignment(_file_path(manifest.root, entry.alignment_path), phoneme_set)
-        if alignment and alignment[-1].end_frame > features.shape[0]:
+        if alignment.size and alignment[-1, 1] > features.shape[0]:
             raise ValidationError(
-                f"alignment ends at frame {alignment[-1].end_frame} but utterance has "
+                f"alignment ends at frame {alignment[-1, 1]} but utterance has "
                 f"{features.shape[0]} frames"
             )
     except (XpqError, OSError) as e:
@@ -487,7 +471,7 @@ class Corpus:
             scatter = np.zeros(len(utterances))
             for u, utt in enumerate(utterances):
                 reps[u], counts[u] = phoneme_rep_matrix(utt, phoneme_set)
-                bundle = build_frame_bundle(utt, phoneme_set)
+                bundle = build_frame_bundle(utt)
                 scatter[u] = frame_residual_stats(bundle.frames, bundle.rows, reps[u])[0]
             row = {utt.id: u for u, utt in enumerate(utterances)}
             out = self._rep_stacks[language] = RepStack(reps, counts, scatter, row)
@@ -502,9 +486,8 @@ class Corpus:
         language = utterances[0].language
         table = self._masks.get(language)
         if table is None:
-            bit = {p: 1 << r for r, p in enumerate(self.phoneme_set(language).phonemes)}
             table = self._masks[language] = {
-                utt.id: mask_union(bit[seg.phoneme] for seg in utt.alignment)
+                utt.id: mask_union(1 << r for r in utt.alignment[:, 2].tolist())
                 for utt in self.by_language(language)
             }
         return [table[utt.id] for utt in utterances]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import EmbeddingTable, xavier_bound
-from .datamodel import LanguagePhonemeSet, segment_arrays
 
 
 @dataclass
@@ -95,16 +94,16 @@ class PhonemeStats:
         return cls(n, mean, float(scatter.sum()) + float(between))
 
 
-def build_frame_bundle(utterance, phoneme_set: LanguagePhonemeSet) -> FrameBundle:
+def build_frame_bundle(utterance) -> FrameBundle:
     """The utterance's covered frames with their table-row indices.
 
-    Rows follow phoneme_set's canonical order, which is an embedding table's
-    row order. An utterance whose segments tile one frame range (each starts
-    where the previous one ends) gives a read-only view of that range of its
-    features; one with gaps, or without segments, gives its covered frames,
-    gathered with one index array.
+    Rows are the alignment's, in its phoneme set's canonical order, which is
+    an embedding table's row order. An utterance whose segments tile one frame
+    range (each starts where the previous one ends) gives a read-only view of
+    that range of its features; one with gaps, or without segments, gives its
+    covered frames, gathered with one index array.
     """
-    starts, ends, seg_rows = segment_arrays(utterance, phoneme_set)
+    starts, ends, seg_rows = utterance.alignment.T
     lengths = ends - starts
     if starts.size and np.array_equal(starts[1:], ends[:-1]):
         frames = utterance.features[starts[0] : ends[-1]]

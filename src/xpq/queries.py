@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .datamodel import LanguagePhonemeSet, Utterance, save_feature_file, segment_arrays, write_file
+from .datamodel import LanguagePhonemeSet, Utterance, save_feature_file, write_file
 from .errors import ValidationError
 
 
@@ -43,7 +43,7 @@ def phoneme_rep_matrix(
     float64 regardless of the feature dtype; long utterances would otherwise
     lose precision.
     """
-    starts, ends, rows = segment_arrays(utterance, phoneme_set)
+    starts, ends, rows = utterance.alignment.T
     sums, counts = kernels.segment_pool(
         utterance.features, starts, ends, rows, phoneme_set.size
     )

@@ -20,7 +20,6 @@ from .datamodel import (
     FeatureSpec,
     LanguagePhonemeSet,
     ManifestEntry,
-    PhonemeSegment,
     namespaced,
     save_alignment,
     save_feature_file,
@@ -194,7 +193,8 @@ def generate_corpus(config: SynthConfig, out_dir) -> tuple[CorpusManifest, dict[
     entries = []
     for lang in config.languages:
         phonemes = tuple(f"ph{j:02d}" for j in range(lang.m))
-        languages.append(LanguagePhonemeSet(lang.language, phonemes))
+        phoneme_set = LanguagePhonemeSet(lang.language, phonemes)
+        languages.append(phoneme_set)
         protos_of = np.array(
             [ground_truth[namespaced(lang.language, p)] for p in phonemes], dtype=np.int64
         )
@@ -204,22 +204,17 @@ def generate_corpus(config: SynthConfig, out_dir) -> tuple[CorpusManifest, dict[
         for i, (tag, seq) in enumerate(zip(tags, seqs)):
             utt_id = f"{lang.language}_{i:04d}"
             durations = rng.integers(f_lo, f_hi + 1, size=len(seq))
-            total = int(durations.sum())
-            frames = np.empty((total, config.dim), dtype=np.float64)
-            segments = []
-            cursor = 0
-            for ph_idx, dur in zip(seq, durations):
-                dur = int(dur)
+            ends = np.cumsum(durations)
+            alignment = np.stack([ends - durations, ends, seq], axis=1)
+            frames = np.empty((int(ends[-1]), config.dim), dtype=np.float64)
+            for start, end, ph_idx in alignment.tolist():
                 block = prototypes[protos_of[ph_idx]]
                 if config.noise_sigma > 0:
-                    block = block + config.noise_sigma * rng.standard_normal((dur, config.dim))
-                frames[cursor : cursor + dur] = block
-                segments.append(
-                    PhonemeSegment(phonemes[ph_idx], cursor, cursor + dur)
-                )
-                cursor += dur
+                    noise = rng.standard_normal((end - start, config.dim))
+                    block = block + config.noise_sigma * noise
+                frames[start:end] = block
             save_feature_file(frames.astype(np.float32), out / "features" / f"{utt_id}.xpqf")
-            save_alignment(segments, out / "alignments" / f"{utt_id}.tsv")
+            save_alignment(alignment, phoneme_set, out / "alignments" / f"{utt_id}.tsv")
             entries.append(
                 ManifestEntry(
                     id=utt_id,

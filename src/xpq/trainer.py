@@ -147,13 +147,7 @@ def split_with_coverage(
     raise CoverageError(f"no coverage-valid split exists for this batch; {reason}")
 
 
-def init_train_state(
-    corpus: Corpus, config: TrainConfig, cb_config: CodebookConfig
-) -> TrainState:
-    if cb_config.dim != corpus.feature_spec.dim:
-        raise ConfigError(
-            f"codebook dim {cb_config.dim} != corpus feature dim {corpus.feature_spec.dim}"
-        )
+def init_train_state(config: TrainConfig, cb_config: CodebookConfig) -> TrainState:
     params = init_params(cb_config, config.seed)
     decoder = init_decoder(cb_config.embed_dim, cb_config.dim, config.seed + 1)
     opt = init_adam(model_tensors(params, decoder))
@@ -182,8 +176,6 @@ def train_step(
         phoneme_set=corpus.phoneme_set(batch[0].language),
     )
     loss_stats = corpus.stats(loss_group)
-    if not loss_stats.n_frames:
-        raise CoverageError("the loss group covers no frame")
     qm = corpus.queries(gen_group)
     table, record = forward(state.params, qm)
     grads = state.opt.grads
@@ -268,7 +260,7 @@ def run_training(
         state = load_checkpoint(out, config, cb_config)
         _truncate_loss_log(out / "loss_log.tsv", state.step)
     else:
-        state = init_train_state(corpus, config, cb_config)
+        state = init_train_state(config, cb_config)
         write_file(out / "loss_log.tsv", "# step\tlr\tloss\n")
     target = config.total_steps if stop_after is None else min(stop_after, config.total_steps)
     with open(out / "loss_log.tsv", "a", encoding="utf-8") as log:

@@ -5,38 +5,32 @@ from xpq.datamodel import (
     Corpus,
     CorpusManifest,
     FeatureSpec,
-    LanguagePhonemeSet,
     ManifestEntry,
-    PhonemeSegment,
     Utterance,
     load_corpus,
 )
 from xpq.synth import SynthConfig, SynthLanguage, generate_corpus
 
 
-def make_utterance(uid, language, features, segments, dtype=np.float32):
-    """Hand-built utterance; segments are (phoneme, start, end) triples."""
-    return Utterance(
-        uid,
-        language,
-        np.asarray(features, dtype=dtype),
-        tuple(PhonemeSegment(*s) for s in segments),
-    )
+def make_utterance(uid, language, features, segments, phoneme_set, dtype=np.float32):
+    """Hand-built utterance; segments are (phoneme, start, end) triples, held
+    as load_alignment holds them, with each phoneme's row in phoneme_set."""
+    alignment = np.array(
+        [(start, end, phoneme_set.index(ph)) for ph, start, end in segments], dtype=np.int64
+    ).reshape(-1, 3)
+    alignment.flags.writeable = False
+    return Utterance(uid, language, np.asarray(features, dtype=dtype), alignment)
 
 
-def symbols(utterance):
-    """The phoneme symbols of the utterance's alignment."""
-    return {seg.phoneme for seg in utterance.alignment}
+def symbols(utterance, phoneme_set):
+    """The phoneme symbols of the utterance's alignment rows in phoneme_set."""
+    return {phoneme_set.phonemes[r] for r in utterance.alignment[:, 2].tolist()}
 
 
-def coverage_masks(batch, phonemes=None):
-    """split_with_coverage's masks= and phoneme_set= keywords for batch: bit r
-    of an utterance's mask is row r of a phoneme set whose rows are
-    `phonemes`, by default the batch's symbols in sorted order."""
-    if phonemes is None:
-        phonemes = sorted(set().union(*map(symbols, batch)))
-    phoneme_set = LanguagePhonemeSet("x", tuple(phonemes))
-    masks = [sum(1 << phoneme_set.index(ph) for ph in symbols(u)) for u in batch]
+def coverage_masks(batch, phoneme_set):
+    """split_with_coverage's masks= and phoneme_set= keywords for batch, whose
+    alignment rows are phoneme_set's: bit r of a mask is row r."""
+    masks = [sum(1 << r for r in set(u.alignment[:, 2].tolist())) for u in batch]
     return {"masks": masks, "phoneme_set": phoneme_set}
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from xpq import kernels
 from xpq.adaptation import FewShotTask, FinetunePoint, TaskSpec
 from xpq.codebook import CodebookGrads, CodebookParams
-from xpq.datamodel import Corpus, LanguagePhonemeSet, Utterance, segment_arrays
+from xpq.datamodel import Corpus, LanguagePhonemeSet, Utterance
 from xpq.decoder import DecoderGrads, FrameBundle
 from xpq.errors import (
     CoverageError,
@@ -205,16 +205,16 @@ def adam_step(
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
-def build_frame_bundle(utterances, phoneme_set: LanguagePhonemeSet) -> FrameBundle:
+def build_frame_bundle(utterances) -> FrameBundle:
     """decoder.build_frame_bundle of several utterances: each one's covered
     frames gathered with one index array, gaps or none, and all of them
     concatenated in order, as the loss group's bundle once was."""
     chunks = []
     rows = []
     for utt in utterances:
-        if not utt.alignment:
+        if not len(utt.alignment):
             continue
-        starts, ends, seg_rows = segment_arrays(utt, phoneme_set)
+        starts, ends, seg_rows = utt.alignment.T
         lengths = ends - starts
         shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         chunks.append(utt.features[np.arange(shift.shape[0]) + shift])
@@ -238,16 +238,12 @@ def loss_and_grads(decoder, table, bundle: FrameBundle):
     return float(sq / denom), grads, d_pred @ decoder.w_d.T
 
 
-def _table_phonemes(table) -> LanguagePhonemeSet:
-    return LanguagePhonemeSet(table.language, table.phonemes)
-
-
 def finetune(table, decoder, shots, config) -> list[FinetunePoint]:
     """adaptation.finetune gathering the shots' frame bundle itself, on the
     per-tensor Adam and the kernel's default path."""
     table = table.copy()
     decoder = decoder.copy()
-    bundle = build_frame_bundle(shots, _table_phonemes(table))
+    bundle = build_frame_bundle(shots)
     params = {"table": table.matrix, "w_d": decoder.w_d, "b_d": decoder.b_d}
     opt = init_adam(params)
     wanted = set(config.eval_checkpoints)
@@ -278,15 +274,15 @@ def evaluate(table, decoder, queries) -> float:
     total_frames = 0
     dim = queries[0].features.shape[1]
     for utt in queries:
-        bundle = build_frame_bundle([utt], _table_phonemes(table))
+        bundle = build_frame_bundle([utt])
         sq, _ = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row)
         total_sq += sq
         total_frames += bundle.frames.shape[0]
     return total_sq / (total_frames * dim)
 
 
-def _symbols(utterance: Utterance) -> frozenset[str]:
-    return frozenset(seg.phoneme for seg in utterance.alignment)
+def _symbols(utterance: Utterance, phoneme_set: LanguagePhonemeSet) -> frozenset[str]:
+    return frozenset(phoneme_set.phonemes[r] for r in utterance.alignment[:, 2].tolist())
 
 
 def split_with_coverage(
@@ -295,12 +291,14 @@ def split_with_coverage(
     gen_size: int,
     loss_size: int,
     limit: int = 100,
+    *,
+    phoneme_set: LanguagePhonemeSet,
 ) -> tuple[list[Utterance], list[Utterance]]:
     """trainer.split_with_coverage testing coverage on each utterance's
-    symbol set, with numpy integers for indices."""
+    symbol set in phoneme_set, with numpy integers for indices."""
     if len(batch) != gen_size + loss_size:
         raise ValueError(f"batch size {len(batch)} != {gen_size} + {loss_size}")
-    syms = [_symbols(u) for u in batch]
+    syms = [_symbols(u, phoneme_set) for u in batch]
 
     def split_ok(gen_idx, loss_idx):
         gen_set: set[str] = set()
@@ -357,7 +355,8 @@ def sample_task(corpus: Corpus, spec: TaskSpec, limit: int = 100) -> FewShotTask
             f"need k+q = {spec.k + spec.q}"
         )
     rng = np.random.default_rng(spec.seed)
-    symbols = [_symbols(u) for u in pool]
+    phoneme_set = corpus.phoneme_set(spec.language)
+    symbols = [_symbols(u, phoneme_set) for u in pool]
     last = ""
     for _ in range(limit):
         idx = rng.choice(len(pool), size=spec.k + spec.q, replace=False)
@@ -384,7 +383,7 @@ def covering_sentences(
     """mapping.covering_sentences ranking utterances by their symbol sets."""
     pool = corpus.by_language(language)
     phoneme_set = corpus.phoneme_set(language)
-    symbols = [_symbols(u) for u in pool]
+    symbols = [_symbols(u, phoneme_set) for u in pool]
     everywhere = frozenset().union(*symbols) if symbols else frozenset()
     missing = sorted(set(phoneme_set.phonemes) - everywhere)
     if missing:

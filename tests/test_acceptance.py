@@ -226,26 +226,28 @@ def test_coverage_properties(criterion, default_corpus, monkeypatch):
 
         monkeypatch.setattr(trainer_mod, "split_with_coverage", spy)
         config = TrainConfig(total_steps=100, warmup_steps=20, seed=9)
-        state = init_train_state(default_corpus, config, CodebookConfig(dim=16))
+        state = init_train_state(config, CodebookConfig(dim=16))
         for _ in range(100):
             batch = sample_language_batch(default_corpus, config.batch_size, state.rng)
             train_step(state, batch, default_corpus, config)
         assert len(recorded) >= 100
         for gen, loss in recorded:
-            gen_syms = set().union(*(symbols(u) for u in gen))
-            loss_syms = set().union(*(symbols(u) for u in loss))
+            ps = default_corpus.phoneme_set(gen[0].language)
+            gen_syms = set().union(*(symbols(u, ps) for u in gen))
+            loss_syms = set().union(*(symbols(u, ps) for u in loss))
             assert loss_syms <= gen_syms
 
         # few-shot tasks: 100 sampled tasks across k values and languages
         checked = 0
         for k in (4, 16):
             for language in ("test0", "test1"):
+                ps = default_corpus.phoneme_set(language)
                 for seed in range(25):
                     task = sample_task(
                         default_corpus, TaskSpec(language, k=k, q=64, seed=seed)
                     )
-                    shot_syms = set().union(*(symbols(u) for u in task.shots))
-                    query_syms = set().union(*(symbols(u) for u in task.queries))
+                    shot_syms = set().union(*(symbols(u, ps) for u in task.shots))
+                    query_syms = set().union(*(symbols(u, ps) for u in task.queries))
                     assert query_syms <= shot_syms
                     checked += 1
         assert checked == 100

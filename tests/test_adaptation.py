@@ -26,10 +26,10 @@ PS = LanguagePhonemeSet("x", ("a", "b", "c"))
 def _corpus_all_in_one():
     """One utterance holds the full inventory; others hold subsets."""
     utts = [
-        make_utterance("all", "x", np.ones((6, 2)), [("a", 0, 2), ("b", 2, 4), ("c", 4, 6)]),
-        make_utterance("ab", "x", np.ones((4, 2)), [("a", 0, 2), ("b", 2, 4)]),
-        make_utterance("a1", "x", np.ones((2, 2)), [("a", 0, 2)]),
-        make_utterance("b1", "x", np.ones((2, 2)), [("b", 0, 2)]),
+        make_utterance("all", "x", np.ones((6, 2)), [("a", 0, 2), ("b", 2, 4), ("c", 4, 6)], PS),
+        make_utterance("ab", "x", np.ones((4, 2)), [("a", 0, 2), ("b", 2, 4)], PS),
+        make_utterance("a1", "x", np.ones((2, 2)), [("a", 0, 2)], PS),
+        make_utterance("b1", "x", np.ones((2, 2)), [("b", 0, 2)], PS),
     ]
     return make_corpus([PS], utts)
 
@@ -58,8 +58,10 @@ class TestSampleTask:
         # an empty alignment is a valid corpus entry; a query set of bare
         # utterances would leave evaluation nothing to average
         utts = [
-            make_utterance("full", "x", np.ones((3, 2)), [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)]),
-            make_utterance("bare", "x", np.ones((3, 2)), []),
+            make_utterance(
+                "full", "x", np.ones((3, 2)), [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)], PS
+            ),
+            make_utterance("bare", "x", np.ones((3, 2)), [], PS),
         ]
         corpus = make_corpus([PS], utts)
         for seed in range(5):
@@ -68,9 +70,9 @@ class TestSampleTask:
 
     def test_impossible_coverage_names_phonemes(self):
         utts = [
-            make_utterance("u0", "x", np.ones((1, 2)), [("a", 0, 1)]),
-            make_utterance("u1", "x", np.ones((1, 2)), [("b", 0, 1)]),
-            make_utterance("u2", "x", np.ones((1, 2)), [("c", 0, 1)]),
+            make_utterance("u0", "x", np.ones((1, 2)), [("a", 0, 1)], PS),
+            make_utterance("u1", "x", np.ones((1, 2)), [("b", 0, 1)], PS),
+            make_utterance("u2", "x", np.ones((1, 2)), [("c", 0, 1)], PS),
         ]
         corpus = make_corpus([PS], utts)
         with pytest.raises(TaskError, match="phonemes"):
@@ -82,10 +84,11 @@ class TestSampleTask:
             sample_task(corpus, TaskSpec("x", k=3, q=9))
 
     def test_coverage_holds_on_synthetic_corpus(self, small_corpus):
+        ps = small_corpus.phoneme_set("T0")
         for seed in range(100):
             task = sample_task(small_corpus, TaskSpec("T0", k=4, q=16, seed=seed))
-            shot_syms = set().union(*(symbols(u) for u in task.shots))
-            query_syms = set().union(*(symbols(u) for u in task.queries))
+            shot_syms = set().union(*(symbols(u, ps) for u in task.shots))
+            query_syms = set().union(*(symbols(u, ps) for u in task.queries))
             assert query_syms <= shot_syms
             assert not {u.id for u in task.shots} & {u.id for u in task.queries}
 
@@ -111,7 +114,8 @@ class TestInitEmbedding:
 
     def test_absent_phoneme_gets_mean_code_row(self):
         params = init_params(CB, 1, dtype=np.float64)
-        shots = [make_utterance("u", "x", np.ones((2, 2), dtype=np.float64), [("a", 0, 2)])]
+        features = np.ones((2, 2), dtype=np.float64)
+        shots = [make_utterance("u", "x", features, [("a", 0, 2)], PS)]
         corpus = make_corpus([PS], shots)
         task = FewShotTask(shots, [], "x")
         table = init_embedding("codebook_init", params, corpus, task, np.random.default_rng(0))
@@ -151,9 +155,10 @@ class TestFinetune:
         decoder = init_decoder(CB.embed_dim, 2, seed=3)
         shots = [
             make_utterance(
-                "s0", "x", rng.standard_normal((6, 2)), [("a", 0, 2), ("b", 2, 4), ("c", 4, 6)]
+                "s0", "x", rng.standard_normal((6, 2)), [("a", 0, 2), ("b", 2, 4), ("c", 4, 6)],
+                PS,
             ),
-            make_utterance("s1", "x", rng.standard_normal((4, 2)), [("a", 0, 2), ("c", 2, 4)]),
+            make_utterance("s1", "x", rng.standard_normal((4, 2)), [("a", 0, 2), ("c", 2, 4)], PS),
         ]
         return table, decoder, _stats(shots)
 
@@ -188,8 +193,8 @@ class TestEvaluate:
         table = EmbeddingTable(np.zeros((3, CB.embed_dim)), "x", PS.phonemes)
         decoder = DecoderParams(np.zeros((CB.embed_dim, 2)), np.array([1.0, 2.0]))
         queries = [
-            make_utterance("q0", "x", np.tile([1.0, 2.0], (4, 1)), [("a", 0, 4)]),
-            make_utterance("q1", "x", np.tile([1.0, 2.0], (2, 1)), [("b", 0, 2)]),
+            make_utterance("q0", "x", np.tile([1.0, 2.0], (4, 1)), [("a", 0, 4)], PS),
+            make_utterance("q1", "x", np.tile([1.0, 2.0], (2, 1)), [("b", 0, 2)], PS),
         ]
         assert evaluate(table, decoder, _stats(queries)) == 0.0
 
@@ -200,7 +205,7 @@ class TestEvaluate:
             rng.standard_normal((CB.embed_dim, 2)), rng.standard_normal(2)
         )
         queries = [
-            make_utterance(f"q{i}", "x", rng.standard_normal((3, 2)), [("a", 0, 3)])
+            make_utterance(f"q{i}", "x", rng.standard_normal((3, 2)), [("a", 0, 3)], PS)
             for i in range(5)
         ]
         r1 = evaluate(table, decoder, _stats(queries))

@@ -18,7 +18,6 @@ from xpq.datamodel import (
     FeatureSpec,
     LanguagePhonemeSet,
     ManifestEntry,
-    PhonemeSegment,
     _file_path,
     load_alignment,
     load_corpus,
@@ -42,7 +41,7 @@ from xpq.kernels import frame_residual_stats
 from xpq.queries import phoneme_rep_matrix
 from xpq.synth import SynthConfig, SynthLanguage, generate_corpus
 
-from conftest import SMALL_SYNTH, make_corpus, make_utterance, symbols
+from conftest import SMALL_SYNTH, make_corpus, make_utterance
 
 
 class TestFeatureFile:
@@ -125,8 +124,7 @@ class TestAlignment:
     def test_parse_two_segments(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("a\t0\t3\nb\t3\t5\n")
-        segs = load_alignment(path, AB)
-        assert segs == (PhonemeSegment("a", 0, 3), PhonemeSegment("b", 3, 5))
+        assert load_alignment(path, AB).tolist() == [[0, 3, 0], [3, 5, 1]]
 
     def test_overlap_rejected(self, tmp_path):
         path = tmp_path / "a.tsv"
@@ -152,9 +150,27 @@ class TestAlignment:
             load_alignment(path, AB)
 
     def test_round_trip_identity(self, tmp_path):
-        segs = (PhonemeSegment("a", 0, 3), PhonemeSegment("b", 5, 9), PhonemeSegment("a", 9, 10))
-        save_alignment(segs, tmp_path / "a.tsv")
-        assert load_alignment(tmp_path / "a.tsv", AB) == segs
+        table = np.array([[0, 3, 0], [5, 9, 1], [9, 10, 0]])
+        save_alignment(table, AB, tmp_path / "a.tsv")
+        assert (tmp_path / "a.tsv").read_text() == "a\t0\t3\nb\t5\t9\na\t9\t10\n"
+        assert load_alignment(tmp_path / "a.tsv", AB).tolist() == table.tolist()
+
+    def test_an_index_past_int64_is_one_validation_error(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text(f"a\t0\t{2**63}\n")
+        with pytest.raises(ValidationError, match="must be below 2\\*\\*63"):
+            load_alignment(path, AB)
+
+    def test_loaded_alignments_are_read_only_int64_tables(self, small_corpus, tmp_path):
+        for utt in small_corpus.utterances:
+            table = utt.alignment
+            assert table.dtype == np.int64 and table.ndim == 2 and table.shape[1] == 3
+            assert len(table) and not table.flags.writeable
+        path = tmp_path / "a.tsv"
+        path.write_text("# no segment\n")
+        empty = load_alignment(path, AB)
+        assert empty.shape == (0, 3) and empty.dtype == np.int64
+        assert not empty.flags.writeable
 
     def test_gaps_are_allowed(self, tmp_path):
         # forced aligners leave silence between segments; gaps are legal
@@ -269,7 +285,8 @@ class TestValidateCorpus:
         manifest, _ = generate_corpus(SMALL_SYNTH, tmp_path)
         bad = manifest.entries[1]
         save_alignment(
-            (PhonemeSegment("ph00", 0, 10_000),), tmp_path / bad.alignment_path
+            np.array([[0, 10_000, 0]]), manifest.phoneme_set(bad.language),
+            tmp_path / bad.alignment_path,
         )
         report = validate_corpus(manifest)
         assert any(i.utterance_id == bad.id and "frames" in i.message for i in report.issues)
@@ -333,13 +350,15 @@ class TestCorpusMemo:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
             assert got.scatter == want.scatter
-        assert got.n_frames == sum(seg.n_frames for u in (u1, u2) for seg in u.alignment)
+        lengths = [u.alignment[:, 1] - u.alignment[:, 0] for u in (u1, u2)]
+        assert got.n_frames == sum(int(n.sum()) for n in lengths)
 
     def test_stats_of_an_utterance_without_segments_add_no_frame(self):
         # an empty alignment is a valid corpus entry; it adds no covered frame
-        bare = make_utterance("bare", "x", np.ones((2, 1)), [])
-        full = make_utterance("full", "x", [[1.0], [2.0]], [("b", 0, 2)])
-        corpus = make_corpus([LanguagePhonemeSet("x", ("a", "b"))], [bare, full])
+        ps = LanguagePhonemeSet("x", ("a", "b"))
+        bare = make_utterance("bare", "x", np.ones((2, 1)), [], ps)
+        full = make_utterance("full", "x", [[1.0], [2.0]], [("b", 0, 2)], ps)
+        corpus = make_corpus([ps], [bare, full])
         got = corpus.stats([bare, full])
         assert got.counts.tolist() == [0, 2]
         assert got.means.tolist() == [[0.0], [1.5]]
@@ -365,8 +384,8 @@ class TestCorpusMemo:
     def test_queries_keep_float64_features_and_skip_bare_utterances(self):
         ps = LanguagePhonemeSet("x", ("a", "b", "c"))
         utts = [
-            make_utterance("bare", "x", np.ones((2, 2)), [], dtype=np.float64),
-            make_utterance("u", "x", [[0.1, 0.2], [0.3, 0.7]], [("b", 0, 2)], dtype=np.float64),
+            make_utterance("bare", "x", np.ones((2, 2)), [], ps, dtype=np.float64),
+            make_utterance("u", "x", [[0.1, 0.2], [0.3, 0.7]], [("b", 0, 2)], ps, np.float64),
         ]
         corpus = make_corpus([ps], utts)
         got, want = corpus.queries(utts), xpq.queries.aggregate_queries(utts, ps)
@@ -377,19 +396,19 @@ class TestCorpusMemo:
     def test_gapless_bundles_are_read_only_views_of_the_features(self, small_corpus):
         # synthetic segments tile each utterance, so no frame is copied
         for utt in small_corpus.utterances:
-            bundle = build_frame_bundle(utt, small_corpus.phoneme_set(utt.language))
+            bundle = build_frame_bundle(utt)
             assert np.shares_memory(bundle.frames, utt.features)
             assert not bundle.frames.flags.writeable
 
     def test_a_gapped_bundle_copies_its_covered_frames(self):
         phoneme_set = LanguagePhonemeSet("x", ("a", "b"))
         features = np.arange(6.0)[:, None]
-        gapped = make_utterance("gapped", "x", features, [("a", 0, 2), ("b", 3, 5)])
-        inner = make_utterance("inner", "x", features, [("a", 1, 2), ("b", 2, 4)])
-        frames = build_frame_bundle(gapped, phoneme_set).frames
+        gapped = make_utterance("gapped", "x", features, [("a", 0, 2), ("b", 3, 5)], phoneme_set)
+        inner = make_utterance("inner", "x", features, [("a", 1, 2), ("b", 2, 4)], phoneme_set)
+        frames = build_frame_bundle(gapped).frames
         assert not np.shares_memory(frames, gapped.features)
         assert frames[:, 0].tolist() == [0.0, 1.0, 3.0, 4.0]
-        frames = build_frame_bundle(inner, phoneme_set).frames
+        frames = build_frame_bundle(inner).frames
         assert np.shares_memory(frames, inner.features) and not frames.flags.writeable
         assert frames[:, 0].tolist() == [1.0, 2.0, 3.0]
         assert inner.features.flags.writeable
@@ -412,7 +431,7 @@ class TestCorpusMemo:
                 assert stack.reps[u].dtype == reps.dtype
                 assert stack.reps[u].tobytes() == reps.tobytes()
                 assert stack.counts[u].tobytes() == counts.tobytes()
-                bundle = build_frame_bundle(utt, phoneme_set)
+                bundle = build_frame_bundle(utt)
                 sq, _ = frame_residual_stats(bundle.frames, bundle.rows, reps)
                 assert stack.scatter[u] == sq
 
@@ -425,15 +444,15 @@ class TestCorpusMemo:
             stack = small_corpus.rep_stack(language)
             for utt, mask in zip(utterances, small_corpus.masks(utterances)):
                 bits = {r for r in range(phoneme_set.size) if mask >> r & 1}
-                assert bits == {phoneme_set.index(ph) for ph in symbols(utt)}
+                assert bits == set(utt.alignment[:, 2].tolist())
                 assert bits == set(np.flatnonzero(stack.counts[stack.row[utt.id]]).tolist())
 
     def test_masks_follow_row_order_and_give_empty_alignments_zero(self):
         phoneme_set = LanguagePhonemeSet("x", ("c", "a", "b"))
         utterances = [
-            make_utterance("bc", "x", np.ones((3, 1)), [("b", 0, 1), ("c", 1, 3)]),
-            make_utterance("bare", "x", np.ones((2, 1)), []),
-            make_utterance("aaa", "x", np.ones((3, 1)), [("a", 0, 1), ("a", 2, 3)]),
+            make_utterance("bc", "x", np.ones((3, 1)), [("b", 0, 1), ("c", 1, 3)], phoneme_set),
+            make_utterance("bare", "x", np.ones((2, 1)), [], phoneme_set),
+            make_utterance("aaa", "x", np.ones((3, 1)), [("a", 0, 1), ("a", 2, 3)], phoneme_set),
         ]
         corpus = make_corpus([phoneme_set], utterances)
         assert corpus.masks(utterances) == [0b101, 0, 0b010]

@@ -271,17 +271,24 @@ def test_map_phonemes_counts_below_one_are_config_errors(workdir, tmp_path, flag
     (["gradcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["map-phonemes", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["gen-corpus", "--seed", "-1"], "seed must be >= 0, got -1"),
-    (["adapt", "--seed", "-1"], "task seed must be >= 0, got -1"),
+    (["adapt", "--seed", "-1"], "--seed must be >= 0, got -1"),
     # would train no step and report success
     (["train", "--stop-after", "-3"], "--stop-after must be >= 0, got -3"),
+    # adapt refuses its flags before it loads anything
+    (["adapt", "--q", "0"], "--q must be >= 1, got 0"),
+    (["adapt", "--k", "4,0"], "--k must be >= 1, got 0"),
+    (["adapt", "--k", "4,x"], "--k entries must be integers, got '4,x'"),
+    (["gradcheck", "--sizes", "1,2,x,1,1,1"],
+     "--sizes entries must be integers, got '1,2,x,1,1,1'"),
 ])
 def test_negative_counts_and_seeds_are_config_errors(workdir, tmp_path, argv, needle):
     command, *flags = argv
     manifest = workdir / "corpus" / "manifest.json"
     inputs = {
         "map-phonemes": ["--checkpoint", workdir / "ckpt", "--corpus", manifest],
-        "adapt": ["--checkpoint", workdir / "ckpt", "--corpus", manifest, "--language", "T0",
-                  "--k", "2", "--tasks", "1", "--q", "2", "--config", workdir / "config.json"],
+        # neither input exists: a refused flag must stop adapt before any load
+        "adapt": ["--checkpoint", tmp_path / "no-ckpt", "--corpus", tmp_path / "no-corpus",
+                  "--language", "T0", "--k", "2", "--tasks", "1", "--q", "2"],
         "train": ["--config", workdir / "config.json", "--corpus", manifest],
     }.get(command, [])
     out = [] if command == "gradcheck" else ["--out", tmp_path / "out"]
@@ -376,8 +383,35 @@ def test_zero_tasks_is_a_config_error(workdir, tmp_path):
          "--q", "2",
          "--config", workdir / "config.json", "--out", tmp_path / "out"],
         "config",
-        "n_tasks must be >= 1, got 0",
+        "--tasks must be >= 1, got 0",
     )
+
+
+@pytest.fixture(scope="module")
+def dim4_corpus(tmp_path_factory):
+    """The hostile-input corpus at feature dim 4, against workdir's dim-6 checkpoint."""
+    root = tmp_path_factory.mktemp("dim4")
+    cfg = dict(CONFIG, synth=dict(CONFIG["synth"], dim=4))
+    (root / "config.json").write_text(json.dumps(cfg))
+    assert main(["gen-corpus", "--config", str(root / "config.json"),
+                 "--out", str(root / "corpus")]) == 0
+    return root / "corpus" / "manifest.json"
+
+
+@pytest.mark.parametrize("command", ["adapt-both", "adapt-random_init", "map-phonemes"])
+def test_checkpoint_of_another_feature_dim_is_a_config_error(workdir, tmp_path, dim4_corpus,
+                                                             command):
+    """A checkpoint is refused with train's own check before any task runs,
+    not with a numpy shape error from inside the first one."""
+    out = tmp_path / "out"
+    common = ["--checkpoint", workdir / "ckpt", "--corpus", dim4_corpus, "--out", out]
+    if command == "map-phonemes":
+        argv = ["map-phonemes", *common]
+    else:
+        argv = ["adapt", *common, "--language", "T0", "--k", "2", "--tasks", "1", "--q", "2",
+                "--mode", command.removeprefix("adapt-"), "--config", workdir / "config.json"]
+    assert_one_error(argv, "config", "codebook dim 6 != corpus feature dim 4")
+    assert not out.exists()
 
 
 def test_config_error_names_the_line(workdir, tmp_path):

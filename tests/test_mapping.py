@@ -21,10 +21,10 @@ PS = LanguagePhonemeSet("x", ("a", "b", "c"))
 
 def _cover_corpus():
     utts = [
-        make_utterance("all", "x", np.ones((3, 2)), [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)]),
-        make_utterance("ab", "x", np.ones((2, 2)), [("a", 0, 1), ("b", 1, 2)]),
-        make_utterance("c1", "x", np.ones((1, 2)), [("c", 0, 1)]),
-        make_utterance("a1", "x", np.ones((1, 2)), [("a", 0, 1)]),
+        make_utterance("all", "x", np.ones((3, 2)), [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)], PS),
+        make_utterance("ab", "x", np.ones((2, 2)), [("a", 0, 1), ("b", 1, 2)], PS),
+        make_utterance("c1", "x", np.ones((1, 2)), [("c", 0, 1)], PS),
+        make_utterance("a1", "x", np.ones((1, 2)), [("a", 0, 1)], PS),
     ]
     return make_corpus([PS], utts)
 
@@ -37,14 +37,14 @@ class TestCoveringSentences:
 
     def test_cover_larger_than_target_is_returned_whole(self):
         utts = [
-            make_utterance("a1", "x", np.ones((1, 2)), [("a", 0, 1)]),
-            make_utterance("b1", "x", np.ones((1, 2)), [("b", 0, 1)]),
-            make_utterance("c1", "x", np.ones((1, 2)), [("c", 0, 1)]),
+            make_utterance("a1", "x", np.ones((1, 2)), [("a", 0, 1)], PS),
+            make_utterance("b1", "x", np.ones((1, 2)), [("b", 0, 1)], PS),
+            make_utterance("c1", "x", np.ones((1, 2)), [("c", 0, 1)], PS),
         ]
         corpus = make_corpus([PS], utts)
         chosen = covering_sentences(corpus, "x", 1, np.random.default_rng(0))
         assert len(chosen) == 3
-        covered = set().union(*(symbols(u) for u in chosen))
+        covered = set().union(*(symbols(u, PS) for u in chosen))
         assert covered == {"a", "b", "c"}
 
     def test_random_fill_reaches_target(self):
@@ -54,7 +54,7 @@ class TestCoveringSentences:
         assert utts[0].id == "all"
 
     def test_uncoverable_phoneme_named(self):
-        utts = [make_utterance("a1", "x", np.ones((1, 2)), [("a", 0, 1)])]
+        utts = [make_utterance("a1", "x", np.ones((1, 2)), [("a", 0, 1)], PS)]
         corpus = make_corpus([PS], utts)
         with pytest.raises(CoverageError, match="'b', 'c'"):
             covering_sentences(corpus, "x", 2, np.random.default_rng(0))
@@ -66,8 +66,9 @@ class TestCoveringSentences:
 
     def test_coverage_post_hoc(self, small_corpus):
         utts = covering_sentences(small_corpus, "T0", 10, np.random.default_rng(0))
-        covered = set().union(*(symbols(u) for u in utts))
-        assert covered == set(small_corpus.phoneme_set("T0").phonemes)
+        ps = small_corpus.phoneme_set("T0")
+        covered = set().union(*(symbols(u, ps) for u in utts))
+        assert covered == set(ps.phonemes)
 
 
 class TestMappingScore:

@@ -138,6 +138,7 @@ def test_backward_into_given_arrays_is_the_allocating_backward(
 def _utterances(rng, n_utts, m, dim, dtype):
     """Random utterances over m phonemes; segments of 1-3 frames, gaps allowed."""
     phonemes = tuple(f"p{i}" for i in range(m))
+    phoneme_set = LanguagePhonemeSet("x", phonemes)
     utts = []
     for u in range(n_utts):
         segments, cursor = [], int(rng.integers(0, 2))
@@ -146,8 +147,8 @@ def _utterances(rng, n_utts, m, dim, dtype):
             segments.append((phonemes[rng.integers(0, m)], cursor, cursor + length))
             cursor += length + int(rng.integers(0, 2))
         features = rng.standard_normal((cursor, dim))
-        utts.append(make_utterance(f"u{u}", "x", features, segments, dtype=dtype))
-    return LanguagePhonemeSet("x", phonemes), utts
+        utts.append(make_utterance(f"u{u}", "x", features, segments, phoneme_set, dtype=dtype))
+    return phoneme_set, utts
 
 
 @ORACLE
@@ -208,7 +209,7 @@ def test_stacked_aggregation_matches_masked_loop_oracle(n_utts, m, dim, dtype, p
 def test_frame_residual_matches_add_at_oracle(n_utts, m, dim, dtype, exact, seed):
     rng = np.random.default_rng(seed)
     phoneme_set, utts = _utterances(rng, n_utts, m, dim, dtype)
-    bundle = oracle.build_frame_bundle(utts, phoneme_set)
+    bundle = oracle.build_frame_bundle(utts)
     preds = rng.standard_normal((m, dim)).astype(dtype)
     frames = preds[bundle.rows] if exact else bundle.frames
     sq, gsum = kernels.frame_residual_stats(frames, bundle.rows, preds)
@@ -272,7 +273,7 @@ def test_phoneme_stats_step_matches_frame_bundle_step(
     rng = np.random.default_rng(seed)
     phoneme_set, utts = _utterances(rng, n_utts, m, dim, np.float32)
     if bare:
-        utts.append(make_utterance("bare", "x", np.ones((2, dim)), []))
+        utts.append(make_utterance("bare", "x", np.ones((2, dim)), [], phoneme_set))
     # integer parameters make every prediction a float32 value
     draw = (lambda shape: rng.integers(-3, 4, shape)) if exact else rng.standard_normal
     table = EmbeddingTable(draw((m, embed_dim)).astype(dtype), "x", phoneme_set.phonemes)
@@ -280,11 +281,11 @@ def test_phoneme_stats_step_matches_frame_bundle_step(
     per_row = table.matrix @ decoder.w_d + decoder.b_d
     if exact:
         for utt in utts:
-            for ph, start, end in utt.alignment:
-                utt.features[start:end] = per_row[phoneme_set.index(ph)]
+            for start, end, row in utt.alignment.tolist():
+                utt.features[start:end] = per_row[row]
     group = [utts[i] for i in rng.permutation(len(utts))]
     stats = make_corpus([phoneme_set], utts).stats(group)
-    frames = oracle.build_frame_bundle(group, phoneme_set)
+    frames = oracle.build_frame_bundle(group)
     n_frames = frames.frames.shape[0]
     assert stats.n_frames == n_frames
     loss, grads, d_table = loss_and_grads(decoder, table, stats)
@@ -379,11 +380,12 @@ def test_adam_on_gradients_in_its_own_views_matches_per_tensor_oracle(shapes, dt
             assert_bitwise(state.v[name], state_ref.v[name])
 
 
-def _batch(symbol_sets):
-    """One utterance per symbol set, each symbol a one-frame segment."""
+def _batch(symbol_sets, phoneme_set):
+    """One utterance per symbol set, each symbol a one-frame segment, with
+    rows of phoneme_set."""
     return [
         make_utterance(f"u{i}", "x", np.zeros((max(len(syms), 1), 1)),
-                       [(ph, j, j + 1) for j, ph in enumerate(sorted(syms))])
+                       [(ph, j, j + 1) for j, ph in enumerate(sorted(syms))], phoneme_set)
         for i, syms in enumerate(symbol_sets)
     ]
 
@@ -418,12 +420,14 @@ def test_split_on_bitmasks_matches_symbol_set_oracle(symbol_sets, gen_share, lim
     rejection loop, the greedy fallback and the error; with rows in sorted
     and in reverse symbol order, so the fallback's ties go by symbol and not
     by bit."""
-    batch = _batch(symbol_sets)
-    gen_size = min(max(1, round(gen_share * len(batch))), len(batch) - 1)
-    sizes = (gen_size, len(batch) - gen_size, limit)
-    want = _split_outcome(oracle.split_with_coverage, batch, seed, *sizes)
-    for rows in ("abcdefgh", "hgfedcba"):
-        coverage = coverage_masks(batch, rows)
+    gen_size = min(max(1, round(gen_share * len(symbol_sets))), len(symbol_sets) - 1)
+    sizes = (gen_size, len(symbol_sets) - gen_size, limit)
+    sets = [LanguagePhonemeSet("x", tuple(rows)) for rows in ("abcdefgh", "hgfedcba")]
+    batch = _batch(symbol_sets, sets[0])
+    want = _split_outcome(oracle.split_with_coverage, batch, seed, *sizes, phoneme_set=sets[0])
+    for phoneme_set in sets:
+        batch = _batch(symbol_sets, phoneme_set)
+        coverage = coverage_masks(batch, phoneme_set)
         assert _split_outcome(split_with_coverage, batch, seed, *sizes, **coverage) == want
 
 
@@ -440,7 +444,8 @@ def _pools(draw):
 
 
 def _pool_corpus(rows, symbol_sets):
-    return make_corpus([LanguagePhonemeSet("x", tuple(rows))], _batch(symbol_sets))
+    phoneme_set = LanguagePhonemeSet("x", tuple(rows))
+    return make_corpus([phoneme_set], _batch(symbol_sets, phoneme_set))
 
 
 def _task_outcome(sample, corpus, spec, limit):
@@ -659,10 +664,10 @@ def alignment_files(draw):
     return data
 
 
-def _parsed(load, path, phoneme_set):
-    """The (phoneme, start, end) triples load gives, or its error's class and message."""
+def _parsed(rows, path):
+    """The [start, end, row] lists rows(path) gives, or its error's class and message."""
     try:
-        return [(s.phoneme, s.start_frame, s.end_frame) for s in load(path, phoneme_set)]
+        return rows(path)
     except XpqError as e:
         return type(e), str(e)
 
@@ -672,15 +677,24 @@ def _parsed(load, path, phoneme_set):
 @example(data=b"a\t0\t5\nb\t3\t4\nzz\t9\t10\n")  # vocabulary before overlap
 @example(data=b"a\t0\t5\nb\t5\t5\n")  # an empty segment after a valid one
 @example(data=b"b\t-1\t2\nzz\t0\t1")  # a range fault is not deferred
+@example(data=b"a\t1\t2\nb\t3\t5\nc\t0\t1\n")  # the overlap names the later start
 def test_alignment_parser_matches_dataclass_segment_oracle(tmp_path_factory, data):
-    """Exact: the single-pass parser and its NamedTuple segments give the
-    oracle's segments, or raise the oracle's first fault with its class and
-    message; the parser reads a str path, the oracle a Path."""
+    """Exact: the single-pass parser's table rows are the oracle's segments
+    as (start, end, index(phoneme)), or it raises the oracle's first fault
+    with its class and message; the parser reads a str path, the oracle a
+    Path."""
     path = tmp_path_factory.getbasetemp() / "alignment.tsv"
     path.write_bytes(data)
     phoneme_set = LanguagePhonemeSet("L", ALIGNMENT_SYMBOLS)
-    got = _parsed(load_alignment, str(path), phoneme_set)
-    assert got == _parsed(oracle.load_alignment, path, phoneme_set)
+    got = _parsed(lambda p: load_alignment(p, phoneme_set).tolist(), str(path))
+    want = _parsed(
+        lambda p: [
+            [s.start_frame, s.end_frame, phoneme_set.index(s.phoneme)]
+            for s in oracle.load_alignment(p, phoneme_set)
+        ],
+        path,
+    )
+    assert got == want
 
 
 @st.composite
@@ -689,6 +703,7 @@ def bundle_cases(draw):
     frames, 0-2 uncovered frames before the first and after the last, and,
     unless it is drawn gapless, a gap of 0-2 frames before each later one."""
     phonemes = ("p0", "p1", "p2")
+    phoneme_set = LanguagePhonemeSet("x", phonemes)
     dim, dtype = draw(st.integers(1, 3)), draw(DTYPES)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     utts = []
@@ -700,8 +715,8 @@ def bundle_cases(draw):
             cursor = start + draw(st.integers(1, 3))
             segments.append((draw(st.sampled_from(phonemes)), start, cursor))
         features = rng.standard_normal((max(cursor + draw(st.integers(0, 2)), 1), dim))
-        utts.append(make_utterance(f"u{u}", "x", features, segments, dtype=dtype))
-    return LanguagePhonemeSet("x", phonemes), utts
+        utts.append(make_utterance(f"u{u}", "x", features, segments, phoneme_set, dtype=dtype))
+    return utts
 
 
 def _bundled(bundle):
@@ -711,16 +726,15 @@ def _bundled(bundle):
 
 
 @ORACLE
-@given(case=bundle_cases())
-def test_frame_bundle_matches_gather_oracle(case):
+@given(utts=bundle_cases())
+def test_frame_bundle_matches_gather_oracle(utts):
     """Exact: an utterance's bundle, whose frames are a view of a gapless
     utterance's features, has the oracle's gathered frames (values, dtype and
     shape) and rows; an utterance without segments gives no frame."""
-    phoneme_set, utts = case
     for utt in utts:
-        got = build_frame_bundle(utt, phoneme_set)
-        if utt.alignment:
-            assert _bundled(got) == _bundled(oracle.build_frame_bundle([utt], phoneme_set))
+        got = build_frame_bundle(utt)
+        if len(utt.alignment):
+            assert _bundled(got) == _bundled(oracle.build_frame_bundle([utt]))
         else:
             assert got.frames.shape == (0, utt.dim) and got.rows.dtype == np.int64
             assert got.rows.shape == (0,) and got.frames.dtype == utt.features.dtype

@@ -14,20 +14,20 @@ PS = LanguagePhonemeSet("x", ("a", "b", "c"))
 
 class TestTempReps:
     def test_two_frame_mean(self):
-        utt = make_utterance("u", "x", [[2, 4], [4, 8]], [("a", 0, 2)])
+        utt = make_utterance("u", "x", [[2, 4], [4, 8]], [("a", 0, 2)], PS)
         reps, counts = phoneme_rep_matrix(utt, PS)
         assert np.array_equal(reps[0], [3.0, 6.0])
         assert counts[0] == 2
 
     def test_multi_segment_pooling(self):
         # "a" occupies [0,1) and [2,3); the middle frame belongs to nothing
-        utt = make_utterance("u", "x", [[0, 0], [9, 9], [4, 4]], [("a", 0, 1), ("a", 2, 3)])
+        utt = make_utterance("u", "x", [[0, 0], [9, 9], [4, 4]], [("a", 0, 1), ("a", 2, 3)], PS)
         reps, counts = phoneme_rep_matrix(utt, PS)
         assert np.array_equal(reps[0], [2.0, 2.0])
         assert counts.tolist() == [2, 0, 0]
 
     def test_absent_phoneme_has_no_entry(self):
-        utt = make_utterance("u", "x", [[1, 1]], [("b", 0, 1)])
+        utt = make_utterance("u", "x", [[1, 1]], [("b", 0, 1)], PS)
         reps, counts = phoneme_rep_matrix(utt, PS)
         assert counts[0] == 0
         assert np.all(reps[0] == 0.0)
@@ -35,8 +35,8 @@ class TestTempReps:
 
 class TestAggregate:
     def test_mean_of_means(self):
-        u1 = make_utterance("u1", "x", [[1, 0]], [("a", 0, 1)])
-        u2 = make_utterance("u2", "x", [[3, 2]], [("a", 0, 1)])
+        u1 = make_utterance("u1", "x", [[1, 0]], [("a", 0, 1)], PS)
+        u2 = make_utterance("u2", "x", [[3, 2]], [("a", 0, 1)], PS)
         qm = aggregate_queries([u1, u2], PS)
         assert np.array_equal(qm.matrix[0], [2.0, 1.0])
         assert qm.present[0]
@@ -45,13 +45,13 @@ class TestAggregate:
         # u1 has one frame of "a" valued 0; u2 has three frames each valued 4.
         # The per-utterance means are 0 and 4, so the query is 2 (never the
         # frame-weighted 3).
-        u1 = make_utterance("u1", "x", [[0.0]], [("a", 0, 1)])
-        u2 = make_utterance("u2", "x", [[4.0], [4.0], [4.0]], [("a", 0, 3)])
+        u1 = make_utterance("u1", "x", [[0.0]], [("a", 0, 1)], PS)
+        u2 = make_utterance("u2", "x", [[4.0], [4.0], [4.0]], [("a", 0, 3)], PS)
         qm = aggregate_queries([u1, u2], PS)
         assert qm.matrix[0, 0] == 2.0
 
     def test_absent_phoneme_zero_row(self):
-        u1 = make_utterance("u1", "x", [[1, 1]], [("a", 0, 1)])
+        u1 = make_utterance("u1", "x", [[1, 1]], [("a", 0, 1)], PS)
         qm = aggregate_queries([u1], PS)
         assert np.all(qm.matrix[2] == 0.0)
         assert not qm.present[2]
@@ -61,7 +61,7 @@ class TestAggregate:
             aggregate_queries([], PS)
 
     def test_language_mismatch_rejected(self):
-        u = make_utterance("u", "y", [[1, 1]], [("a", 0, 1)])
+        u = make_utterance("u", "y", [[1, 1]], [("a", 0, 1)], PS)
         with pytest.raises(ValueError):
             aggregate_queries([u], PS)
 
@@ -72,7 +72,7 @@ class TestAggregate:
                 f"u{i}",
                 "x",
                 rng.standard_normal((6, 4)),
-                [("a", 0, 2), ("b", 2, 5), ("a", 5, 6)],
+                [("a", 0, 2), ("b", 2, 5), ("a", 5, 6)], PS,
             )
             for i in range(6)
         ]
@@ -83,8 +83,8 @@ class TestAggregate:
 
     def test_segment_order_invariance(self):
         feats = np.arange(12, dtype=np.float32).reshape(6, 2)
-        u1 = make_utterance("u", "x", feats, [("a", 0, 2), ("b", 2, 4), ("a", 4, 6)])
-        u2 = make_utterance("u", "x", feats, [("a", 4, 6), ("b", 2, 4), ("a", 0, 2)])
+        u1 = make_utterance("u", "x", feats, [("a", 0, 2), ("b", 2, 4), ("a", 4, 6)], PS)
+        u2 = make_utterance("u", "x", feats, [("a", 4, 6), ("b", 2, 4), ("a", 0, 2)], PS)
         # unsorted alignments never round-trip through files, but the math
         # itself must not care about segment order
         r1, c1 = phoneme_rep_matrix(u1, PS)
@@ -94,17 +94,17 @@ class TestAggregate:
 
     def test_constant_phoneme_recovers_exactly(self):
         v = np.array([0.3, -1.2, 7.5], dtype=np.float32)
+        ps = LanguagePhonemeSet("x", ("a",))
         utts = [
-            make_utterance(f"u{i}", "x", np.tile(v, (n, 1)), [("a", 0, n)])
+            make_utterance(f"u{i}", "x", np.tile(v, (n, 1)), [("a", 0, n)], ps)
             for i, n in enumerate((1, 4, 9))
         ]
-        ps = LanguagePhonemeSet("x", ("a",))
         qm = aggregate_queries(utts, ps)
         assert np.array_equal(qm.matrix[0], v.astype(qm.matrix.dtype))
 
     def test_output_dtype_follows_features(self):
-        u32 = make_utterance("u", "x", [[1, 2]], [("a", 0, 1)])
-        u64 = make_utterance("u", "x", [[1, 2]], [("a", 0, 1)], dtype=np.float64)
+        u32 = make_utterance("u", "x", [[1, 2]], [("a", 0, 1)], PS)
+        u64 = make_utterance("u", "x", [[1, 2]], [("a", 0, 1)], PS, dtype=np.float64)
         assert aggregate_queries([u32], PS).matrix.dtype == np.float32
         assert aggregate_queries([u64], PS).matrix.dtype == np.float64
 
@@ -132,7 +132,7 @@ def test_zero_noise_queries_match_prototypes(tmp_path):
 
 
 def test_dump_round_trip(tmp_path):
-    u1 = make_utterance("u1", "x", [[1.5, -2.0]], [("a", 0, 1)])
+    u1 = make_utterance("u1", "x", [[1.5, -2.0]], [("a", 0, 1)], PS)
     qm = aggregate_queries([u1], PS)
     save_query_matrix(qm, tmp_path / "q")
     matrix = load_feature_file(tmp_path / "q.xpqf")

@@ -41,10 +41,11 @@ def test_zero_noise_frames_equal_prototype(tmp_path):
     protos = load_feature_file(tmp_path / "prototypes.xpqf")
     gt = load_ground_truth(tmp_path / "ground_truth.json")
     utt = corpus.utterances[0]
-    for seg in utt.alignment:
-        proto = protos[gt[namespaced("L0", seg.phoneme)]]
-        block = utt.features[seg.start_frame : seg.end_frame]
-        assert np.array_equal(block, np.tile(proto, (seg.n_frames, 1)))
+    phonemes = corpus.phoneme_set("L0").phonemes
+    for start, end, row in utt.alignment.tolist():
+        proto = protos[gt[namespaced("L0", phonemes[row])]]
+        block = utt.features[start:end]
+        assert np.array_equal(block, np.tile(proto, (end - start, 1)))
 
 
 @pytest.mark.parametrize(
@@ -85,14 +86,16 @@ def test_full_sharing_is_bijection(tmp_path):
 def test_every_phoneme_in_training_split(small_corpus_dir):
     corpus = load_corpus(small_corpus_dir / "manifest.json")
     for lang in ("L0", "L1"):
+        ps = corpus.phoneme_set(lang)
         seen = set()
         for utt in corpus.by_language(lang, "train"):
-            seen |= symbols(utt)
-        assert seen == set(corpus.phoneme_set(lang).phonemes)
+            seen |= symbols(utt, ps)
+        assert seen == set(ps.phonemes)
+    ps = corpus.phoneme_set("T0")
     seen = set()
     for utt in corpus.by_language("T0"):
-        seen |= symbols(utt)
-    assert seen == set(corpus.phoneme_set("T0").phonemes)
+        seen |= symbols(utt, ps)
+    assert seen == set(ps.phonemes)
 
 
 def test_generated_corpus_validates(small_corpus_dir):

@@ -39,6 +39,7 @@ def _toy_corpus(n_utts=12, seed=0, m=4, dim=6, language="L0"):
     rng = np.random.default_rng(seed)
     protos = rng.uniform(-1, 1, (m, dim)).astype(np.float32)
     phonemes = tuple(f"p{i}" for i in range(m))
+    phoneme_set = LanguagePhonemeSet(language, phonemes)
     utts = []
     for u in range(n_utts):
         seq = rng.integers(0, m, size=6)
@@ -52,8 +53,8 @@ def _toy_corpus(n_utts=12, seed=0, m=4, dim=6, language="L0"):
             frames.append(np.tile(protos[ph], (dur, 1)))
             segs.append((phonemes[ph], cursor, cursor + dur))
             cursor += dur
-        utts.append(make_utterance(f"u{u:03d}", language, np.vstack(frames), segs))
-    return make_corpus([LanguagePhonemeSet(language, phonemes)], utts)
+        utts.append(make_utterance(f"u{u:03d}", language, np.vstack(frames), segs, phoneme_set))
+    return make_corpus([phoneme_set], utts)
 
 
 TOY_TRAIN = TrainConfig(
@@ -108,14 +109,18 @@ class TestBatchSampling:
         assert ids1 == ids2
 
 
+# the rows of every hand-built "x" batch below, in symbol order
+XS = LanguagePhonemeSet("x", ("a", "b", "c", "z"))
+
+
 class TestCoverageSplit:
     def _mini_batch(self):
         # u0 holds a phoneme ("z") that appears nowhere else
         return [
-            make_utterance("u0", "x", [[1.0]], [("z", 0, 1)]),
-            make_utterance("u1", "x", [[1.0], [1.0]], [("a", 0, 1), ("b", 1, 2)]),
-            make_utterance("u2", "x", [[1.0]], [("a", 0, 1)]),
-            make_utterance("u3", "x", [[1.0]], [("b", 0, 1)]),
+            make_utterance("u0", "x", [[1.0]], [("z", 0, 1)], XS),
+            make_utterance("u1", "x", [[1.0], [1.0]], [("a", 0, 1), ("b", 1, 2)], XS),
+            make_utterance("u2", "x", [[1.0]], [("a", 0, 1)], XS),
+            make_utterance("u3", "x", [[1.0]], [("b", 0, 1)], XS),
         ]
 
     def test_unique_phoneme_bearer_always_lands_in_gen(self):
@@ -125,47 +130,49 @@ class TestCoverageSplit:
         valid_loss_sets = []
         for loss_ids in itertools.combinations(range(4), 1):
             gen_ids = [i for i in range(4) if i not in loss_ids]
-            gen_syms = set().union(*(symbols(batch[i]) for i in gen_ids))
-            loss_syms = set().union(*(symbols(batch[i]) for i in loss_ids))
+            gen_syms = set().union(*(symbols(batch[i], XS) for i in gen_ids))
+            loss_syms = set().union(*(symbols(batch[i], XS) for i in loss_ids))
             if loss_syms <= gen_syms:
                 valid_loss_sets.append(loss_ids)
         assert all(0 not in loss_ids for loss_ids in valid_loss_sets)
         for seed in range(40):
             gen, loss = split_with_coverage(
-                batch, np.random.default_rng(seed), 3, 1, **coverage_masks(batch)
+                batch, np.random.default_rng(seed), 3, 1, **coverage_masks(batch, XS)
             )
             assert "u0" in {u.id for u in gen}
-            gen_syms = set().union(*(symbols(u) for u in gen))
-            assert set().union(*(symbols(u) for u in loss)) <= gen_syms
+            gen_syms = set().union(*(symbols(u, XS) for u in gen))
+            assert set().union(*(symbols(u, XS) for u in loss)) <= gen_syms
 
     def test_shared_inventory_first_split_accepted(self):
         batch = [
-            make_utterance(f"u{i}", "x", [[1.0], [1.0]], [("a", 0, 1), ("b", 1, 2)])
+            make_utterance(f"u{i}", "x", [[1.0], [1.0]], [("a", 0, 1), ("b", 1, 2)], XS)
             for i in range(5)
         ]
         rng = np.random.default_rng(0)
-        gen, loss = split_with_coverage(batch, rng, 4, 1, **coverage_masks(batch))
+        gen, loss = split_with_coverage(batch, rng, 4, 1, **coverage_masks(batch, XS))
         assert len(gen) == 4 and len(loss) == 1
 
     def test_pigeonhole_impossible_split(self):
         batch = [
-            make_utterance("u0", "x", [[1.0]], [("a", 0, 1)]),
-            make_utterance("u1", "x", [[1.0]], [("b", 0, 1)]),
-            make_utterance("u2", "x", [[1.0]], [("c", 0, 1)]),
+            make_utterance("u0", "x", [[1.0]], [("a", 0, 1)], XS),
+            make_utterance("u1", "x", [[1.0]], [("b", 0, 1)], XS),
+            make_utterance("u2", "x", [[1.0]], [("c", 0, 1)], XS),
         ]
         with pytest.raises(CoverageError):
-            split_with_coverage(batch, np.random.default_rng(0), 2, 1, **coverage_masks(batch))
+            split_with_coverage(
+                batch, np.random.default_rng(0), 2, 1, **coverage_masks(batch, XS)
+            )
 
     def test_greedy_fallback_forces_rare_bearers_into_gen(self):
         # limit=0 skips rejection sampling so the greedy path must solve it:
         # u0 and u1 are the sole bearers of "a" and "b"
         batch = [
-            make_utterance("u0", "x", [[1.0]], [("a", 0, 1)]),
-            make_utterance("u1", "x", [[1.0]], [("b", 0, 1)]),
-            make_utterance("u2", "x", [[1.0], [1.0]], [("a", 0, 1), ("b", 1, 2)]),
+            make_utterance("u0", "x", [[1.0]], [("a", 0, 1)], XS),
+            make_utterance("u1", "x", [[1.0]], [("b", 0, 1)], XS),
+            make_utterance("u2", "x", [[1.0], [1.0]], [("a", 0, 1), ("b", 1, 2)], XS),
         ]
         gen, loss = split_with_coverage(
-            batch, np.random.default_rng(3), 2, 1, limit=0, **coverage_masks(batch)
+            batch, np.random.default_rng(3), 2, 1, limit=0, **coverage_masks(batch, XS)
         )
         assert {u.id for u in gen} == {"u0", "u1"}
         assert {u.id for u in loss} == {"u2"}
@@ -173,13 +180,15 @@ class TestCoverageSplit:
     def test_batch_size_mismatch(self):
         with pytest.raises(ValueError):
             batch = self._mini_batch()
-            split_with_coverage(batch, np.random.default_rng(0), 2, 1, **coverage_masks(batch))
+            split_with_coverage(
+                batch, np.random.default_rng(0), 2, 1, **coverage_masks(batch, XS)
+            )
 
 
 class TestTrainStep:
     def test_loss_decreases_on_miniature(self):
         corpus = _toy_corpus()
-        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        state = init_train_state(TOY_TRAIN, TOY_CB)
         losses = []
         for _ in range(50):
             batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, state.rng)
@@ -208,22 +217,24 @@ class TestTrainStep:
             return gen, loss
 
         monkeypatch.setattr(trainer_mod, "split_with_coverage", spy)
-        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        state = init_train_state(TOY_TRAIN, TOY_CB)
         for _ in range(100):
             batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, state.rng)
             train_step(state, batch, corpus, TOY_TRAIN)
         assert len(recorded) == 100
+        ps = corpus.phoneme_set("L0")
         for gen, loss in recorded:
-            gen_syms = set().union(*(symbols(u) for u in gen))
-            assert set().union(*(symbols(u) for u in loss)) <= gen_syms
+            gen_syms = set().union(*(symbols(u, ps) for u in gen))
+            assert set().union(*(symbols(u, ps) for u in loss)) <= gen_syms
 
     def test_loss_group_without_covered_frames_is_refused_before_any_update(self):
         # an empty alignment is a valid corpus entry, but a loss group of such
         # utterances has no loss; run_training resamples on CoverageError
         toy = _toy_corpus()
-        bare = [make_utterance(f"bare{i}", "L0", np.ones((2, 6)), []) for i in range(8)]
+        ps = toy.phoneme_set("L0")
+        bare = [make_utterance(f"bare{i}", "L0", np.ones((2, 6)), [], ps) for i in range(8)]
         corpus = make_corpus(toy.manifest.languages, [*toy.utterances, *bare])
-        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        state = init_train_state(TOY_TRAIN, TOY_CB)
         before = {k: t.copy() for k, t in model_tensors(state.params, state.decoder).items()}
         with pytest.raises(CoverageError, match="the loss group covers no frame"):
             train_step(state, bare, corpus, TOY_TRAIN)
@@ -235,11 +246,11 @@ class TestTrainStep:
         # finite differences over the exact objective a step optimizes,
         # using real corpus data promoted to float64 (the statistics are)
         corpus = _toy_corpus()
-        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        state = init_train_state(TOY_TRAIN, TOY_CB)
         rng = np.random.default_rng(0)
         batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, rng)
-        gen, loss_group = split_with_coverage(batch, rng, 6, 2, **coverage_masks(batch))
         ps = corpus.phoneme_set("L0")
+        gen, loss_group = split_with_coverage(batch, rng, 6, 2, **coverage_masks(batch, ps))
         queries = aggregate_queries(gen, ps).matrix.astype(np.float64)
         stats = corpus.stats(loss_group)
         p, d = state.params, state.decoder
@@ -282,7 +293,7 @@ class TestTrainStep:
 class TestCheckpoint:
     def test_save_load_save_identical_bytes(self, tmp_path):
         corpus = _toy_corpus()
-        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        state = init_train_state(TOY_TRAIN, TOY_CB)
         for _ in range(5):
             batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, state.rng)
             train_step(state, batch, corpus, TOY_TRAIN)
@@ -329,7 +340,7 @@ class TestCheckpoint:
 
     def test_blobs_follow_the_documented_layout(self, tmp_path):
         corpus = _toy_corpus()
-        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        state = init_train_state(TOY_TRAIN, TOY_CB)
         for _ in range(2):
             batch = sample_language_batch(corpus, TOY_TRAIN.batch_size, state.rng)
             train_step(state, batch, corpus, TOY_TRAIN)
@@ -358,7 +369,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("blob", ["codebook.bin", "decoder.bin", "optim.bin"])
     def test_corrupt_magic_rejected(self, tmp_path, blob):
         corpus = _toy_corpus()
-        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        state = init_train_state(TOY_TRAIN, TOY_CB)
         save_checkpoint(state, tmp_path, TOY_TRAIN, TOY_CB)
         raw = bytearray((tmp_path / blob).read_bytes())
         raw[:4] = b"NOPE"
@@ -368,7 +379,7 @@ class TestCheckpoint:
 
     def test_config_mismatch_rejected(self, tmp_path):
         corpus = _toy_corpus()
-        state = init_train_state(corpus, TOY_TRAIN, TOY_CB)
+        state = init_train_state(TOY_TRAIN, TOY_CB)
         save_checkpoint(state, tmp_path, TOY_TRAIN, TOY_CB)
         import dataclasses
 
