@@ -22,7 +22,7 @@ from .adaptation import MODES, AdaptConfig, run_experiment, write_report_json, w
 from .checkpoint import load_checkpoint_params
 from .codebook import CodebookConfig
 from .config import RunConfig, load_run_config, write_resolved_config
-from .datamodel import load_corpus, load_manifest, validate_corpus
+from .datamodel import load_corpus, load_manifest, parse_int, validate_corpus
 from .errors import ConfigError, XpqError
 from .gradcheck import DEFAULT_SHAPES, CheckShape, run_suites
 from .mapping import DEFAULT_COVER_TARGET, build_score_table, write_mapping_tsv, write_scores_json
@@ -31,29 +31,39 @@ from .synth import SynthConfig, generate_corpus
 from .trainer import TrainConfig, run_training
 
 
-def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility; has no effect",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Each fault argparse finds (unknown flag or command, missing or invalid
+    value) is one `error:argument:` line and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error:argument: {self.prog}: {message}\n")
 
 
-def _refuse_below(least: int, *flags: tuple[str, int | None]) -> None:
-    """Refuse, before any work, a (flag, value) whose value is below least;
-    an unset flag (None) passes."""
-    for flag, value in flags:
-        if value is not None and value < least:
-            raise ConfigError(f"{flag} must be >= {least}, got {value}")
-
-
-def _parse_ints(flag: str, spec: str) -> list[int]:
-    """The comma-separated integers of a flag's value; refuses any other entry."""
+def _ints(flag: str, text: str, many: bool = True) -> list[int]:
+    """The integers (parse_int) of a flag's value, comma-separated when many."""
     try:
-        return [int(x) for x in spec.split(",")]
+        return [parse_int(x) for x in text.split(",")] if many else [parse_int(text)]
     except ValueError:
-        raise ConfigError(f"{flag} entries must be integers, got {spec!r}") from None
+        what = "entries must be integers" if many else "must be an integer"
+        raise ConfigError(f"{flag} {what}, got {text!r}") from None
+
+
+class _Int(argparse.Action):
+    """An integer flag, or with many a comma-separated list of integers,
+    refused while parsing when an entry is below least. ConfigError is no
+    argparse.ArgumentError, so it leaves parse_args as raised."""
+
+    def __init__(self, option_strings, dest, least: int, many: bool = False, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.least, self.many = least, many
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        flag = self.option_strings[0]
+        values = _ints(flag, text, self.many)
+        for value in values:
+            if value < self.least:
+                raise ConfigError(f"{flag} must be >= {self.least}, got {value}")
+        setattr(namespace, self.dest, values if self.many else values[0])
 
 
 def _refuse_other_dim(config: CodebookConfig, corpus) -> None:
@@ -103,14 +113,13 @@ def cmd_extract_queries(args) -> int:
     base = out / f"queries_{args.language}"
     save_query_matrix(qm, base)
     print(
-        f"extract-queries: {args.language}: {int(qm.present.sum())}/{len(qm.phonemes)} "
+        f"extract-queries: {args.language}: {qm.present.sum()}/{len(qm.phonemes)} "
         f"phonemes present from {len(utterances)} utterances -> {base}.xpqf"
     )
     return 0
 
 
 def cmd_train(args) -> int:
-    _refuse_below(0, ("--stop-after", args.stop_after))
     cfg = _load_config(args.config)
     train_cfg = cfg.train or TrainConfig()
     corpus = load_corpus(args.corpus)
@@ -129,7 +138,7 @@ def cmd_train(args) -> int:
 def _parse_sizes(spec: str) -> tuple[CheckShape, ...]:
     shapes = []
     for part in spec.split(";"):
-        nums = _parse_ints("--sizes", part)
+        nums = _ints("--sizes", part)
         if len(nums) != 6:
             raise ConfigError(
                 f"--sizes entry {part!r} must be m,n,dim,H,d_k,d_v"
@@ -139,10 +148,7 @@ def _parse_sizes(spec: str) -> tuple[CheckShape, ...]:
 
 
 def cmd_gradcheck(args) -> int:
-    _refuse_below(0, ("--seed", args.seed))
-    _refuse_below(1, ("--seeds", args.seeds))
-    shapes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_SHAPES
-    results, elapsed = run_suites(args.seed, args.seeds, shapes)
+    results, elapsed = run_suites(args.seed, args.seeds, args.sizes)
     for r in results:
         print(r)
     failed = [r for r in results if not r.passed]
@@ -154,9 +160,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    ks = _parse_ints("--k", args.k)
-    _refuse_below(1, *(("--k", k) for k in ks), ("--tasks", args.tasks), ("--q", args.q))
-    _refuse_below(0, ("--seed", args.seed))
     cfg = _load_config(args.config)
     adapt_cfg = cfg.adapt or AdaptConfig()
     corpus = load_corpus(args.corpus)
@@ -164,23 +167,15 @@ def cmd_adapt(args) -> int:
     _refuse_other_dim(params.config, corpus)
     modes = MODES if args.mode == "both" else (args.mode,)
     cells = run_experiment(
-        corpus,
-        params,
-        decoder,
-        args.language,
-        ks,
-        args.tasks,
-        adapt_cfg,
-        q=args.q,
-        base_seed=args.seed,
-        modes=modes,
+        corpus, params, decoder, args.language, args.k, args.tasks, adapt_cfg,
+        q=args.q, base_seed=args.seed, modes=modes,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(
         out / "resolved_config.json",
         adapt=adapt_cfg,
-        ks=ks,
+        ks=args.k,
         tasks=args.tasks,
         q=args.q,
         seed=args.seed,
@@ -198,8 +193,6 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_map_phonemes(args) -> int:
-    _refuse_below(1, ("--top-k", args.top_k), ("--target-count", args.target_count))
-    _refuse_below(0, ("--seed", args.seed))
     corpus = load_corpus(args.corpus)
     params, _ = load_checkpoint_params(args.checkpoint)
     _refuse_other_dim(params.config, corpus)
@@ -233,7 +226,7 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xpq",
         description="Transferable phoneme embeddings: synthetic corpora, codebook "
         "attention training, few-shot adaptation, and phoneme mapping discovery.",
@@ -244,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-corpus", help="generate a synthetic corpus with ground truth")
     p.add_argument("--config", help="run config JSON (synth section)")
     p.add_argument("--out", required=True, help="output corpus directory")
-    p.add_argument("--seed", type=int, default=None, help="override synth seed")
+    p.add_argument("--seed", action=_Int, least=0, help="override synth seed")
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("extract-queries", help="extract phoneme queries for one language")
@@ -252,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--language", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default=None)
     p.add_argument("--out", required=True)
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_extract_queries)
 
     p = sub.add_parser("train", help="train codebook attention and decoder")
@@ -261,60 +253,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint/output directory")
     p.add_argument("--resume", action="store_true", help="resume from checkpoint in --out")
     p.add_argument(
-        "--stop-after", type=int, default=None, help="checkpoint and exit after this step"
+        "--stop-after", action=_Int, least=0, help="checkpoint and exit after this step"
     )
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--seeds", type=int, default=10, help="number of seeds per shape")
-    p.add_argument("--sizes", help="shapes as m,n,dim,H,d_k,d_v[;...] (default: 3 built-ins)")
+    p.add_argument("--seed", action=_Int, least=0, default=0, help="base seed")
+    p.add_argument("--seeds", action=_Int, least=1, default=10, help="number of seeds per shape")
+    p.add_argument(
+        "--sizes", type=_parse_sizes, default=DEFAULT_SHAPES,
+        help="shapes as m,n,dim,H,d_k,d_v[;...] (default: 3 built-ins)",
+    )
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("adapt", help="few-shot adaptation experiment on one language")
     p.add_argument("--checkpoint", required=True, help="trained checkpoint directory")
     p.add_argument("--corpus", required=True, help="corpus manifest.json")
     p.add_argument("--language", required=True)
-    p.add_argument("--k", required=True, help="shots per task, comma-separated (e.g. 4,16,64)")
-    p.add_argument("--tasks", type=int, default=20, help="tasks per cell")
-    p.add_argument("--q", type=int, default=64, help="queries per task")
+    p.add_argument(
+        "--k", action=_Int, least=1, many=True, required=True,
+        help="shots per task, comma-separated (e.g. 4,16,64)",
+    )
+    p.add_argument("--tasks", action=_Int, least=1, default=20, help="tasks per cell")
+    p.add_argument("--q", action=_Int, least=1, default=64, help="queries per task")
     p.add_argument(
         "--mode", choices=MODES + ("both",), default="both", help="initialization mode"
     )
-    p.add_argument("--seed", type=int, default=0, help="base task seed")
+    p.add_argument("--seed", action=_Int, least=0, default=0, help="base task seed")
     p.add_argument("--config", help="run config JSON (adapt section)")
     p.add_argument("--out", required=True)
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("map-phonemes", help="discover cross-language phoneme mappings")
     p.add_argument("--checkpoint", required=True, help="trained checkpoint directory")
     p.add_argument("--corpus", required=True, help="corpus manifest.json")
-    p.add_argument("--target-count", type=int, default=DEFAULT_COVER_TARGET)
-    p.add_argument("--top-k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--target-count", action=_Int, least=1, default=DEFAULT_COVER_TARGET)
+    p.add_argument("--top-k", action=_Int, least=1, default=5)
+    p.add_argument("--seed", action=_Int, least=0, default=0)
     p.add_argument("--out", required=True)
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_map_phonemes)
 
     p = sub.add_parser("validate", help="validate a corpus manifest and its files")
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_validate)
 
+    for name in ("extract-queries", "train", "adapt", "map-phonemes"):
+        sub.choices[name].add_argument(
+            "--threads", action=_Int, least=1, help="accepted for compatibility; has no effect"
+        )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except XpqError as e:
         print(f"error:{e.category}: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error:argument: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"error:io: {e}", file=sys.stderr)

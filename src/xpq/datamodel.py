@@ -179,15 +179,25 @@ def load_feature_file(path) -> np.ndarray:
 # alignment files
 
 
+def parse_int(text: str) -> int:
+    """The integer an ASCII `-?[0-9]+` spells; leading zeros are allowed
+    (`007` is 7). Anything else, such as `+1`, `1_0`, ` 1` or full-width
+    digits, which int() alone would take, raises ValueError."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> np.ndarray:
     """Parse a TSV alignment into a read-only int64 (S, 3) table of (start,
     end, row of the phoneme in phoneme_set); segments must be sorted,
     non-overlapping, in-vocabulary.
 
     Each line is checked in turn, in this order: three fields, integer
-    indices, a known phoneme, start >= 0, start < end; the sort and overlap
-    check runs over the whole table after the last line. The first fault
-    found is raised; an index past int64 is refused before the sort check.
+    indices (parse_int), a known phoneme, start >= 0, start < end; each of
+    these faults names path:line. The sort and overlap check runs over the
+    whole table after the last line. The first fault found is raised; an
+    index past int64 is refused before the sort check.
     """
     rows = phoneme_set._index
     with open(path, "rb", buffering=0) as f:
@@ -205,17 +215,19 @@ def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> np.ndarray:
             raise ValidationError(f"{path}:{lineno}: expected 3 tab-separated fields")
         sym, start_s, end_s = fields
         try:
-            start, end = int(start_s), int(end_s)
+            start, end = parse_int(start_s), parse_int(end_s)
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: frame indices must be integers") from None
         row = rows.get(sym)
         if row is None:
             raise VocabularyError(f"{path}:{lineno}: unknown phoneme {sym!r}")
         if start < 0:
-            raise ValidationError(f"segment start must be >= 0, got {start}")
+            raise ValidationError(f"{path}:{lineno}: segment start must be >= 0, got {start}")
         if start >= end:
-            raise ValidationError(f"segment [{start}, {end}) for {sym!r} is empty or reversed")
-        segments.append((start, end, row))
+            raise ValidationError(
+                f"{path}:{lineno}: segment [{start}, {end}) for {sym!r} is empty or reversed"
+            )
+        segments += start, end, row  # flat: numpy reads it faster than tuples
     try:
         table = np.array(segments, dtype=np.int64).reshape(-1, 3)
     except OverflowError:

@@ -12,11 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def get_backend() -> str:
-    """Name of the kernel implementation; numpy is the only one."""
-    return "numpy"
-
-
 def segment_pool(features, starts, ends, rows, n_rows):
     """Per-row frame sums and counts over [start, end) segments.
 

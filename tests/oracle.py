@@ -19,6 +19,7 @@ tolerance. Tests only; nothing in src/ imports this module.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -430,7 +431,8 @@ class PhonemeSegment:
 
 
 def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> tuple[PhonemeSegment, ...]:
-    """Parse a TSV alignment; segments must be sorted, non-overlapping, in-vocabulary."""
+    """Parse a TSV alignment; segments must be sorted, non-overlapping, in-vocabulary.
+    A frame index is ASCII `-?[0-9]+`; every per-line fault names path:line."""
     symbols = frozenset(phoneme_set.phonemes)
     segments: list[PhonemeSegment] = []
     try:
@@ -444,13 +446,14 @@ def load_alignment(path, phoneme_set: LanguagePhonemeSet) -> tuple[PhonemeSegmen
         if len(fields) != 3:
             raise ValidationError(f"{path}:{lineno}: expected 3 tab-separated fields")
         sym, start_s, end_s = fields
-        try:
-            start, end = int(start_s), int(end_s)
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: frame indices must be integers") from None
+        if not (re.fullmatch(r"-?[0-9]+", start_s) and re.fullmatch(r"-?[0-9]+", end_s)):
+            raise ValidationError(f"{path}:{lineno}: frame indices must be integers")
         if sym not in symbols:
             raise VocabularyError(f"{path}:{lineno}: unknown phoneme {sym!r}")
-        segments.append(PhonemeSegment(sym, start, end))
+        try:
+            segments.append(PhonemeSegment(sym, int(start_s), int(end_s)))
+        except ValidationError as e:
+            raise ValidationError(f"{path}:{lineno}: {e}") from None
     for prev, cur in zip(segments, segments[1:]):
         if cur.start_frame < prev.end_frame:
             raise ValidationError(

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -189,6 +190,20 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--frobnicate"],
+        ["transmogrify"],
+        ["train", "--out", "unused"],  # no --corpus
+        ["adapt", "--mode", "foo"],
+        ["validate", "--manifest", "unused", "--threads", "2"],
+    ])
+    def test_argparse_fault_is_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error:argument: [^\n]+\n", err), err
 
 
 class TestConfigErrors:

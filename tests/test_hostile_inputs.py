@@ -6,6 +6,7 @@ that no version of the loader could allocate them: 4294967295**2 float32
 values do not fit in an index-sized integer.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ import traceback
 import numpy as np
 import pytest
 
-from xpq.cli import main
+from xpq.cli import _Int, build_parser, main
 
 ERROR_LINE = re.compile(r"^error:[a-z]+: ")
 HUGE = 0xFFFFFFFF
@@ -280,6 +281,11 @@ def test_map_phonemes_counts_below_one_are_config_errors(workdir, tmp_path, flag
     (["adapt", "--k", "4,x"], "--k entries must be integers, got '4,x'"),
     (["gradcheck", "--sizes", "1,2,x,1,1,1"],
      "--sizes entries must be integers, got '1,2,x,1,1,1'"),
+    # int() would take these as 4 and 16, and as seed 10; an integer is -?[0-9]+
+    (["adapt", "--k", "+4, 1_6"], "--k entries must be integers, got '+4, 1_6'"),
+    (["gen-corpus", "--seed", "1_0"], "--seed must be an integer, got '1_0'"),
+    (["gradcheck", "--seed", "x"], "--seed must be an integer, got 'x'"),
+    (["train", "--threads", "0"], "--threads must be >= 1, got 0"),
 ])
 def test_negative_counts_and_seeds_are_config_errors(workdir, tmp_path, argv, needle):
     command, *flags = argv
@@ -294,6 +300,42 @@ def test_negative_counts_and_seeds_are_config_errors(workdir, tmp_path, argv, ne
     out = [] if command == "gradcheck" else ["--out", tmp_path / "out"]
     assert_one_error([command, *inputs, *flags, *out], "config", needle)
     assert not (tmp_path / "out").exists()
+
+
+COMMANDS = next(
+    a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+)
+INT_FLAGS = [
+    pytest.param(command, action, id=f"{command} {action.option_strings[0]}")
+    for command, parser in COMMANDS.items()
+    for action in parser._actions
+    if isinstance(action, _Int)
+]
+
+
+def test_every_integer_flag_declares_its_bound():
+    """An option that reads or defaults to an integer is an _Int, whose bound
+    its default meets."""
+    for command, parser in COMMANDS.items():
+        for action in parser._actions:
+            if action.type is int or type(action.default) is int or isinstance(action, _Int):
+                assert isinstance(action, _Int), (command, action.dest)
+                assert type(action.least) is int, (command, action.dest)
+                assert action.default is None or action.default >= action.least, action.dest
+
+
+@pytest.mark.parametrize("command, action", INT_FLAGS)
+def test_each_integer_flag_below_its_bound_is_refused_before_any_load(tmp_path, command, action):
+    """Every other required option is valid, its paths missing: the refusal
+    comes while parsing, before any file is read or written."""
+    flag, bad = action.option_strings[0], action.least - 1
+    argv = [command]
+    for other in COMMANDS[command]._actions:
+        if other.required and other is not action:
+            value = other.least if isinstance(other, _Int) else tmp_path / other.dest
+            argv += [other.option_strings[0], value]
+    assert_one_error([*argv, flag, bad], "config", f"{flag} must be >= {action.least}, got {bad}")
+    assert list(tmp_path.iterdir()) == []
 
 
 # (command, section edit, needle); each edit is applied to a copy of CONFIG

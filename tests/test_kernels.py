@@ -36,7 +36,3 @@ def test_pool_repeated_rows_accumulate():
     sums, counts = kernels.segment_pool(features, starts, ends, rows, 2)
     assert counts.tolist() == [4, 0]
     assert sums[0, 0] == 10.0 and sums[1, 0] == 0.0
-
-
-def test_backend_is_numpy():
-    assert kernels.get_backend() == "numpy"

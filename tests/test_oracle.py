@@ -634,6 +634,11 @@ ALIGNMENT_FAULTS = {
     "empty segment": "a\t{s}\t{s}",
     "reversed segment": "b\t{e}\t{s}",
     "overlap": "c\t0\t{e}",
+    # int() takes each of these; the documented grammar, -?[0-9]+, does not
+    "plus-signed start": "a\t+{s}\t{e}",
+    "underscored end": "b\t{s}\t1_0{e}",
+    "space before start": "c\t {s}\t{e}",
+    "full-width end": "a\t{s}\t\uff11{e}",
 }
 
 
