@@ -10,12 +10,7 @@ weights.
 __version__ = "0.1.0"
 
 from .adaptation import AdaptConfig, FewShotTask, TaskSpec
-from .codebook import (
-    AttentionRecord,
-    CodebookConfig,
-    CodebookParams,
-    EmbeddingTable,
-)
+from .codebook import AttentionRecord, CodebookConfig, CodebookParams
 from .datamodel import (
     CorpusManifest,
     FeatureSpec,
@@ -32,7 +27,6 @@ __all__ = [
     "CodebookConfig",
     "CodebookParams",
     "CorpusManifest",
-    "EmbeddingTable",
     "FeatureSpec",
     "FewShotTask",
     "LanguagePhonemeSet",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import CodebookParams, EmbeddingTable, forward, xavier_bound
+from .codebook import CodebookParams, forward, xavier_bound
 from .datamodel import Corpus, Utterance, mask_union, write_file
 from .decoder import DecoderGrads, DecoderParams, PhonemeStats, loss_and_grads
 from .errors import ConfigError, NumericError, TaskError, VocabularyError
@@ -111,8 +111,8 @@ def init_embedding(
     corpus: Corpus,
     task: FewShotTask,
     rng: np.random.Generator,
-) -> EmbeddingTable:
-    """Initial embedding table for adaptation.
+) -> np.ndarray:
+    """Initial (m, embed_dim) embedding table for adaptation.
 
     codebook_init runs the shots' phoneme queries, their rows of the corpus's
     rep stack (Corpus.queries), through the trained codebook attention;
@@ -121,28 +121,26 @@ def init_embedding(
     by random_init).
     """
     if mode == "codebook_init":
-        table, _ = forward(params, corpus.queries(task.shots))
+        table, _ = forward(params, corpus.queries(task.shots).matrix)
         return table
     if mode == "random_init":
-        phoneme_set = corpus.phoneme_set(task.language)
+        m = corpus.phoneme_set(task.language).size
         embed_dim = params.config.embed_dim
-        m = phoneme_set.size
         bound = xavier_bound(m, embed_dim)
-        matrix = rng.uniform(-bound, bound, (m, embed_dim)).astype(np.float32)
-        return EmbeddingTable(matrix, phoneme_set.language, phoneme_set.phonemes)
+        return rng.uniform(-bound, bound, (m, embed_dim)).astype(np.float32)
     raise ValueError(f"unknown init mode {mode!r}")
 
 
 @dataclass
 class FinetunePoint:
     step: int
-    table: EmbeddingTable
+    table: np.ndarray
     decoder: DecoderParams
     train_loss: float
 
 
 def finetune(
-    table: EmbeddingTable,
+    table: np.ndarray,
     decoder: DecoderParams,
     shots: PhonemeStats,
     config: AdaptConfig,
@@ -156,7 +154,7 @@ def finetune(
     """
     table = table.copy()
     decoder = decoder.copy()
-    params = {"table": table.matrix, "w_d": decoder.w_d, "b_d": decoder.b_d}
+    params = {"table": table, "w_d": decoder.w_d, "b_d": decoder.b_d}
     opt = init_adam(params)
     grads = opt.grads
     out = DecoderGrads(grads["w_d"], grads["b_d"])
@@ -171,10 +169,10 @@ def finetune(
     return points
 
 
-def evaluate(table: EmbeddingTable, decoder: DecoderParams, queries: PhonemeStats) -> float:
+def evaluate(table: np.ndarray, decoder: DecoderParams, queries: PhonemeStats) -> float:
     """Frame reconstruction MSE over all covered frames of the queries, given
     by their statistics over the table's rows."""
-    per_row = table.matrix @ decoder.w_d + decoder.b_d
+    per_row = table @ decoder.w_d + decoder.b_d
     sq, _ = queries.residual(per_row)
     return sq / (queries.n_frames * per_row.shape[1])
 

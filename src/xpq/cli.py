@@ -107,13 +107,14 @@ def cmd_extract_queries(args) -> int:
             f"no utterances for language {args.language!r}"
             + (f" in split {args.split!r}" if args.split else "")
         )
-    qm = aggregate_queries(utterances, corpus.phoneme_set(args.language))
+    phoneme_set = corpus.phoneme_set(args.language)
+    qm = aggregate_queries(utterances, phoneme_set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = out / f"queries_{args.language}"
-    save_query_matrix(qm, base)
+    save_query_matrix(qm, phoneme_set, base)
     print(
-        f"extract-queries: {args.language}: {qm.present.sum()}/{len(qm.phonemes)} "
+        f"extract-queries: {args.language}: {qm.present.sum()}/{phoneme_set.size} "
         f"phonemes present from {len(utterances)} utterances -> {base}.xpqf"
     )
     return 0

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .queries import QueryMatrix
 
 
 @dataclass(frozen=True)
@@ -60,16 +59,6 @@ class CodebookGrads:
 
 
 @dataclass
-class EmbeddingTable:
-    matrix: np.ndarray  # (m, heads * d_v), rows in canonical phoneme order
-    language: str
-    phonemes: tuple[str, ...]
-
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.matrix.copy(), self.language, self.phonemes)
-
-
-@dataclass
 class AttentionRecord:
     weights: np.ndarray  # (H, m, n); each row is a probability distribution
     projected: np.ndarray  # (H, m, d_k) queries @ w_q, which the backward pass reuses
@@ -100,12 +89,11 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def attention_forward(
-    params: CodebookParams, queries: np.ndarray
-) -> tuple[np.ndarray, AttentionRecord]:
-    """Core forward on a raw (m, dim) query matrix.
+def forward(params: CodebookParams, queries: np.ndarray) -> tuple[np.ndarray, AttentionRecord]:
+    """One language's embedding table from its (m, dim) phoneme queries.
 
-    Returns (embedding (m, H*d_v), record). Per head:
+    Returns (table (m, H*d_v), record); row r of both the queries and the
+    table is row r of the language's phoneme set. Per head:
     weights = softmax(Q W_q Keys^T / sqrt(d_k)), output = weights @ Codes.
     All heads run as stacked (H, m, .) matmuls; each head's product is the
     same BLAS call a per-head loop would make, so the result is bitwise equal.
@@ -137,9 +125,9 @@ def attention_backward(
 ) -> CodebookGrads:
     """Exact gradients of <upstream, embedding> w.r.t. w_q, keys and codes.
 
-    record is what attention_forward returned for the same params and
-    queries; neither the softmax nor the projection is recomputed. upstream
-    has the embedding's shape (m, H*d_v). The queries are inputs, not
+    record is what forward returned for the same params and queries;
+    neither the softmax nor the projection is recomputed. upstream has the
+    table's shape (m, H*d_v). The queries are inputs, not
     parameters, so no gradient flows to them. All heads run as stacked
     matmuls. out, when given, receives the gradients (arrays of their shapes
     and dtype, such as Adam's gradient views) and is returned.
@@ -168,10 +156,3 @@ def attention_backward(
     out.w_q = np.matmul(q.T, d_proj, out=out.w_q)
     return out
 
-
-def forward(
-    params: CodebookParams, queries: QueryMatrix
-) -> tuple[EmbeddingTable, AttentionRecord]:
-    """Generate the phoneme embedding table for one language's queries."""
-    embedding, record = attention_forward(params, queries.matrix)
-    return EmbeddingTable(embedding, queries.language, queries.phonemes), record

@@ -110,14 +110,6 @@ class Utterance:
     # its phoneme in the language's phoneme set, in alignment order
     alignment: np.ndarray
 
-    @property
-    def n_frames(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # output files
@@ -526,9 +518,7 @@ class Corpus:
 
         stack, rows = self._stack_rows(utterances)
         return aggregate_from_matrices(
-            (stack.reps[rows], stack.counts[rows]),
-            self.phoneme_set(utterances[0].language),
-            utterances[0].features.dtype,
+            stack.reps[rows], stack.counts[rows], utterances[0].features.dtype
         )
 
 

@@ -1,9 +1,10 @@
 """Linear frame reconstructor providing the training signal.
 
-Every frame aligned to phoneme p is predicted as table.matrix[i] @ W + b,
-where i is p's row in the table, so the prediction is constant within a
-phoneme. The loss is the mean squared error over all covered frames and
-dimensions; frames outside any segment are excluded from predictions and loss.
+Every frame aligned to phoneme p is predicted as table[i] @ W + b, where i
+is p's row in the (m, embed_dim) embedding table, so the prediction is
+constant within a phoneme. The loss is the mean squared error over all
+covered frames and dimensions; frames outside any segment are excluded from
+predictions and loss.
 Gradients are exact and flow back into the embedding table (and from there
 into the codebook attention).
 Since a phoneme's prediction is constant, the loss reads only each row's frame
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import EmbeddingTable, xavier_bound
+from .codebook import xavier_bound
 
 
 @dataclass
@@ -117,7 +118,7 @@ def build_frame_bundle(utterance) -> FrameBundle:
 
 def loss_and_grads(
     decoder: DecoderParams,
-    table: EmbeddingTable,
+    table: np.ndarray,
     data: PhonemeStats,
     *,
     out: DecoderGrads | None = None,
@@ -133,14 +134,14 @@ def loss_and_grads(
     """
     if data.n_frames == 0:
         raise ValueError("loss over zero covered frames is undefined")
-    per_row = table.matrix @ decoder.w_d + decoder.b_d  # (m, dim)
+    per_row = table @ decoder.w_d + decoder.b_d  # (m, dim)
     sq, gsum = data.residual(per_row)
     denom = data.n_frames * per_row.shape[1]
     loss = sq / denom
-    d_pred = ((2.0 / denom) * gsum).astype(table.matrix.dtype)  # (m, dim)
+    d_pred = ((2.0 / denom) * gsum).astype(table.dtype)  # (m, dim)
     if out is None:
         out = DecoderGrads(None, None)
-    out.w_d = np.matmul(table.matrix.T, d_pred, out=out.w_d)
+    out.w_d = np.matmul(table.T, d_pred, out=out.w_d)
     out.b_d = np.add.reduce(d_pred, axis=0, out=out.b_d)
     d_table = np.matmul(d_pred, decoder.w_d.T, out=out_table)
     return float(loss), out, d_table

@@ -15,13 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codebook import (
-    CodebookConfig,
-    EmbeddingTable,
-    attention_backward,
-    attention_forward,
-    init_params,
-)
+from .codebook import CodebookConfig, attention_backward, forward, init_params
 from .decoder import DecoderParams, PhonemeStats, loss_and_grads
 from .errors import ConfigError
 
@@ -96,49 +90,40 @@ def _random_instance(shape: CheckShape, seed: int):
     return params, decoder, queries, stats, upstream
 
 
+def _worst(objective, pairs) -> float:
+    """The largest max_rel_err over (analytic, array) pairs, each array's
+    numeric gradient taken by central differences of objective."""
+    return max(0.0, *(max_rel_err(a, central_difference(objective, arr)) for a, arr in pairs))
+
+
 def check_codebook_gradients(seed: int, shape: CheckShape = CheckShape()) -> float:
     """<G, embedding> gradients w.r.t. w_q, keys and codes."""
     params, _, queries, _, upstream = _random_instance(shape, seed)
 
     def objective():
-        emb, _ = attention_forward(params, queries)
+        emb, _ = forward(params, queries)
         return float((upstream * emb).sum())
 
-    _, record = attention_forward(params, queries)
+    _, record = forward(params, queries)
     grads = attention_backward(params, queries, record, upstream)
-    worst = 0.0
-    for analytic, arr in (
-        (grads.w_q, params.w_q),
-        (grads.keys, params.keys),
-        (grads.codes, params.codes),
-    ):
-        worst = max(worst, max_rel_err(analytic, central_difference(objective, arr)))
-    return worst
+    return _worst(
+        objective,
+        ((grads.w_q, params.w_q), (grads.keys, params.keys), (grads.codes, params.codes)),
+    )
 
 
 def check_decoder_gradients(seed: int, shape: CheckShape = CheckShape()) -> float:
     """Reconstruction-loss gradients w.r.t. w_d, b_d and the table rows."""
     params, decoder, _, stats, _ = _random_instance(shape, seed)
-    rng = np.random.default_rng(seed + 1)
-    cfg = params.config
-    table = EmbeddingTable(
-        rng.standard_normal((shape.m, cfg.embed_dim)),
-        "x",
-        tuple(f"p{i}" for i in range(shape.m)),
-    )
+    table = np.random.default_rng(seed + 1).standard_normal((shape.m, params.config.embed_dim))
 
     def objective():
         return loss_and_grads(decoder, table, stats)[0]
 
     _, dec_grads, d_table = loss_and_grads(decoder, table, stats)
-    worst = 0.0
-    for analytic, arr in (
-        (dec_grads.w_d, decoder.w_d),
-        (dec_grads.b_d, decoder.b_d),
-        (d_table, table.matrix),
-    ):
-        worst = max(worst, max_rel_err(analytic, central_difference(objective, arr)))
-    return worst
+    return _worst(
+        objective, ((dec_grads.w_d, decoder.w_d), (dec_grads.b_d, decoder.b_d), (d_table, table))
+    )
 
 
 def check_train_objective_gradients(seed: int, shape: CheckShape = CheckShape()) -> float:
@@ -147,25 +132,23 @@ def check_train_objective_gradients(seed: int, shape: CheckShape = CheckShape())
     Checks all five trainable tensors exactly as a training step updates them.
     """
     params, decoder, queries, stats, _ = _random_instance(shape, seed)
-    phonemes = tuple(f"p{i}" for i in range(shape.m))
 
     def objective():
-        emb, _ = attention_forward(params, queries)
-        return loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), stats)[0]
+        return loss_and_grads(decoder, forward(params, queries)[0], stats)[0]
 
-    emb, record = attention_forward(params, queries)
-    _, dec_grads, d_table = loss_and_grads(decoder, EmbeddingTable(emb, "x", phonemes), stats)
+    table, record = forward(params, queries)
+    _, dec_grads, d_table = loss_and_grads(decoder, table, stats)
     cb_grads = attention_backward(params, queries, record, d_table)
-    worst = 0.0
-    for analytic, arr in (
-        (cb_grads.w_q, params.w_q),
-        (cb_grads.keys, params.keys),
-        (cb_grads.codes, params.codes),
-        (dec_grads.w_d, decoder.w_d),
-        (dec_grads.b_d, decoder.b_d),
-    ):
-        worst = max(worst, max_rel_err(analytic, central_difference(objective, arr)))
-    return worst
+    return _worst(
+        objective,
+        (
+            (cb_grads.w_q, params.w_q),
+            (cb_grads.keys, params.keys),
+            (cb_grads.codes, params.codes),
+            (dec_grads.w_d, decoder.w_d),
+            (dec_grads.b_d, decoder.b_d),
+        ),
+    )
 
 
 SUITES = (

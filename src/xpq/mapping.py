@@ -98,10 +98,11 @@ def build_score_table(
     for language in corpus.language_ids:
         pool_size = len(corpus.by_language(language))
         cover = covering_sentences(corpus, language, min(target_count, pool_size), rng)
-        qm = aggregate_queries(cover, corpus.phoneme_set(language))
-        _, record = forward(params, qm)
+        phoneme_set = corpus.phoneme_set(language)
+        qm = aggregate_queries(cover, phoneme_set)
+        _, record = forward(params, qm.matrix)
         for i in np.flatnonzero(qm.present):
-            names.append(namespaced(language, qm.phonemes[i]))
+            names.append(namespaced(language, phoneme_set.phonemes[i]))
             langs.append(language)
             records.append(record.weights[:, i, :].astype(np.float64))
     stacked = np.stack(records)  # (K, heads, n)

@@ -4,8 +4,9 @@ A phoneme's temporary representation within one utterance is the unweighted
 mean of all frames lying in any of its segments. Queries for a phoneme set
 are the mean of those temporary representations across the utterances that
 contain the phoneme (mean of per-utterance means, not a frame-weighted mean);
-phonemes absent from every utterance get zero rows. The procedure never
-consults training state, so it applies to seen and unseen phonemes alike.
+phonemes absent from every utterance get zero rows. Row r of a query matrix
+is row r of its language's phoneme set. The procedure never consults
+training state, so it applies to seen and unseen phonemes alike.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ from .errors import ValidationError
 class QueryMatrix:
     matrix: np.ndarray  # (m, dim); rows with present=False are exactly zero
     present: np.ndarray  # (m,) bool
-    language: str
-    phonemes: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
 
 
 def phoneme_rep_matrix(
@@ -53,15 +48,11 @@ def phoneme_rep_matrix(
     return reps, counts
 
 
-def aggregate_from_matrices(
-    rep_counts: tuple[np.ndarray, np.ndarray],
-    phoneme_set: LanguagePhonemeSet,
-    dtype,
-) -> QueryMatrix:
+def aggregate_from_matrices(reps: np.ndarray, counts: np.ndarray, dtype) -> QueryMatrix:
     """Mean of per-utterance representations, reduced in the given order.
 
-    rep_counts is the utterances' phoneme_rep_matrix results stacked: a pair
-    of (U, m, dim) reps and (U, m) counts or presence, such as rows of a
+    reps and counts are the utterances' phoneme_rep_matrix results stacked:
+    (U, m, dim) reps and (U, m) counts or presence, such as rows of a
     Corpus.rep_stack's reps and counts. An absent phoneme's rep row is exactly
     +0.0, and a sum that starts at +0.0 is never -0.0, so adding that row
     changes no bit: the whole stack is summed without a presence mask, in one
@@ -69,7 +60,6 @@ def aggregate_from_matrices(
     as a loop would. When m * dim == 1 that reduction would run pairwise, so
     the utterances are then added in a loop.
     """
-    reps, counts = rep_counts
     _, m, dim = reps.shape
     if m * dim == 1:
         acc = np.zeros((m, dim), dtype=np.float64)
@@ -81,9 +71,7 @@ def aggregate_from_matrices(
     present = n_utt > 0
     matrix = np.zeros((m, dim), dtype=np.float64)
     np.divide(acc, n_utt[:, None], out=matrix, where=present[:, None])
-    return QueryMatrix(
-        matrix.astype(dtype), present, phoneme_set.language, phoneme_set.phonemes
-    )
+    return QueryMatrix(matrix.astype(dtype), present)
 
 
 def aggregate_queries(
@@ -108,18 +96,16 @@ def aggregate_queries(
     if len(dims) != 1:
         raise ValidationError(f"utterances disagree on feature dim: {sorted(dims)}")
     reps, counts = zip(*(phoneme_rep_matrix(u, phoneme_set) for u in utterances))
-    return aggregate_from_matrices(
-        (np.stack(reps), np.stack(counts)), phoneme_set, utterances[0].features.dtype
-    )
+    return aggregate_from_matrices(np.stack(reps), np.stack(counts), utterances[0].features.dtype)
 
 
-def save_query_matrix(qm: QueryMatrix, base_path) -> None:
-    """Dump as <base>.xpqf plus a <base>.json sidecar."""
+def save_query_matrix(qm: QueryMatrix, phoneme_set: LanguagePhonemeSet, base_path) -> None:
+    """Dump as <base>.xpqf plus a <base>.json sidecar naming the rows' phonemes."""
     base = Path(base_path)
     save_feature_file(qm.matrix.astype(np.float32), base.with_suffix(".xpqf"))
     sidecar = {
-        "language": qm.language,
-        "phonemes": list(qm.phonemes),
+        "language": phoneme_set.language,
+        "phonemes": list(phoneme_set.phonemes),
         "present": [bool(p) for p in qm.present],
     }
     write_file(base.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")

@@ -242,9 +242,13 @@ def save_ground_truth(ground_truth: dict[str, int], path) -> None:
 
 
 def load_ground_truth(path) -> dict[str, int]:
-    """ground_truth.json: an object mapping namespaced phonemes to prototype indices."""
+    """ground_truth.json: an object mapping namespaced phonemes to prototype
+    indices, each a JSON integer >= 0."""
     label = f"ground truth {path}"
     obj, _ = read_json(path, FormatError, label)
     if type(obj) is not dict or any(type(v) is not int for v in obj.values()):
         raise FormatError(f"{label}: must be an object of integer values")
+    for key, value in obj.items():
+        if value < 0:
+            raise FormatError(f"{label}: prototype index of {key!r} must be >= 0, got {value}")
     return obj

@@ -176,15 +176,15 @@ def train_step(
         phoneme_set=corpus.phoneme_set(batch[0].language),
     )
     loss_stats = corpus.stats(loss_group)
-    qm = corpus.queries(gen_group)
-    table, record = forward(state.params, qm)
+    queries = corpus.queries(gen_group).matrix
+    table, record = forward(state.params, queries)
     grads = state.opt.grads
     loss, _, d_table = loss_and_grads(
         state.decoder, table, loss_stats, out=DecoderGrads(grads["w_d"], grads["b_d"])
     )
     attention_backward(
         state.params,
-        qm.matrix,
+        queries,
         record,
         d_table,
         out=CodebookGrads(grads["w_q"], grads["keys"], grads["codes"]),
@@ -234,7 +234,7 @@ def _validation_report(corpus: Corpus, state: TrainState) -> list[str]:
         val_stats = corpus.stats(val)
         if not val_stats.n_frames:
             continue
-        table, _ = forward(state.params, corpus.queries(train))
+        table, _ = forward(state.params, corpus.queries(train).matrix)
         loss, _, _ = loss_and_grads(state.decoder, table, val_stats)
         lines.append(f"{language}\t{len(val)}\t{loss!r}")
     return lines

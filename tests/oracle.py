@@ -47,7 +47,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention_forward(params: CodebookParams, queries: np.ndarray):
+def forward(params: CodebookParams, queries: np.ndarray):
     cfg = params.config
     q = np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != cfg.dim:
@@ -104,9 +104,8 @@ def frame_residual_stats(frames, rows, preds):
     return float(np.einsum("ij,ij->", d, d)), gsum
 
 
-def aggregate_from_matrices(rep_counts, phoneme_set, dtype) -> QueryMatrix:
-    m = phoneme_set.size
-    dim = rep_counts[0][0].shape[1]
+def aggregate_from_matrices(rep_counts, dtype) -> QueryMatrix:
+    m, dim = rep_counts[0][0].shape
     acc = np.zeros((m, dim), dtype=np.float64)
     n_utt = np.zeros(m, dtype=np.int64)
     for reps, counts in rep_counts:
@@ -116,9 +115,7 @@ def aggregate_from_matrices(rep_counts, phoneme_set, dtype) -> QueryMatrix:
     present = n_utt > 0
     matrix = np.zeros((m, dim), dtype=np.float64)
     matrix[present] = acc[present] / n_utt[present, None]
-    return QueryMatrix(
-        matrix.astype(dtype), present, phoneme_set.language, phoneme_set.phonemes
-    )
+    return QueryMatrix(matrix.astype(dtype), present)
 
 
 def segment_pool_loop(features, starts, ends, rows, n_rows):
@@ -231,11 +228,11 @@ def loss_and_grads(decoder, table, bundle: FrameBundle):
     n_frames = bundle.frames.shape[0]
     if n_frames == 0:
         raise ValueError("loss over zero covered frames is undefined")
-    per_row = table.matrix @ decoder.w_d + decoder.b_d  # (m, dim)
+    per_row = table @ decoder.w_d + decoder.b_d  # (m, dim)
     sq, gsum = kernels.frame_residual_stats(bundle.frames, bundle.rows, per_row)
     denom = n_frames * per_row.shape[1]
-    d_pred = ((2.0 / denom) * gsum).astype(table.matrix.dtype)
-    grads = DecoderGrads(table.matrix.T @ d_pred, np.add.reduce(d_pred, axis=0))
+    d_pred = ((2.0 / denom) * gsum).astype(table.dtype)
+    grads = DecoderGrads(table.T @ d_pred, np.add.reduce(d_pred, axis=0))
     return float(sq / denom), grads, d_pred @ decoder.w_d.T
 
 
@@ -245,7 +242,7 @@ def finetune(table, decoder, shots, config) -> list[FinetunePoint]:
     table = table.copy()
     decoder = decoder.copy()
     bundle = build_frame_bundle(shots)
-    params = {"table": table.matrix, "w_d": decoder.w_d, "b_d": decoder.b_d}
+    params = {"table": table, "w_d": decoder.w_d, "b_d": decoder.b_d}
     opt = init_adam(params)
     wanted = set(config.eval_checkpoints)
     points: list[FinetunePoint] = []
@@ -270,7 +267,7 @@ def evaluate(table, decoder, queries) -> float:
     bundle gathered on every call."""
     if not queries:
         raise ValueError("evaluate requires at least one query utterance")
-    per_row = table.matrix @ decoder.w_d + decoder.b_d
+    per_row = table @ decoder.w_d + decoder.b_d
     total_sq = 0.0
     total_frames = 0
     dim = queries[0].features.shape[1]

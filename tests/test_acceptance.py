@@ -15,7 +15,7 @@ import pytest
 import xpq.trainer as trainer_mod
 from xpq.adaptation import AdaptConfig, TaskSpec, run_experiment, sample_task
 from xpq.cli import main
-from xpq.codebook import CodebookConfig, attention_forward, init_params
+from xpq.codebook import CodebookConfig, forward, init_params
 from xpq.datamodel import load_corpus, load_feature_file, namespaced
 from xpq.gradcheck import DEFAULT_SHAPES, run_suites
 from xpq.mapping import build_score_table, top_k_mappings
@@ -96,18 +96,18 @@ def test_attention_invariants(criterion):
             for trial in range(10):
                 m = int(rng.integers(1, 25))
                 q = rng.standard_normal((m, cfg.dim)).astype(np.float32)
-                emb, record = attention_forward(params, q)
+                emb, record = forward(params, q)
                 weights = record.weights
                 # row-stochastic within 1e-6, entries in [0, 1]
                 np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
                 assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
                 # permutation equivariance, bitwise
                 perm = rng.permutation(m)
-                emb_p, rec_p = attention_forward(params, q[perm])
+                emb_p, rec_p = forward(params, q[perm])
                 assert np.array_equal(emb[perm], emb_p)
                 assert np.array_equal(weights[:, perm, :], rec_p.weights)
             # zero queries: exactly uniform attention, neutral embedding row
-            emb, record = attention_forward(params, np.zeros((3, cfg.dim), dtype=np.float32))
+            emb, record = forward(params, np.zeros((3, cfg.dim), dtype=np.float32))
             assert np.all(record.weights == np.float32(1.0) / np.float32(cfg.n))
             assert np.array_equal(emb[0], emb[1]) and np.array_equal(emb[1], emb[2])
 

@@ -13,7 +13,7 @@ from xpq.adaptation import (
     write_report_json,
     write_report_tsv,
 )
-from xpq.codebook import CodebookConfig, EmbeddingTable, init_params
+from xpq.codebook import CodebookConfig, init_params
 from xpq.datamodel import LanguagePhonemeSet
 from xpq.decoder import DecoderParams, init_decoder
 from xpq.errors import ConfigError, TaskError, VocabularyError
@@ -110,7 +110,7 @@ class TestInitEmbedding:
         task = FewShotTask(list(corpus.utterances[:2]), [], "x")
         t1 = init_embedding("codebook_init", params, corpus, task, rng)
         t2 = init_embedding("codebook_init", params, corpus, task, rng)
-        assert np.array_equal(t1.matrix, t2.matrix)
+        assert np.array_equal(t1, t2)
 
     def test_absent_phoneme_gets_mean_code_row(self):
         params = init_params(CB, 1, dtype=np.float64)
@@ -121,7 +121,7 @@ class TestInitEmbedding:
         table = init_embedding("codebook_init", params, corpus, task, np.random.default_rng(0))
         for h in range(CB.heads):
             np.testing.assert_allclose(
-                table.matrix[2, h * CB.d_v : (h + 1) * CB.d_v],
+                table[2, h * CB.d_v : (h + 1) * CB.d_v],
                 params.codes[h].mean(axis=0),
                 rtol=1e-12,
             )
@@ -133,10 +133,10 @@ class TestInitEmbedding:
         task = FewShotTask([], [], "x")
         t1 = init_embedding("random_init", params, corpus, task, np.random.default_rng(5))
         t2 = init_embedding("random_init", params, corpus, task, np.random.default_rng(5))
-        assert np.array_equal(t1.matrix, t2.matrix)
-        assert t1.matrix.shape == (50, CB.embed_dim)
-        assert abs(t1.matrix.mean()) < 0.01
-        assert np.abs(t1.matrix).max() <= np.sqrt(6 / (50 + CB.embed_dim))
+        assert np.array_equal(t1, t2)
+        assert t1.shape == (50, CB.embed_dim)
+        assert abs(t1.mean()) < 0.01
+        assert np.abs(t1).max() <= np.sqrt(6 / (50 + CB.embed_dim))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -149,9 +149,7 @@ class TestInitEmbedding:
 class TestFinetune:
     def _setup(self):
         rng = np.random.default_rng(2)
-        table = EmbeddingTable(
-            rng.standard_normal((3, CB.embed_dim)).astype(np.float32), "x", PS.phonemes
-        )
+        table = rng.standard_normal((3, CB.embed_dim)).astype(np.float32)
         decoder = init_decoder(CB.embed_dim, 2, seed=3)
         shots = [
             make_utterance(
@@ -166,15 +164,15 @@ class TestFinetune:
         table, decoder, shots = self._setup()
         points = finetune(table, decoder, shots, AdaptConfig(finetune_steps=0, eval_checkpoints=(0,)))
         assert len(points) == 1 and points[0].step == 0
-        assert np.array_equal(points[0].table.matrix, table.matrix)
+        assert np.array_equal(points[0].table, table)
         assert np.array_equal(points[0].decoder.w_d, decoder.w_d)
 
     def test_inputs_not_mutated_and_loss_decreases(self):
         table, decoder, shots = self._setup()
-        before = table.matrix.copy()
+        before = table.copy()
         cfg = AdaptConfig(finetune_steps=200, eval_checkpoints=(0, 200))
         points = finetune(table, decoder, shots, cfg)
-        assert np.array_equal(table.matrix, before)
+        assert np.array_equal(table, before)
         assert points[-1].train_loss < points[0].train_loss
 
     def test_snapshots_at_requested_steps(self):
@@ -190,7 +188,7 @@ def _stats(utterances):
 
 class TestEvaluate:
     def test_perfect_reconstruction_zero(self):
-        table = EmbeddingTable(np.zeros((3, CB.embed_dim)), "x", PS.phonemes)
+        table = np.zeros((3, CB.embed_dim))
         decoder = DecoderParams(np.zeros((CB.embed_dim, 2)), np.array([1.0, 2.0]))
         queries = [
             make_utterance("q0", "x", np.tile([1.0, 2.0], (4, 1)), [("a", 0, 4)], PS),
@@ -200,7 +198,7 @@ class TestEvaluate:
 
     def test_query_order_invariance(self):
         rng = np.random.default_rng(4)
-        table = EmbeddingTable(rng.standard_normal((3, CB.embed_dim)), "x", PS.phonemes)
+        table = rng.standard_normal((3, CB.embed_dim))
         decoder = DecoderParams(
             rng.standard_normal((CB.embed_dim, 2)), rng.standard_normal(2)
         )

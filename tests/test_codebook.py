@@ -1,15 +1,18 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import xpq.codebook
 from xpq.codebook import (
     AttentionRecord,
     CodebookConfig,
     CodebookParams,
     attention_backward,
-    attention_forward,
     forward,
     init_params,
     softmax_rows,
@@ -17,7 +20,6 @@ from xpq.codebook import (
 )
 from xpq.errors import NumericError
 from xpq.gradcheck import CheckShape, check_codebook_gradients
-from xpq.queries import QueryMatrix
 
 
 def naive_softmax(x):
@@ -57,7 +59,7 @@ class TestForward:
             keys=np.array([[[1.0], [-1.0]]]),
             codes=np.array([[[2.0], [0.0]]]),
         )
-        emb, record = attention_forward(params, np.array([[1.0]]))
+        emb, record = forward(params, np.array([[1.0]]))
         weights = record.weights
         logits = np.array([1.0, -1.0])
         np.testing.assert_allclose(weights[0, 0], naive_softmax(logits), rtol=1e-12)
@@ -68,7 +70,7 @@ class TestForward:
         cfg = CodebookConfig(n=16, heads=3, d_k=5, d_v=4, dim=7)
         params = init_params(cfg, 1, dtype=np.float64)
         q = np.zeros((2, 7))
-        emb, record = attention_forward(params, q)
+        emb, record = forward(params, q)
         assert np.all(record.weights == 1.0 / cfg.n)
         # both zero rows get the identical neutral embedding
         assert np.array_equal(emb[0], emb[1])
@@ -86,7 +88,7 @@ class TestForward:
         params = init_params(cfg, 2)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            _, record = attention_forward(params, rng.standard_normal((6, 5)).astype(np.float32))
+            _, record = forward(params, rng.standard_normal((6, 5)).astype(np.float32))
             weights = record.weights
             np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
             assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
@@ -97,8 +99,8 @@ class TestForward:
         rng = np.random.default_rng(1)
         q = rng.standard_normal((9, 6)).astype(np.float32)
         perm = rng.permutation(9)
-        emb, rec = attention_forward(params, q)
-        emb_p, rec_p = attention_forward(params, q[perm])
+        emb, rec = forward(params, q)
+        emb_p, rec_p = forward(params, q[perm])
         assert np.array_equal(emb[perm], emb_p)
         assert np.array_equal(rec.weights[:, perm, :], rec_p.weights)
 
@@ -106,34 +108,21 @@ class TestForward:
         cfg = CodebookConfig(n=4, heads=1, d_k=2, d_v=2, dim=3)
         params = init_params(cfg, 0)
         with pytest.raises(ValueError):
-            attention_forward(params, np.zeros((2, 5)))
+            forward(params, np.zeros((2, 5)))
 
     def test_non_finite_inputs_raise_numeric(self):
         cfg = CodebookConfig(n=4, heads=1, d_k=2, d_v=2, dim=3)
         params = init_params(cfg, 0)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            attention_forward(params, np.full((1, 3), np.inf))
-
-    def test_wrapper_preserves_metadata(self):
-        cfg = CodebookConfig(n=4, heads=2, d_k=2, d_v=2, dim=3)
-        params = init_params(cfg, 0)
-        qm = QueryMatrix(
-            np.zeros((2, 3), dtype=np.float32),
-            np.array([True, False]),
-            "lang",
-            ("a", "b"),
-        )
-        table, record = forward(params, qm)
-        assert table.language == "lang" and table.phonemes == ("a", "b")
-        assert table.matrix.shape == (2, 4)
-        assert record.weights.shape == (2, 2, 4)
+            forward(params, np.full((1, 3), np.inf))
 
     def test_deterministic(self):
         cfg = CodebookConfig(n=6, heads=2, d_k=3, d_v=2, dim=4)
         params = init_params(cfg, 5)
         q = np.random.default_rng(2).standard_normal((3, 4)).astype(np.float32)
-        e1, r1 = attention_forward(params, q)
-        e2, r2 = attention_forward(params, q)
+        e1, r1 = forward(params, q)
+        e2, r2 = forward(params, q)
+        assert e1.shape == (3, cfg.embed_dim) and r1.weights.shape == (2, 3, 6)
         assert np.array_equal(e1, e2) and np.array_equal(r1.weights, r2.weights)
 
 
@@ -171,7 +160,7 @@ class TestSoftmax:
 
 
 def backward_through_forward(params, q, upstream):
-    _, record = attention_forward(params, q)
+    _, record = forward(params, q)
     return attention_backward(params, q, record, upstream)
 
 
@@ -215,7 +204,21 @@ class TestBackward:
         cfg = CodebookConfig(n=5, heads=2, d_k=3, d_v=2, dim=4)
         params = init_params(cfg, 0)
         q = np.zeros((3, 4), dtype=np.float32)
-        _, record = attention_forward(params, q)
+        _, record = forward(params, q)
         short = AttentionRecord(record.weights[:, :2], record.projected)
         with pytest.raises(ValueError):
             attention_backward(params, q, short, np.zeros((3, 4), dtype=np.float32))
+
+
+def test_codebook_imports_no_xpq_module_but_errors():
+    """The attention module is a leaf: it reads plain arrays, so of xpq's
+    own modules it imports only xpq.errors."""
+    tree = ast.parse(Path(xpq.codebook.__file__).read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("xpq." if node.level else "") + (node.module or "")
+            found.update([module] if node.module else (module + a.name for a in node.names))
+    assert {m for m in found if m.split(".")[0] == "xpq"} == {"xpq.errors"}

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -177,6 +178,90 @@ class TestAlignment:
         path = tmp_path / "a.tsv"
         path.write_text("a\t0\t2\nb\t7\t9\n")
         assert len(load_alignment(path, AB)) == 2
+
+
+# An index spelled in a grammar wider than the documented -?[0-9]+: every
+# spelling here is one int() reads, and only "plain" and "zeros" are in the
+# documented grammar ("minus" is, too, but is then a range fault unless the
+# value is 0).
+SPELLINGS = ("plain",) * 8 + ("zeros", "minus", "plus", "underscore", "space", "nbsp", "digits")
+# the zero of full-width, Arabic-Indic, Devanagari and mathematical bold digits
+NON_ASCII_ZEROS = (0xFF10, 0x0660, 0x0966, 0x1D7CE)
+
+
+@st.composite
+def spelled_index(draw, value: int) -> str:
+    text = str(value)
+    how = draw(st.sampled_from(SPELLINGS))
+    if how == "zeros":
+        return "0" * draw(st.integers(1, 3)) + text
+    if how == "minus":
+        return "-" + text
+    if how == "plus":
+        return "+" + text
+    if how == "underscore":  # int() reads "1_2" as 12 and "0_5" as 5
+        return text[0] + "_" + text[1:] if len(text) > 1 else "0_" + text
+    if how in ("space", "nbsp"):
+        pad = " " if how == "space" else "\u00a0"
+        return draw(st.sampled_from([pad + text, text + pad]))
+    if how == "digits":
+        zero = draw(st.sampled_from(NON_ASCII_ZEROS))
+        return "".join(chr(zero + int(c)) for c in text)
+    return text
+
+
+@st.composite
+def spelled_alignments(draw):
+    """Alignment lines whose segments are sorted and non-empty by value,
+    their indices spelled by spelled_index; a gap may jump to near 2**63."""
+    lines, cursor = [], 0
+    for _ in range(draw(st.integers(0, 5))):
+        start = cursor + draw(st.sampled_from([0, 0, 1, 2, 3, 2**63 - 3]))
+        cursor = start + draw(st.integers(1, 3))
+        symbol = draw(st.sampled_from(AB.phonemes))
+        lines.append(
+            f"{symbol}\t{draw(spelled_index(start))}\t{draw(spelled_index(cursor))}"
+        )
+    return lines
+
+
+def _documented_table(lines):
+    """The (start, end, row) table the documented grammar and range checks
+    give the lines, or None when they refuse one: each index is ASCII
+    -?[0-9]+ below 2**63, start >= 0, start < end, and each start is at or
+    past the previous end."""
+    table = []
+    for line in lines:
+        symbol, *indices = line.split("\t")
+        if not all(re.fullmatch(r"-?[0-9]+", text) for text in indices):
+            return None
+        start, end = map(int, indices)
+        if not 0 <= start < end < 2**63 or (table and start < table[-1][1]):
+            return None
+        table.append([start, end, AB.index(symbol)])
+    return table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=spelled_alignments())
+@example(lines=["a\t-0\t007", "b\t0007\t8"])  # in the grammar: [0, 7), [7, 8)
+@example(lines=["a\t0\t1", "b\t1\t\uff12"])  # full-width 2
+def test_alignment_loader_accepts_exactly_the_documented_grammar(tmp_path_factory, lines):
+    """load_alignment accepts a file exactly when every index is -?[0-9]+ and
+    the range checks pass, and reads the documented values; any other file
+    is one ValidationError. An accepted table saved back loads to itself."""
+    path = tmp_path_factory.getbasetemp() / "spelled.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    want = _documented_table(lines)
+    if want is None:
+        with pytest.raises(ValidationError):
+            load_alignment(path, AB)
+        return
+    table = load_alignment(path, AB)
+    assert table.tolist() == want
+    saved = tmp_path_factory.getbasetemp() / "saved.tsv"
+    save_alignment(table, AB, saved)
+    assert load_alignment(saved, AB).tolist() == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -379,7 +464,6 @@ class TestCorpusMemo:
                     assert got.matrix.dtype == want.matrix.dtype == np.float32
                     assert got.matrix.tobytes() == want.matrix.tobytes()
                     assert np.array_equal(got.present, want.present)
-                    assert (got.language, got.phonemes) == (want.language, want.phonemes)
 
     def test_queries_keep_float64_features_and_skip_bare_utterances(self):
         ps = LanguagePhonemeSet("x", ("a", "b", "c"))

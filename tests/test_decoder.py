@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from xpq.codebook import EmbeddingTable
 from xpq.datamodel import LanguagePhonemeSet
 from xpq.decoder import (
     DecoderParams,
@@ -18,18 +17,19 @@ from conftest import make_corpus, make_utterance
 AB = LanguagePhonemeSet("x", ("a", "b"))
 
 
-def _table(matrix, language="x", phonemes=("a", "b")):
-    return EmbeddingTable(np.asarray(matrix, dtype=np.float64), language, tuple(phonemes))
+def _table(matrix):
+    return np.asarray(matrix, dtype=np.float64)
 
 
 def _phoneme_set(table):
-    return LanguagePhonemeSet(table.language, table.phonemes)
+    """The phoneme set whose rows are the table's: "a", then "b"."""
+    return LanguagePhonemeSet("x", AB.phonemes[: len(table)])
 
 
 def predict_frames(dec, table, utt):
     """Predicted frames for every covered frame of utt, as the loss sees them."""
     bundle = build_frame_bundle(utt)
-    return (table.matrix @ dec.w_d + dec.b_d)[bundle.rows]
+    return (table @ dec.w_d + dec.b_d)[bundle.rows]
 
 
 def _loss(dec, table, utts):
@@ -72,7 +72,7 @@ class TestLoss:
     def test_perfect_reconstruction_zero_loss_zero_grads(self):
         table = _table([[1.0, 0.0], [0.0, 1.0]])
         dec = DecoderParams(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([0.5, 0.5]))
-        per_row = table.matrix @ dec.w_d + dec.b_d
+        per_row = table @ dec.w_d + dec.b_d
         frames = np.vstack([per_row[0], per_row[0], per_row[1]])
         utt = make_utterance("u", "x", frames, [("a", 0, 2), ("b", 2, 3)], AB, dtype=np.float64)
         loss, dec_grads, d_table = _loss(dec, table, [utt])
@@ -90,7 +90,7 @@ class TestLoss:
 
     def test_known_value_single_frame(self):
         # one frame, one dim: prediction 3, target 1 -> mse (3-1)^2 = 4
-        table = _table([[1.0]], phonemes=("a",))
+        table = _table([[1.0]])
         dec = DecoderParams(np.array([[3.0]]), np.zeros(1))
         utt = make_utterance("u", "x", [[1.0]], [("a", 0, 1)], AB, dtype=np.float64)
         loss, dec_grads, d_table = _loss(dec, table, [utt])
@@ -114,7 +114,7 @@ class TestLoss:
         assert doubled == pytest.approx(single, rel=1e-12)
 
     def test_empty_inputs_rejected(self):
-        table = _table(np.zeros((1, 2)), phonemes=("a",))
+        table = _table(np.zeros((1, 2)))
         dec = DecoderParams(np.zeros((2, 1)), np.zeros(1))
         bare = make_utterance("u", "x", np.zeros((2, 1)), [], AB)
         with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ class TestLoss:
             loss_and_grads(dec, table, empty)
 
     def test_grad_dtype_follows_table(self):
-        table = EmbeddingTable(np.zeros((1, 2), dtype=np.float32), "x", ("a",))
+        table = np.zeros((1, 2), dtype=np.float32)
         dec = DecoderParams(np.zeros((2, 1), dtype=np.float32), np.zeros(1, dtype=np.float32))
         utt = make_utterance("u", "x", [[1.0]], [("a", 0, 1)], AB)
         _, dec_grads, d_table = _loss(dec, table, [utt])

@@ -120,9 +120,9 @@ class TestScoreTable:
             ps = small_corpus.phoneme_set(lang)
             cover = covering_sentences(small_corpus, lang, 30, shared_rng)
             qm = aggregate_queries(cover, ps)
-            _, rec = forward(params, qm)
+            _, rec = forward(params, qm.matrix)
             for i in np.flatnonzero(qm.present):
-                records[namespaced(lang, qm.phonemes[i])] = rec.weights[:, i, :]
+                records[namespaced(lang, ps.phonemes[i])] = rec.weights[:, i, :]
         rng = np.random.default_rng(1)
         for _ in range(10):
             p, q = rng.choice(table.phonemes, 2, replace=False)

@@ -36,9 +36,7 @@ from xpq.adaptation import (
 from xpq.codebook import (
     CodebookConfig,
     CodebookGrads,
-    EmbeddingTable,
     attention_backward,
-    attention_forward,
     forward,
     init_params,
 )
@@ -47,7 +45,7 @@ from xpq.decoder import DecoderParams, build_frame_bundle, init_decoder, loss_an
 from xpq.errors import CoverageError, TaskError, XpqError
 from xpq.mapping import covering_sentences
 from xpq.optim import adam_step, init_adam, scheduled_lr
-from xpq.queries import QueryMatrix, aggregate_from_matrices, phoneme_rep_matrix
+from xpq.queries import aggregate_from_matrices, phoneme_rep_matrix
 from xpq.trainer import split_with_coverage
 
 from conftest import coverage_masks, make_corpus, make_utterance
@@ -90,8 +88,8 @@ def test_attention_matches_per_head_oracle(m, n, heads, d_k, d_v, dim, dtype, ro
         q[rng.random(m) < 0.5] = 0.0
     upstream = rng.standard_normal((m, heads * d_v)).astype(dtype)
 
-    emb, record = attention_forward(params, q)
-    emb_ref, weights_ref = oracle.attention_forward(params, q)
+    emb, record = forward(params, q)
+    emb_ref, weights_ref = oracle.forward(params, q)
     assert_bitwise(emb, emb_ref)
     assert_bitwise(record.weights, weights_ref)
 
@@ -122,8 +120,7 @@ def test_backward_into_given_arrays_is_the_allocating_backward(
     rng = np.random.default_rng(seed)
     params = init_params(CodebookConfig(n, heads, d_k, d_v, dim), rng, dtype=dtype)
     q = rng.standard_normal((m, dim)).astype(dtype)
-    qm = QueryMatrix(q, np.ones(m, dtype=bool), "x", tuple(f"p{i}" for i in range(m)))
-    _, record = forward(params, qm)
+    _, record = forward(params, q)
     upstream = rng.standard_normal((m, heads * d_v)).astype(dtype)
 
     want = attention_backward(params, q, record, upstream)
@@ -165,8 +162,8 @@ def test_aggregation_matches_masked_loop_oracle(n_utts, m, dim, dtype, seed):
     phoneme_set, utts = _utterances(np.random.default_rng(seed), n_utts, m, dim, dtype)
     rep_counts = [phoneme_rep_matrix(u, phoneme_set) for u in utts]
     stacked = tuple(np.stack(arrays) for arrays in zip(*rep_counts))
-    got = aggregate_from_matrices(stacked, phoneme_set, dtype)
-    want = oracle.aggregate_from_matrices(rep_counts, phoneme_set, dtype)
+    got = aggregate_from_matrices(*stacked, dtype)
+    want = oracle.aggregate_from_matrices(rep_counts, dtype)
     assert_bitwise(got.matrix, want.matrix)
     assert_bitwise(got.present, want.present)
 
@@ -191,8 +188,8 @@ def test_stacked_aggregation_matches_masked_loop_oracle(n_utts, m, dim, dtype, p
     rep_counts = [phoneme_rep_matrix(u, phoneme_set) for u in utts]
     reps = np.stack([r for r, _ in rep_counts])
     counts = np.stack([c for _, c in rep_counts])
-    got = aggregate_from_matrices((reps, counts > 0 if presence else counts), phoneme_set, dtype)
-    want = oracle.aggregate_from_matrices(rep_counts, phoneme_set, dtype)
+    got = aggregate_from_matrices(reps, counts > 0 if presence else counts, dtype)
+    want = oracle.aggregate_from_matrices(rep_counts, dtype)
     assert_bitwise(got.matrix, want.matrix)
     assert_bitwise(got.present, want.present)
 
@@ -276,9 +273,9 @@ def test_phoneme_stats_step_matches_frame_bundle_step(
         utts.append(make_utterance("bare", "x", np.ones((2, dim)), [], phoneme_set))
     # integer parameters make every prediction a float32 value
     draw = (lambda shape: rng.integers(-3, 4, shape)) if exact else rng.standard_normal
-    table = EmbeddingTable(draw((m, embed_dim)).astype(dtype), "x", phoneme_set.phonemes)
+    table = draw((m, embed_dim)).astype(dtype)
     decoder = DecoderParams(draw((embed_dim, dim)).astype(dtype), draw(dim).astype(dtype))
-    per_row = table.matrix @ decoder.w_d + decoder.b_d
+    per_row = table @ decoder.w_d + decoder.b_d
     if exact:
         for utt in utts:
             for start, end, row in utt.alignment.tolist():
@@ -298,7 +295,7 @@ def test_phoneme_stats_step_matches_frame_bundle_step(
     scale *= 2.0 / (n_frames * dim)
     tol = GRAD_ULPS * np.finfo(dtype).eps
     for got, want, bound in (
-        (grads.w_d, grads_ref.w_d, np.abs(table.matrix).T @ scale),
+        (grads.w_d, grads_ref.w_d, np.abs(table).T @ scale),
         (grads.b_d, grads_ref.b_d, scale.sum(axis=0)),
         (d_table, d_table_ref, scale @ np.abs(decoder.w_d).T),
     ):
@@ -603,13 +600,13 @@ def test_finetune_and_evaluate_on_memoized_bundles_match_oracle(small_corpus, k)
             want = oracle.evaluate(ref.table, ref.decoder, task.queries)
             assert type(p.train_loss) is float
             if p.step == 0:
-                assert_bitwise(p.table.matrix, ref.table.matrix)
+                assert_bitwise(p.table, ref.table)
                 assert_bitwise(p.decoder.w_d, ref.decoder.w_d)
                 assert_bitwise(p.decoder.b_d, ref.decoder.b_d)
                 rtol = 1e-12
             else:
                 for arr, arr_ref in (
-                    (p.table.matrix, ref.table.matrix),
+                    (p.table, ref.table),
                     (p.decoder.w_d, ref.decoder.w_d),
                     (p.decoder.b_d, ref.decoder.b_d),
                 ):
@@ -741,5 +738,5 @@ def test_frame_bundle_matches_gather_oracle(utts):
         if len(utt.alignment):
             assert _bundled(got) == _bundled(oracle.build_frame_bundle([utt]))
         else:
-            assert got.frames.shape == (0, utt.dim) and got.rows.dtype == np.int64
+            assert got.frames.shape == (0, utt.features.shape[1]) and got.rows.dtype == np.int64
             assert got.rows.shape == (0,) and got.frames.dtype == utt.features.dtype

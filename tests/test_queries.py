@@ -134,7 +134,7 @@ def test_zero_noise_queries_match_prototypes(tmp_path):
 def test_dump_round_trip(tmp_path):
     u1 = make_utterance("u1", "x", [[1.5, -2.0]], [("a", 0, 1)], PS)
     qm = aggregate_queries([u1], PS)
-    save_query_matrix(qm, tmp_path / "q")
+    save_query_matrix(qm, PS, tmp_path / "q")
     matrix = load_feature_file(tmp_path / "q.xpqf")
     sidecar = json.loads((tmp_path / "q.json").read_text())
     assert np.array_equal(matrix, qm.matrix)

@@ -54,6 +54,10 @@ def test_zero_noise_frames_equal_prototype(tmp_path):
         ("[]", "must be an object of integer values"),
         ('{"L0-ph00": 1, "L0-ph01": "2"}', "must be an object of integer values"),
         ('{"L0-ph00": 1,', "not valid JSON"),
+        ('{"L0-ph00": 1, "L0-ph01": -1}', "prototype index of 'L0-ph01' must be >= 0, got -1"),
+        ('{"L0-ph00": +1}', "not valid JSON"),
+        ('{"L0-ph00": 1_0}', "not valid JSON"),
+        ('{"L0-ph00": 01}', "not valid JSON"),
     ],
 )
 def test_malformed_ground_truth_is_one_format_error(tmp_path, text, problem):

@@ -9,13 +9,7 @@ import numpy as np
 import pytest
 
 import xpq.trainer as trainer_mod
-from xpq.codebook import (
-    CodebookConfig,
-    CodebookParams,
-    EmbeddingTable,
-    attention_backward,
-    attention_forward,
-)
+from xpq.codebook import CodebookConfig, CodebookParams, attention_backward, forward
 from xpq.datamodel import LanguagePhonemeSet
 from xpq.decoder import DecoderParams, loss_and_grads
 from xpq.errors import ConfigError, CoverageError, FormatError
@@ -260,14 +254,10 @@ class TestTrainStep:
         decoder = DecoderParams(d.w_d.astype(np.float64), d.b_d.astype(np.float64))
 
         def objective():
-            emb, _ = attention_forward(params, queries)
-            table = EmbeddingTable(emb, "L0", ps.phonemes)
-            return loss_and_grads(decoder, table, stats)[0]
+            return loss_and_grads(decoder, forward(params, queries)[0], stats)[0]
 
-        emb, record = attention_forward(params, queries)
-        _, dec_grads, d_table = loss_and_grads(
-            decoder, EmbeddingTable(emb, "L0", ps.phonemes), stats
-        )
+        table, record = forward(params, queries)
+        _, dec_grads, d_table = loss_and_grads(decoder, table, stats)
         cb_grads = attention_backward(params, queries, record, d_table)
         for analytic, arr in (
             (cb_grads.w_q, params.w_q),
