@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .adaptation import MODES, AdaptConfig, run_experiment, write_report_json, write_report_tsv
-from .checkpoint import load_checkpoint_params
+from .checkpoint import load_checkpoint, load_checkpoint_params
 from .codebook import CodebookConfig
 from .config import RunConfig, load_run_config, write_resolved_config
 from .datamodel import load_corpus, load_manifest, parse_int, validate_corpus
@@ -127,6 +127,9 @@ def cmd_train(args) -> int:
     cb_cfg = cfg.codebook or CodebookConfig(dim=corpus.feature_spec.dim)
     _refuse_other_dim(cb_cfg, corpus)
     out = Path(args.out)
+    if args.resume:
+        # a checkpoint refused for another config or a fault writes nothing
+        load_checkpoint(out, train_cfg, cb_cfg)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(out / "resolved_config.json", train=train_cfg, codebook=cb_cfg)
     state = run_training(

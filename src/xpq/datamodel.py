@@ -458,10 +458,10 @@ class Corpus:
         return out
 
     def rep_stack(self, language: str) -> RepStack:
-        """The language's RepStack, built at first use: each utterance's reps
-        and counts through queries.phoneme_rep_matrix, and its scatter through
-        kernels.frame_residual_stats of its decoder.build_frame_bundle at those
-        reps. The bundle is not kept."""
+        """The language's RepStack, built at first use from each utterance's
+        decoder.build_frame_bundle: its reps and counts through
+        queries.phoneme_rep_matrix, and its scatter through
+        kernels.frame_residual_stats at those reps. The bundle is not kept."""
         out = self._rep_stacks.get(language)
         if out is None:
             from .decoder import build_frame_bundle
@@ -474,8 +474,8 @@ class Corpus:
             counts = np.zeros((len(utterances), phoneme_set.size), dtype=np.int64)
             scatter = np.zeros(len(utterances))
             for u, utt in enumerate(utterances):
-                reps[u], counts[u] = phoneme_rep_matrix(utt, phoneme_set)
                 bundle = build_frame_bundle(utt)
+                reps[u], counts[u] = phoneme_rep_matrix(bundle, phoneme_set.size)
                 scatter[u] = frame_residual_stats(bundle.frames, bundle.rows, reps[u])[0]
             row = {utt.id: u for u, utt in enumerate(utterances)}
             out = self._rep_stacks[language] = RepStack(reps, counts, scatter, row)

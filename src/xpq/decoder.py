@@ -10,8 +10,8 @@ into the codebook attention).
 Since a phoneme's prediction is constant, the loss reads only each row's frame
 count and mean and the frames' scatter about their means (PhonemeStats):
 training, validation and adaptation alike merge per-utterance statistics
-(Corpus.stats). A frame bundle is built once per utterance, to measure its
-scatter.
+(Corpus.stats). A frame bundle is built once per utterance, to pool its
+means and measure its scatter.
 """
 
 from __future__ import annotations

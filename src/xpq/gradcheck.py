@@ -92,8 +92,9 @@ def _random_instance(shape: CheckShape, seed: int):
 
 def _worst(objective, pairs) -> float:
     """The largest max_rel_err over (analytic, array) pairs, each array's
-    numeric gradient taken by central differences of objective."""
-    return max(0.0, *(max_rel_err(a, central_difference(objective, arr)) for a, arr in pairs))
+    numeric gradient taken by central differences of objective; NaN when
+    any of them is NaN, so a NaN gradient fails."""
+    return float(np.max([max_rel_err(a, central_difference(objective, arr)) for a, arr in pairs]))
 
 
 def check_codebook_gradients(seed: int, shape: CheckShape = CheckShape()) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
+from . import decoder, kernels
 from .datamodel import LanguagePhonemeSet, Utterance, save_feature_file, write_file
 from .errors import ValidationError
 
@@ -29,19 +29,17 @@ class QueryMatrix:
 
 
 def phoneme_rep_matrix(
-    utterance: Utterance, phoneme_set: LanguagePhonemeSet
+    bundle: decoder.FrameBundle, n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-utterance temporary representations in matrix form.
+    """Per-utterance temporary representations in matrix form, from the
+    utterance's decoder.build_frame_bundle over its n_rows-phoneme set.
 
-    Returns (reps, counts): float64 (m, dim) with the mean frame per phoneme
-    (zero rows where counts == 0) and int64 (m,) frame counts. Accumulation is
-    float64 regardless of the feature dtype; long utterances would otherwise
-    lose precision.
+    Returns (reps, counts): float64 (n_rows, dim) with the mean frame per
+    phoneme (zero rows where counts == 0) and int64 (n_rows,) frame counts.
+    Accumulation is float64 regardless of the feature dtype; long utterances
+    would otherwise lose precision.
     """
-    starts, ends, rows = utterance.alignment.T
-    sums, counts = kernels.segment_pool(
-        utterance.features, starts, ends, rows, phoneme_set.size
-    )
+    sums, counts = kernels.segment_pool(bundle.frames, bundle.rows, n_rows)
     reps = np.zeros_like(sums)
     mask = counts > 0
     reps[mask] = sums[mask] / counts[mask, None]
@@ -95,7 +93,8 @@ def aggregate_queries(
     dims = {utt.features.shape[1] for utt in utterances}
     if len(dims) != 1:
         raise ValidationError(f"utterances disagree on feature dim: {sorted(dims)}")
-    reps, counts = zip(*(phoneme_rep_matrix(u, phoneme_set) for u in utterances))
+    bundles = (decoder.build_frame_bundle(u) for u in utterances)
+    reps, counts = zip(*(phoneme_rep_matrix(b, phoneme_set.size) for b in bundles))
     return aggregate_from_matrices(np.stack(reps), np.stack(counts), utterances[0].features.dtype)
 
 

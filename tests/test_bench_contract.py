@@ -158,20 +158,24 @@ STACK_TARGETS = (
 def test_frame_kernels_run_once_per_utterance_however_long_training_runs(
     perfbench, small_corpus_dir, tmp_path
 ):
-    """Training reads frames only while a language's rep stack is built, once
-    per utterance: 25 and 50 steps make the same frame-kernel calls, so a
-    stack rebuilt on every step fails."""
+    """Training reads frames only while a language's rep stack is built: each
+    frame target runs exactly once per utterance of the languages whose stack
+    the run built, and 25 and 50 steps make the same calls. A stack rebuilt
+    on every step, a second bundle per utterance, or a call bound before the
+    tracer wrapped its target (so it goes uncounted) fails."""
     calls = {}
     for steps in (25, 50):
         config = xpq.trainer.TrainConfig(total_steps=steps, warmup_steps=5, seed=4)
+        corpus = xpq.datamodel.load_corpus(small_corpus_dir / "manifest.json")
 
         def run():
-            corpus = xpq.datamodel.load_corpus(small_corpus_dir / "manifest.json")
             xpq.trainer.run_training(corpus, config, SMALL_CB, tmp_path / f"ckpt{steps}")
 
         summary = _traced(perfbench, run)
         calls[steps] = {name: summary.calls(name) for name in STACK_TARGETS}
-    assert all(calls[25].values()), calls
+        built = corpus._rep_stacks  # the languages whose stack the run built
+        n_utterances = sum(len(corpus.by_language(language)) for language in built)
+        assert n_utterances and calls[steps] == dict.fromkeys(STACK_TARGETS, n_utterances)
     assert calls[25] == calls[50]
 
 

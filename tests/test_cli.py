@@ -93,6 +93,22 @@ class TestTrain:
                 workdir / "ckpt" / name
             ).read_bytes(), name
 
+    def test_refused_resume_writes_nothing(self, workdir, tmp_path, capsys):
+        """A checkpoint written with another config, or none at all, is
+        refused before resolved_config.json or the --out directory is written."""
+        out = tmp_path / "ckpt"
+        shutil.copytree(workdir / "ckpt", out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        other = dict(CONFIG, train=dict(CONFIG["train"], lr=0.01))
+        (tmp_path / "other.json").write_text(json.dumps(other))
+        args = ["train", "--config", str(tmp_path / "other.json"),
+                "--corpus", str(workdir / "corpus" / "manifest.json"), "--resume"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:config: checkpoint was written")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(args + ["--out", str(tmp_path / "missing")]) == 1
+        assert not (tmp_path / "missing").exists()
+
     def test_duplicate_utterance_ids_rejected(self, workdir, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(workdir / "corpus", corpus)

@@ -510,12 +510,12 @@ class TestCorpusMemo:
             assert stack.counts.shape == (len(utterances), phoneme_set.size)
             assert stack.counts.dtype == np.int64 and stack.scatter.shape == (len(utterances),)
             for u, utt in enumerate(utterances):
-                reps, counts = phoneme_rep_matrix(utt, phoneme_set)
+                bundle = build_frame_bundle(utt)
+                reps, counts = phoneme_rep_matrix(bundle, phoneme_set.size)
                 assert stack.row[utt.id] == u
                 assert stack.reps[u].dtype == reps.dtype
                 assert stack.reps[u].tobytes() == reps.tobytes()
                 assert stack.counts[u].tobytes() == counts.tobytes()
-                bundle = build_frame_bundle(utt)
                 sq, _ = frame_residual_stats(bundle.frames, bundle.rows, reps)
                 assert stack.scatter[u] == sq
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from xpq import gradcheck
+from xpq.codebook import attention_backward
 from xpq.gradcheck import (
     DEFAULT_SHAPES,
     CheckShape,
@@ -44,3 +46,20 @@ def test_suite_result_formatting():
     results, _ = run_suites(base_seed=1, n_seeds=1, shapes=(CheckShape(2, 3, 2, 1, 2, 2, 5),))
     line = str(results[0])
     assert "PASS" in line and "max_rel_err" in line
+
+
+def test_nan_gradient_fails_the_suite(monkeypatch):
+    """A NaN analytic gradient is reported as max_rel_err=nan and fails."""
+    a = np.ones(3)
+    assert np.isnan(gradcheck._worst(lambda: float(a.sum()), [(np.full(3, np.nan), a)]))
+
+    def nan_backward(*args, **kwargs):
+        grads = attention_backward(*args, **kwargs)
+        grads.w_q.flat[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(gradcheck, "attention_backward", nan_backward)
+    results, _ = run_suites(base_seed=0, n_seeds=1, shapes=(CheckShape(),))
+    failed = [r for r in results if not r.passed]
+    assert [r.suite for r in failed] == ["codebook", "train-objective"]
+    assert all(str(r).endswith("max_rel_err=nan FAIL") for r in failed)

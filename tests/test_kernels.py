@@ -29,10 +29,9 @@ def test_exact_zero_on_perfect_match():
 
 
 def test_pool_repeated_rows_accumulate():
-    features = np.array([[1.0], [2.0], [3.0], [4.0]], dtype=np.float32)
-    starts = np.array([0, 2], dtype=np.int64)
-    ends = np.array([2, 4], dtype=np.int64)
-    rows = np.array([0, 0], dtype=np.int64)
-    sums, counts = kernels.segment_pool(features, starts, ends, rows, 2)
+    # segments [0, 2) and [2, 4), both of row 0
+    frames = np.array([[1.0], [2.0], [3.0], [4.0]], dtype=np.float32)
+    rows = np.array([0, 0, 0, 0], dtype=np.int64)
+    sums, counts = kernels.segment_pool(frames, rows, 2)
     assert counts.tolist() == [4, 0]
     assert sums[0, 0] == 10.0 and sums[1, 0] == 0.0

@@ -4,18 +4,22 @@ A bitwise pair has the same bytes, dtype and shape. Inputs include the edge
 cases the rewrites could treat differently: m=1, n=1, one head, repeated
 rows, all-zero query rows, one-frame segments, the exact-zero residual,
 m * dim == 1 with many utterances, and 1-element Adam tensors. The
-frame-loop pairs are bitwise except for sums whose add order differs; those
-hold to a tolerance set from float64's epsilon and the number of terms, which
-bounds the rounding error of either order. The per-phoneme statistics pair,
-a loss step on Corpus.stats against the oracle's step on the group's frames,
-holds the loss to 1e-12 relative and the gradients to a stated multiple of
-their dtype's epsilon; fine-tuning on statistics against the frame oracle is
+frame-loop pairs are bitwise except for the residual's squared sum, and the
+segment pool against the per-segment pool is bitwise except for float64
+sums: their add orders differ, so they hold to a tolerance set from
+float64's epsilon and the number of terms, which bounds the rounding error
+of either order. The per-phoneme statistics pair, a loss step on
+Corpus.stats against the oracle's step on the group's frames, holds the loss
+to 1e-12 relative and the gradients to a stated multiple of their dtype's
+epsilon; fine-tuning on statistics against the frame oracle is
 bitwise at step 0 and holds to measured tolerances after it. The alignment
 parser pair is exact: the same segments, or the same exception class with the
 same message. The coverage pairs (the training split, sample_task and
 covering_sentences on phoneme bitmasks against symbol sets) are exact over
 drawn pools that include empty alignments and unsorted phoneme rows.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,7 +164,7 @@ def _utterances(rng, n_utts, m, dim, dtype):
 @example(n_utts=40, m=1, dim=1, dtype=np.float64, seed=2)
 def test_aggregation_matches_masked_loop_oracle(n_utts, m, dim, dtype, seed):
     phoneme_set, utts = _utterances(np.random.default_rng(seed), n_utts, m, dim, dtype)
-    rep_counts = [phoneme_rep_matrix(u, phoneme_set) for u in utts]
+    rep_counts = [phoneme_rep_matrix(build_frame_bundle(u), phoneme_set.size) for u in utts]
     stacked = tuple(np.stack(arrays) for arrays in zip(*rep_counts))
     got = aggregate_from_matrices(*stacked, dtype)
     want = oracle.aggregate_from_matrices(rep_counts, dtype)
@@ -185,7 +189,7 @@ def test_stacked_aggregation_matches_masked_loop_oracle(n_utts, m, dim, dtype, p
     Corpus.rep_stack holds) or a presence mask, adds the utterances in the
     loop's order, and the m * dim == 1 case stays a loop."""
     phoneme_set, utts = _utterances(np.random.default_rng(seed), n_utts, m, dim, dtype)
-    rep_counts = [phoneme_rep_matrix(u, phoneme_set) for u in utts]
+    rep_counts = [phoneme_rep_matrix(build_frame_bundle(u), phoneme_set.size) for u in utts]
     reps = np.stack([r for r, _ in rep_counts])
     counts = np.stack([c for _, c in rep_counts])
     got = aggregate_from_matrices(reps, counts > 0 if presence else counts, dtype)
@@ -508,24 +512,49 @@ def _loop_shape():
     )
 
 
-@LOOP_ORACLE
-@given(n_segments=st.integers(0, 8), **_loop_shape())
-@example(n_segments=3, n=1000, m=2, dim=1, dtype=np.float32, scale=1.0, seed=5)
-@example(n_segments=3, n=1000, m=2, dim=1, dtype=np.float64, scale=1.0, seed=5)
-def test_segment_pool_matches_frame_loop(n_segments, n, m, dim, dtype, scale, seed):
-    """Counts are bitwise. Sums are bitwise for float32 features, the corpus
-    dtype, because a float64 sum of a few hundred float32 values is exact
-    unless their magnitudes span about 2**25. With float64 features numpy adds
-    each segment's partial sum (pairwise when dim == 1) where the loop adds
-    frame by frame, so a cell of n_r frames may differ by n_r * eps * sum|x|.
-    """
+def _pool_case(n_segments, n, m, dim, dtype, scale, seed):
+    """Features and n_segments [start, end) segments, each drawn anywhere in
+    them (so they may overlap, repeat a row or be empty), and their bundle."""
     rng = np.random.default_rng(seed)
     features = (rng.standard_normal((n, dim)) * scale).astype(dtype)
     starts = rng.integers(0, n, size=n_segments)
     ends = np.array([rng.integers(s, n + 1) for s in starts], dtype=np.int64)
     rows = rng.integers(0, m, size=n_segments)
-    sums, counts = kernels.segment_pool(features, starts, ends, rows, m)
-    sums_ref, counts_ref = oracle.segment_pool_loop(features, starts, ends, rows, m)
+    utterance = SimpleNamespace(features=features, alignment=np.stack([starts, ends, rows], 1))
+    return (features, starts, ends, rows), build_frame_bundle(utterance)
+
+
+@LOOP_ORACLE
+@given(n_segments=st.integers(0, 8), **_loop_shape())
+@example(n_segments=3, n=1000, m=2, dim=1, dtype=np.float32, scale=1.0, seed=5)
+@example(n_segments=3, n=1000, m=2, dim=1, dtype=np.float64, scale=1.0, seed=5)
+def test_segment_pool_matches_frame_loop(n_segments, n, m, dim, dtype, scale, seed):
+    """Bitwise for float32 and float64 features: bincount adds each cell's
+    frames in bundle order, segment by segment and frame by frame, as the
+    loop does."""
+    segments, bundle = _pool_case(n_segments, n, m, dim, dtype, scale, seed)
+    sums, counts = kernels.segment_pool(bundle.frames, bundle.rows, m)
+    sums_ref, counts_ref = oracle.segment_pool_loop(*segments, m)
+    assert_bitwise(counts, counts_ref)
+    assert_bitwise(sums, sums_ref)
+
+
+@LOOP_ORACLE
+@given(n_segments=st.integers(0, 8), **_loop_shape())
+@example(n_segments=3, n=1000, m=2, dim=1, dtype=np.float64, scale=1.0, seed=5)
+@example(n_segments=8, n=400, m=3, dim=16, dtype=np.float64, scale=1e3, seed=6)
+def test_segment_pool_matches_by_segment_oracle(n_segments, n, m, dim, dtype, scale, seed):
+    """Counts are bitwise. Sums are bitwise for float32 features, the corpus
+    dtype, because a float64 sum of a few hundred float32 values is exact
+    unless their magnitudes span about 2**25. With float64 features the
+    oracle adds each segment's partial sum (pairwise when dim == 1) where the
+    kernel adds frame by frame, so a cell of n_r frames may differ by
+    n_r * eps * sum|x|.
+    """
+    segments, bundle = _pool_case(n_segments, n, m, dim, dtype, scale, seed)
+    features, starts, ends, rows = segments
+    sums, counts = kernels.segment_pool(bundle.frames, bundle.rows, m)
+    sums_ref, counts_ref = oracle.segment_pool_by_segment(*segments, m)
     assert_bitwise(counts, counts_ref)
     if dtype == np.float32:
         assert_bitwise(sums, sums_ref)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xpq.datamodel import LanguagePhonemeSet, load_feature_file, namespaced
+from xpq.decoder import build_frame_bundle
 from xpq.queries import aggregate_queries, phoneme_rep_matrix, save_query_matrix
 from xpq.synth import load_ground_truth
 
@@ -15,20 +16,20 @@ PS = LanguagePhonemeSet("x", ("a", "b", "c"))
 class TestTempReps:
     def test_two_frame_mean(self):
         utt = make_utterance("u", "x", [[2, 4], [4, 8]], [("a", 0, 2)], PS)
-        reps, counts = phoneme_rep_matrix(utt, PS)
+        reps, counts = phoneme_rep_matrix(build_frame_bundle(utt), PS.size)
         assert np.array_equal(reps[0], [3.0, 6.0])
         assert counts[0] == 2
 
     def test_multi_segment_pooling(self):
         # "a" occupies [0,1) and [2,3); the middle frame belongs to nothing
         utt = make_utterance("u", "x", [[0, 0], [9, 9], [4, 4]], [("a", 0, 1), ("a", 2, 3)], PS)
-        reps, counts = phoneme_rep_matrix(utt, PS)
+        reps, counts = phoneme_rep_matrix(build_frame_bundle(utt), PS.size)
         assert np.array_equal(reps[0], [2.0, 2.0])
         assert counts.tolist() == [2, 0, 0]
 
     def test_absent_phoneme_has_no_entry(self):
         utt = make_utterance("u", "x", [[1, 1]], [("b", 0, 1)], PS)
-        reps, counts = phoneme_rep_matrix(utt, PS)
+        reps, counts = phoneme_rep_matrix(build_frame_bundle(utt), PS.size)
         assert counts[0] == 0
         assert np.all(reps[0] == 0.0)
 
@@ -87,8 +88,8 @@ class TestAggregate:
         u2 = make_utterance("u", "x", feats, [("a", 4, 6), ("b", 2, 4), ("a", 0, 2)], PS)
         # unsorted alignments never round-trip through files, but the math
         # itself must not care about segment order
-        r1, c1 = phoneme_rep_matrix(u1, PS)
-        r2, c2 = phoneme_rep_matrix(u2, PS)
+        r1, c1 = phoneme_rep_matrix(build_frame_bundle(u1), PS.size)
+        r2, c2 = phoneme_rep_matrix(build_frame_bundle(u2), PS.size)
         assert np.array_equal(c1, c2)
         np.testing.assert_allclose(r1, r2, rtol=1e-12)
 
